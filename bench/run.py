@@ -1,6 +1,6 @@
 """Layered benchmark for qfc.
 
-    python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1 [--out FILE]
+    python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Runs one workload (or ``--workload all``) in fresh worker processes and
 prints every metric by name with its unit. The last line of standard output
@@ -10,7 +10,8 @@ per-layer metrics with ``--trace 1``. The line before it, starting with
 ``report``, holds the full result: per-solve values and evaluation counts,
 the environment (Python, numpy, BLAS and its thread setting, cores), the
 commit and the seed. The exit code is 0 only when every solve met its
-reference.
+reference. A worker that outlives its time limit is stopped and its workload
+reported as one attempted, failed solve without metrics.
 
 The workloads are a closed loop: one client, one process, one solve at a
 time, with BLAS limited to one thread. The program under test is the ``qfc``
@@ -24,6 +25,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -37,7 +39,26 @@ SETUP_RUNS = 5
 #: BLAS and OpenMP thread variables set for every child process.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_THREADS = "1"
-WORKER_TIMEOUT_S = 170
+#: A worker's time limit is ``WORKER_FIXED_S + WORKER_PER_BUDGET_S * budget``, the
+#: budget being ``max(S, MIN_BUDGET_S)``, plus ``MIN_BUDGET_S`` for the traced
+#: pass and probes of a traced run. At least one pass (up to about 21 s at seed
+#: 0) is always timed, so the limit leaves room for passes several times slower;
+#: at ``S`` = 20 a run that times out still ends within 180 s.
+WORKER_FIXED_S = 45.0
+WORKER_PER_BUDGET_S = 3.0
+MIN_BUDGET_S = 20.0
+SETUP_TIMEOUT_S = 60.0
+
+
+class WorkerTimeout(Exception):
+    pass
+
+
+def worker_timeout(args):
+    budget = max(args.seconds, MIN_BUDGET_S)
+    if args.trace:
+        budget += MIN_BUDGET_S  # the traced pass and the layer probes
+    return WORKER_FIXED_S + WORKER_PER_BUDGET_S * budget
 
 
 def child_env():
@@ -64,23 +85,37 @@ def source_identity():
     return commit, digest.hexdigest()
 
 
-def worker(args, env, tmp, *extra):
+def worker(args, env, tmp, timeout, *extra):
+    """Run one worker process; its own children share its process group.
+
+    On timeout the whole group is killed, so no CLI child outlives the run.
+    """
     cmd = [sys.executable, WORKER, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace), "--tmp", tmp, *extra]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=ROOT,
-                          timeout=WORKER_TIMEOUT_S)
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env, cwd=ROOT, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise WorkerTimeout(f"worker for {args.workload} did not finish within {timeout:.0f} s")
     if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
+        sys.stderr.write(stderr)
         raise RuntimeError(f"worker for {args.workload} exited with {proc.returncode}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(stdout.splitlines()[-1])
 
 
 def run_workload(args, spec):
     env = child_env()
     tmp = tempfile.mkdtemp(prefix=".bench_tmp_", dir=ROOT)
     try:
-        setups = [worker(args, env, tmp, "--setup-only") for _ in range(SETUP_RUNS)]
-        result = worker(args, env, tmp)
+        setups = [worker(args, env, tmp, SETUP_TIMEOUT_S, "--setup-only")
+                  for _ in range(SETUP_RUNS)]
+        result = worker(args, env, tmp, worker_timeout(args))
+    except WorkerTimeout as exc:
+        final = {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
+        return {"workload": args.workload, "seed": args.seed, "timeout": str(exc)}, final
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     runs = setups + [result]
@@ -100,6 +135,9 @@ def run_workload(args, spec):
 
 
 def describe(result, final):
+    if "timeout" in result:
+        return (f"workload {result['workload']}  seed {result['seed']}\n"
+                f"  FAILED {result['timeout']}; no metrics")
     n = result["solves_per_pass"]
     lines = [
         f"workload {result['workload']}  seed {result['seed']}  trace {result['trace']}  "
@@ -117,6 +155,9 @@ def describe(result, final):
         lines.append(f"  FAILED {failure}")
     for problem in result["problems"]:
         lines.append(f"  PROBLEM {problem}")
+    if result.get("missing_entry_points"):
+        lines.append("  MISSING entry points, their per-layer metrics read 0 (not a gain): "
+                     + ", ".join(result["missing_entry_points"]))
     return "\n".join(lines)
 
 
@@ -135,23 +176,16 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", help="also write the full result(s) as JSON to this file")
     args = parser.parse_args(argv)
 
     names = workloads if args.workload == "all" else [args.workload]
-    reports, finals = {}, {}
+    finals = {}
     for name in names:
         result, final = run_workload(argparse.Namespace(**{**vars(args), "workload": name}), spec)
         print(describe(result, final))
-        reports[name], finals[name] = result, final
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(reports if args.workload == "all" else reports[args.workload], fh, indent=1)
-    if args.workload == "all":
-        print(json.dumps({"workloads": finals}))
-    else:
-        print("report " + json.dumps(reports[args.workload]))
-        print(json.dumps(finals[args.workload]))
+        print("report " + json.dumps(result), flush=True)
+        finals[name] = final
+    print(json.dumps({"workloads": finals} if args.workload == "all" else finals[args.workload]))
     return 0 if all(f["correct"] for f in finals.values()) else 1
 
 

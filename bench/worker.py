@@ -47,6 +47,10 @@ CLI_PROBES = 3
 SPEED_NOMINAL_S = 2e-3
 SPEED_ITERATIONS = 30
 SPEED_SETUP_CALLS = 20
+#: The ``cli-cold`` speed reference: a cold process that imports numpy but not
+#: qfc, run before every CLI invocation, and its typical time on that host.
+COLD_REFERENCE = (sys.executable, "-c", "import numpy")
+COLD_NOMINAL_S = 0.2
 
 
 # -- host speed --------------------------------------------------------------
@@ -129,15 +133,22 @@ def cli_value(command, doc):
 
 
 def cli_pass(invocations, traced, snapshots):
-    """One pass of CLI subprocesses; its time is not rescaled (factor 1).
+    """One pass of CLI subprocesses, rescaled by ``COLD_REFERENCE`` processes.
 
     The work runs in cold child processes, which the speed kernel in this
-    process does not track: rescaled, the ten-seed spread of the pass time
-    grew from 0.08 to 0.13.
+    process does not track (rescaled by it, the ten-seed spread of the pass
+    time grew from 0.08 to 0.13). A cold numpy import does the same kind of
+    work as most of an invocation: over 49 blocks of 8 invocations, rescaling
+    by it cut the interquartile range of the block time from 0.088 to 0.057
+    of the median and its full range from 0.40 to 0.14.
     """
     records = []
+    cold = []
     start = time.perf_counter()
     for command, label, tail in invocations:
+        t0 = time.perf_counter()
+        subprocess.run(COLD_REFERENCE, capture_output=True, check=True, timeout=60)
+        cold.append(time.perf_counter() - t0)
         head = [sys.executable, CLI_CHILD] if traced else [sys.executable, "-m", "qfc.cli"]
         t0 = time.perf_counter()
         proc = subprocess.run(head + [command] + tail, capture_output=True, text=True,
@@ -159,7 +170,8 @@ def cli_pass(invocations, traced, snapshots):
                            None if proc.returncode == 0 else f"exit {proc.returncode}")
         rec["overhead_s"] = seconds - float(doc["wall_time_s"])
         records.append(rec)
-    return time.perf_counter() - start, records, 1.0
+    wall = time.perf_counter() - start - sum(cold)
+    return wall, records, COLD_NOMINAL_S / statistics.mean(cold)
 
 
 def measure(run_pass, seconds):
@@ -225,10 +237,14 @@ def environment():
     }
 
 
-def peak_rss_mb():
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own, children) / 1024.0
+def peak_rss_mb(is_cli):
+    """Peak resident MB of this process or, for ``cli-cold``, of its largest CLI child.
+
+    The ``COLD_REFERENCE`` children only import numpy, which every CLI child
+    does too, so they never hold the maximum.
+    """
+    who = resource.RUSAGE_CHILDREN if is_cli else resource.RUSAGE_SELF
+    return resource.getrusage(who).ru_maxrss / 1024.0
 
 
 # -- probe ---------------------------------------------------------------------
@@ -463,7 +479,7 @@ def run(args, tmp):
         "failures": [{k: r[k] for k in ("kind", "label", "value", "error")} for r in failed[:10]],
         "problems": problems,
         "self_check_mismatches": self_check,
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": peak_rss_mb(is_cli),
         "env": environment(),
         "solves": [{k: r[k] for k in ("kind", "label", "seconds", "value", "evals")}
                    for r in passes[0][1]],
