@@ -12,8 +12,10 @@ import numpy as np
 from qfc import (
     OptimizerConfig,
     make_cq,
+    hermitian_basis,
+    lift_b,
     measurement_correlation,
-    observable_basis,
+    qfi,
     total_local_qfi_b,
     total_mfi,
     werner,
@@ -39,13 +41,20 @@ print(f"  total local QFI:              {total_local_qfi_b(cq):.9f}")
 
 print()
 print("The basis sum does not depend on the observable basis:")
-canonical = observable_basis(np.eye(3))
+
+
+def basis_sum(basis):
+    return sum(qfi(state.rho, lift_b(h, 2)) for h in basis)
+
+
+canonical = hermitian_basis(np.eye(3))
 rng = np.random.default_rng(5)
 for k in range(3):
     mix, _ = np.linalg.qr(rng.standard_normal((9, 9)))
     rotated = np.einsum("vu,uij->vij", mix, canonical)
-    print(f"  random orthogonal mixing {k}: {total_local_qfi_b(state, rotated):.12f}")
-print(f"  canonical basis:             {total_local_qfi_b(state, canonical):.12f}")
+    print(f"  random orthogonal mixing {k}: {basis_sum(rotated):.12f}")
+print(f"  canonical basis:             {basis_sum(canonical):.12f}")
+print(f"  basis-free value:            {top:.12f}")
 
 print()
 print("Werner family: the quantifier grows with the singlet weight")

@@ -13,13 +13,11 @@ from .correlations import (
     conditional_states,
     lift_a,
     lift_b,
+    measure_a,
     measurement_correlation,
     measurement_projectors,
     mfi,
-    observable_basis,
     observable_correlation,
-    pure_local_qfi_b,
-    pure_mfi_b,
     pure_state_correlation,
     total_local_qfi_b,
     total_mfi,

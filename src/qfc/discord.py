@@ -16,7 +16,7 @@ from .errors import DimensionGuardError
 from .linalg import dag
 from .optimize import OptimizerConfig, OptimizerReport, optimize_basis, unitary_from_params
 from .states import PURITY_TOL, BipartiteState, state_vector
-from .correlations import validate_measurement
+from .correlations import measure_a, validate_measurement
 
 ENTROPY_CUTOFF = 1e-15
 #: Entropic discord optimizes over a full basis of party a; cost grows
@@ -34,11 +34,15 @@ class DiscordResult:
     report: OptimizerReport | None = None
 
 
+def _spectral_entropy(values: np.ndarray) -> float:
+    vals = values[values > ENTROPY_CUTOFF]
+    return float(-np.sum(vals * np.log(vals)))
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy ``-sum_i p_i ln p_i`` of a density matrix (0 ln 0 = 0)."""
-    vals = np.linalg.eigvalsh((np.asarray(rho, dtype=complex) + dag(rho)) / 2)
-    vals = vals[vals > ENTROPY_CUTOFF]
-    return float(-np.sum(vals * np.log(vals)))
+    rho = np.asarray(rho, dtype=complex)
+    return _spectral_entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2))
 
 
 def mutual_information(state: BipartiteState) -> float:
@@ -50,22 +54,13 @@ def mutual_information(state: BipartiteState) -> float:
     )
 
 
-def _measured_blocks(state: BipartiteState, u: np.ndarray) -> np.ndarray:
-    m, n = state.dims
-    r4 = state.rho.reshape(m, n, m, n)
-    return np.einsum("an,aibj,bn->nij", u.conj(), r4, u)
-
-
-def _measured_rho(state: BipartiteState, u: np.ndarray) -> np.ndarray:
-    blocks = _measured_blocks(state, u)
-    d = state.dim
-    return np.einsum("an,nij,bn->aibj", u, blocks, u.conj()).reshape(d, d)
-
-
 def measured_state(state: BipartiteState, measurement: np.ndarray) -> BipartiteState:
     """Dephased state ``sum_n (P_n (x) 1) rho (P_n (x) 1)`` after measuring a."""
     u = validate_measurement(measurement, state.dim_a)
-    return BipartiteState(_measured_rho(state, u), state.dim_a, state.dim_b)
+    blocks = measure_a(state, u)
+    d = state.dim
+    rho = np.einsum("an,nij,bn->aibj", u, blocks, u.conj()).reshape(d, d)
+    return BipartiteState(rho, state.dim_a, state.dim_b)
 
 
 def entropic_discord(
@@ -82,11 +77,14 @@ def entropic_discord(
             f"entropic discord supports dim_a <= {MAX_DIM_A}, got {state.dim_a}"
         )
     base = mutual_information(state)
+    entropy_b = von_neumann_entropy(state.marginal("b"))
 
     def measured_information(u: np.ndarray) -> float:
-        rho = _measured_rho(state, u)
-        measured = BipartiteState(rho, state.dim_a, state.dim_b)
-        return mutual_information(measured)
+        # I(measured rho) = S(rho_b) + H(p) - S(measured rho): measuring a
+        # leaves rho_b alone, dephases rho_a to p_n = tr B_n and makes rho
+        # block diagonal in the basis u.
+        spectra = np.linalg.eigvalsh(measure_a(state, u))
+        return entropy_b + _spectral_entropy(spectra.sum(axis=1)) - _spectral_entropy(spectra)
 
     report = optimize_basis(measured_information, state.dim_a, "max", config)
     return DiscordResult(
@@ -116,9 +114,15 @@ def geometric_discord(
         argopt = linalg.complete_basis(sd.a_vectors, state.dim_a)
         return DiscordResult(value=value, argopt=argopt, method="closed-form")
 
+    m, n = state.dims
+    r4 = state.rho.reshape(m, n, m, n)
+    off_diagonal = ~np.eye(m, dtype=bool)
+
     def distance(u: np.ndarray) -> float:
-        diff = state.rho - _measured_rho(state, u)
-        return float(np.real(np.sum(diff * diff.conj())))
+        # In the basis u, measuring a keeps the diagonal blocks
+        # (<u_k| (x) 1) rho (|u_k> (x) 1); the distance is the mass of the others.
+        rotated = np.einsum("ak,aibj,bl->klij", u.conj(), r4, u)[off_diagonal].ravel()
+        return float(np.vdot(rotated, rotated).real)
 
     report = optimize_basis(distance, state.dim_a, "min", config)
     return DiscordResult(

@@ -59,13 +59,14 @@ def qfi_weight_matrix(values: np.ndarray) -> np.ndarray:
     """Spectral weights ``(p_i - p_j)^2 / (2 (p_i + p_j))`` with support cutoff.
 
     Pairs whose eigenvalue sum falls below the cutoff are excluded (weight 0).
+    Broadcasts over leading axes: a ``(..., d)`` stack of spectra gives a
+    ``(..., d, d)`` stack of weight matrices.
     """
     p = np.asarray(values, dtype=float)
-    sums = p[:, None] + p[None, :]
-    diffs = p[:, None] - p[None, :]
+    sums = p[..., :, None] + p[..., None, :]
+    diffs = p[..., :, None] - p[..., None, :]
     w = np.zeros_like(sums)
-    mask = sums > SUPPORT_CUTOFF
-    w[mask] = diffs[mask] ** 2 / (2.0 * sums[mask])
+    np.divide(diffs**2, 2.0 * sums, out=w, where=sums > SUPPORT_CUTOFF)
     return w
 
 

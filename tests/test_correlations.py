@@ -11,6 +11,7 @@ from qfc import (
     basis_qfi_sum,
     conditional_states,
     dag,
+    hermitian_basis,
     kron,
     lift_a,
     lift_b,
@@ -21,15 +22,14 @@ from qfc import (
     measured_state,
     measurement_correlation,
     mfi,
-    observable_basis,
     observable_correlation,
     pure_from_schmidt,
-    pure_local_qfi_b,
-    pure_mfi_b,
     pure_state_correlation,
     qfi,
     qfi_weight_matrix,
     random_pure,
+    schmidt,
+    state_vector,
     total_local_qfi_b,
     total_mfi,
     unitary_from_params,
@@ -46,6 +46,51 @@ CFG = OptimizerConfig(restarts=8, seed=0)
 def random_mixed(dims, seed, rank=None):
     d = dims[0] * dims[1]
     return BipartiteState(random_density(d, rank or d, seed), *dims)
+
+
+def rotated_bases(dim, seed, count):
+    """The canonical observable basis of C^dim and ``count`` orthogonal mixings of it."""
+    canonical = hermitian_basis(np.eye(dim))
+    rng = np.random.default_rng(seed)
+    bases = [canonical]
+    for _ in range(count):
+        mix, _ = np.linalg.qr(rng.standard_normal((dim * dim, dim * dim)))
+        bases.append(np.einsum("vu,uij->vij", mix, canonical))
+    return bases
+
+
+def _pure_local_qfi_b(state, h_b):
+    """Closed-form local QFI on party b of a pure state, from its Schmidt data.
+
+    ``sum_i s_i <b_i|H^2|b_i> - (sum_i s_i <b_i|H|b_i>)^2``.
+    """
+    sd = schmidt(state_vector(state), state.dims)
+    bh = dag(sd.b_vectors) @ h_b @ sd.b_vectors
+    bh2 = dag(sd.b_vectors) @ (h_b @ h_b) @ sd.b_vectors
+    s = sd.coefficients
+    return float(np.real(np.sum(s * np.diagonal(bh2))) - np.real(np.sum(s * np.diagonal(bh))) ** 2)
+
+
+def _pure_mfi_b(state, u, h_b):
+    """Closed-form measurement-induced Fisher information of a pure state.
+
+    Every conditional state is pure, so the value is ``sum_i s_i <b_i|H^2|b_i>
+    - sum_n A_n^2 / p(n)`` with ``A_n = sum_ij sqrt(s_i s_j) <a_j|n><n|a_i>
+    <b_j|H|b_i>``; outcomes below probability 1e-12 are dropped.
+    """
+    sd = schmidt(state_vector(state), state.dims)
+    bh = dag(sd.b_vectors) @ h_b @ sd.b_vectors
+    bh2 = dag(sd.b_vectors) @ (h_b @ h_b) @ sd.b_vectors
+    s = sd.coefficients
+    second = float(np.real(np.sum(s * np.diagonal(bh2))))
+    weighted = (dag(u) @ sd.a_vectors) * np.sqrt(s)[None, :]  # <n|a_i> sqrt(s_i)
+    probs = np.sum(np.abs(weighted) ** 2, axis=1)
+    reduction = 0.0
+    for n in range(u.shape[1]):
+        if probs[n] > 1e-12:
+            amp = float(np.real(weighted[n].conj() @ bh @ weighted[n]))
+            reduction += amp**2 / probs[n]
+    return second - reduction
 
 
 class TestLifts:
@@ -68,18 +113,18 @@ class TestLifts:
 
 class TestObservableBasis:
     def test_qubit_count_and_members(self):
-        basis = observable_basis(np.eye(2))
+        basis = hermitian_basis(np.eye(2))
         assert basis.shape == (4, 2, 2)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_gram_matrix_is_identity(self, dim):
-        basis = observable_basis(np.eye(dim))
+        basis = hermitian_basis(np.eye(dim))
         gram = np.einsum("mij,nji->mn", basis, basis)
         np.testing.assert_allclose(gram, np.eye(dim * dim), atol=1e-12)
 
     def test_rejects_non_orthonormal_vectors(self):
         with pytest.raises(OrthonormalityError):
-            observable_basis(np.array([[1.0, 1.0], [0.0, 0.0]]))
+            hermitian_basis(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
 class TestTotalLocalQfiB:
@@ -90,13 +135,10 @@ class TestTotalLocalQfiB:
     @pytest.mark.parametrize("seed", range(4))
     def test_invariant_under_orthogonal_basis_mixing(self, seed):
         state = random_mixed((2, 3), seed)
-        canonical = observable_basis(np.eye(3))
-        rng = np.random.default_rng(seed)
-        mix, _ = np.linalg.qr(rng.standard_normal((9, 9)))
-        mixed = np.einsum("vu,uij->vij", mix, canonical)
-        a = total_local_qfi_b(state, canonical)
-        b = total_local_qfi_b(state, mixed)
-        assert abs(a - b) <= 1e-9
+        basis_free = total_local_qfi_b(state)
+        for basis in rotated_bases(3, seed, 2):
+            explicit = sum(qfi(state.rho, lift_b(h, 2)) for h in basis)
+            assert abs(explicit - basis_free) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_spectral_oracle(self, seed):
@@ -192,9 +234,10 @@ class TestTotalMfi:
     def test_matches_per_observable_sum(self):
         state = random_mixed((2, 3), 9)
         u = haar_unitary(2, 9)
-        basis = observable_basis(np.eye(3))
-        expected = sum(mfi(state, u, h) for h in basis)
-        assert abs(total_mfi(state, u, basis) - expected) <= 1e-10
+        basis_free = total_mfi(state, u)
+        for basis in rotated_bases(3, 9, 2):
+            explicit = sum(mfi(state, u, h) for h in basis)
+            assert abs(basis_free - explicit) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pure_states_measurement_independent(self, seed):
@@ -208,27 +251,27 @@ class TestPureClosedForms:
         state = pure_from_schmidt([1.0], (2, 3))
         h = random_hermitian(3, 1)
         v = variance(state.marginal("b"), h)
-        assert abs(pure_local_qfi_b(state, h) - v) <= 1e-10
-        assert abs(pure_mfi_b(state, np.eye(2), h) - v) <= 1e-10
+        assert abs(_pure_local_qfi_b(state, h) - v) <= 1e-10
+        assert abs(_pure_mfi_b(state, np.eye(2), h) - v) <= 1e-10
 
     def test_bell_with_sz_frozen_values(self):
         state = max_entangled(2)
         # local QFI 1 (variance of sz in I/2); conditionals are sz eigenstates
-        assert abs(pure_local_qfi_b(state, SZ) - 1.0) <= 1e-12
-        assert abs(pure_mfi_b(state, np.eye(2), SZ)) <= 1e-12
+        assert abs(_pure_local_qfi_b(state, SZ) - 1.0) <= 1e-12
+        assert abs(_pure_mfi_b(state, np.eye(2), SZ)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_forms_match_generic_paths(self, seed):
         state = random_pure((3, 3), 400 + seed)
         h = random_hermitian(3, 500 + seed)
         u = haar_unitary(3, 600 + seed)
-        assert abs(pure_local_qfi_b(state, h) - qfi(state.rho, lift_b(h, 3))) <= 1e-8
-        assert abs(pure_mfi_b(state, u, h) - mfi(state, u, h)) <= 1e-8
+        assert abs(_pure_local_qfi_b(state, h) - qfi(state.rho, lift_b(h, 3))) <= 1e-8
+        assert abs(_pure_mfi_b(state, u, h) - mfi(state, u, h)) <= 1e-8
 
     def test_mixed_input_rejected(self):
         mixed = BipartiteState(np.eye(4) / 4, 2, 2)
         with pytest.raises(PurityError):
-            pure_local_qfi_b(mixed, SZ)
+            _pure_local_qfi_b(mixed, SZ)
         with pytest.raises(PurityError):
             pure_state_correlation(mixed)
 

@@ -13,6 +13,7 @@ from qfc import (
     eigh,
     kron,
     qfi,
+    qfi_weight_matrix,
     sld,
     validate_povm,
     variance,
@@ -105,6 +106,23 @@ class TestQfi:
         u = haar_unitary(3, seed)
         rotated = qfi(u @ rho @ dag(u), u @ h @ dag(u))
         assert abs(rotated - qfi(rho, h)) <= 1e-9
+
+
+
+class TestQfiWeightMatrix:
+    def test_hand_computed_weights_and_cutoff(self):
+        w = qfi_weight_matrix(np.array([0.75, 0.25, 0.0]))
+        # (1/2)^2 / 2 between the two support values, p/2 against the kernel
+        expected = np.array([[0.0, 0.125, 0.375], [0.125, 0.0, 0.125], [0.375, 0.125, 0.0]])
+        np.testing.assert_allclose(w, expected, atol=1e-15)
+
+    def test_stack_matches_each_spectrum(self):
+        spectra = np.random.default_rng(3).random((4, 3))
+        spectra[1, :2] = 0.0  # a pair below the support cutoff
+        stacked = qfi_weight_matrix(spectra)
+        assert stacked.shape == (4, 3, 3)
+        for k in range(4):
+            np.testing.assert_array_equal(stacked[k], qfi_weight_matrix(spectra[k]))
 
 
 class TestVariance:
