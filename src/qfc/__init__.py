@@ -52,6 +52,7 @@ from .linalg import (
     dag,
     eigh,
     hermitian_basis,
+    joint_diagonalize,
     kron,
     partial_trace,
     schmidt,

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .errors import ShapeError
 from .fisher import qfi, qfi_weight_matrix
-from .optimize import OptimizerConfig, OptimizerReport, optimize_basis, unitary_from_params
+from .optimize import OptimizerConfig, OptimizerReport, optimize_basis
 from .states import BipartiteState, state_vector
 
 #: Measurement outcomes with probability below this cutoff are dropped.
@@ -91,6 +91,25 @@ def measure_a(state: BipartiteState, u: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != m:
         raise ShapeError(f"directions of shape {u.shape} do not match dim_a {m}")
     return np.einsum("an,aibj,bn->nij", u.conj(), state.rho.reshape(m, n, m, n), u)
+
+
+def _a_components(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    # A_k = tr_b[(1 (x) Y_k) X] over the trace-orthonormal Hermitian basis Y_k
+    # of b, so X = sum_k A_k (x) Y_k and, for the dephasing Pi_u of party a in
+    # the basis u, ||X - Pi_u X||^2 = linalg.off_diagonal_mass(A, u).
+    m, n = dims
+    y = linalg.hermitian_basis(np.eye(n))
+    return np.einsum("kji,aibj->kab", y, np.asarray(x).reshape(m, n, m, n))
+
+
+def _sqrt_basis(state: BipartiteState) -> np.ndarray:
+    # u_H, the basis of party a that best diagonalizes sqrt(rho): the warm
+    # start of every basis search. Eigenvalues below the support cutoff are
+    # roundoff, which the square root would lift to about 1e-8.
+    vals, vecs = np.linalg.eigh(state.rho)
+    roots = np.sqrt(np.where(vals > linalg.SUPPORT_CUTOFF, vals, 0.0))
+    root = (vecs * roots) @ linalg.dag(vecs)
+    return linalg.joint_diagonalize(_a_components(root, state.dims))[0]
 
 
 def lift_a(h: np.ndarray, dim_b: int) -> np.ndarray:
@@ -202,12 +221,10 @@ def observable_correlation(
     exactly on CQ/CC states; equal to ``1 - sum_i s_i^2`` on pure states with
     Schmidt coefficients ``s_i``.
     """
-    report = optimize_basis(_basis_qfi_objective(state), state.dim_a, "min", config)
-    return QuantifierResult(
-        value=report.best_value,
-        argopt=unitary_from_params(report.best_params, state.dim_a),
-        report=report,
+    report = optimize_basis(
+        _basis_qfi_objective(state), state.dim_a, "min", config, start=_sqrt_basis(state)
     )
+    return QuantifierResult(value=report.best_value, argopt=report.best_unitary, report=report)
 
 
 def measurement_correlation(
@@ -221,11 +238,11 @@ def measurement_correlation(
     pure states.
     """
     total = total_local_qfi_b(state)
-    report = optimize_basis(lambda u: _total_mfi(state, u), state.dim_a, "max", config)
+    report = optimize_basis(
+        lambda u: _total_mfi(state, u), state.dim_a, "max", config, start=_sqrt_basis(state)
+    )
     return QuantifierResult(
-        value=total - report.best_value,
-        argopt=unitary_from_params(report.best_params, state.dim_a),
-        report=report,
+        value=total - report.best_value, argopt=report.best_unitary, report=report
     )
 
 

@@ -5,7 +5,8 @@ d^2 real coefficients of a Hermitian generator A in the canonical
 trace-orthonormal Hermitian basis; the chart ``p -> exp(i A(p))`` covers the
 whole unitary group. Optimization is multistart Nelder-Mead: restarts draw
 independent random generator coefficients, each restart owning its RNG
-stream (seed = base seed + restart index).
+stream (seed = base seed + restart index). Restart 0 may instead be warm
+started at a given basis, charted as ``start @ exp(i A(p))``.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ class OptimizerReport:
     ``restart_values`` holds each restart's final objective value in original
     (unsigned) units; ``converged`` is the flag of the restart that produced
     the best value. Ties between equally good restarts resolve to the lowest
-    restart index.
+    restart index. ``best_unitary`` is the basis that attains ``best_value``.
     """
 
     direction: str
     best_value: float
-    best_params: np.ndarray
+    best_unitary: np.ndarray
     restart_values: np.ndarray
     restart_converged: np.ndarray
     converged: bool
@@ -173,45 +174,63 @@ def optimize_basis(
     dim: int,
     direction: str = "min",
     config: OptimizerConfig | None = None,
+    *,
+    start: np.ndarray | None = None,
 ) -> OptimizerReport:
     """Optimize a function of an orthonormal basis (measurement) of C^dim.
 
     ``objective`` receives a unitary matrix whose columns are the basis
     vectors / measurement directions and must return a finite float.
-    Deterministic for a fixed config.
+    Restart k starts from random generator coefficients drawn from its own
+    stream (seed ``config.seed + k``). A ``start`` unitary replaces restart 0
+    by a search over ``start @ exp(i A(p))`` from ``p = 0``, so its first
+    evaluation is at ``start``; the other restarts are unchanged.
+    Deterministic for a fixed config and start.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    if start is not None:
+        if np.shape(start) != (dim, dim):
+            raise ShapeError(f"start of shape {np.shape(start)} does not match dimension {dim}")
+        start = linalg.require_orthonormal_columns(start, "start")
     cfg = config if config is not None else OptimizerConfig()
     sign = 1.0 if direction == "min" else -1.0
 
-    def wrapped(p: np.ndarray) -> float:
-        value = float(objective(unitary_from_params(p, dim)))
-        if not np.isfinite(value):
-            raise OptimizationError(f"objective returned non-finite value {value}")
-        return sign * value
+    def chart(p: np.ndarray, base: np.ndarray | None) -> np.ndarray:
+        u = unitary_from_params(p, dim)
+        return u if base is None else base @ u
 
     finals = np.empty(cfg.restarts)
     flags = np.empty(cfg.restarts, dtype=bool)
-    params = []
+    unitaries = []
     nfev_total = 0
     nit_total = 0
     for k in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + k)
-        x0 = random_params(dim, rng)
+        base = start if k == 0 else None
+        if base is None:
+            x0 = random_params(dim, np.random.default_rng(cfg.seed + k))
+        else:
+            x0 = np.zeros(dim * dim)
+
+        def wrapped(p: np.ndarray) -> float:
+            value = float(objective(chart(p, base)))
+            if not np.isfinite(value):
+                raise OptimizationError(f"objective returned non-finite value {value}")
+            return sign * value
+
         x, fx, nfev, nit, ok = nelder_mead(
             wrapped, x0, cfg.step_scale, cfg.tolerance, cfg.max_iterations
         )
         finals[k] = fx
         flags[k] = ok
-        params.append(x)
+        unitaries.append(chart(x, base))
         nfev_total += nfev
         nit_total += nit
     best = int(np.argmin(finals))
     return OptimizerReport(
         direction=direction,
         best_value=sign * finals[best],
-        best_params=params[best],
+        best_unitary=unitaries[best],
         restart_values=sign * finals,
         restart_converged=flags,
         converged=bool(flags[best]),

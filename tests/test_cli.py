@@ -148,6 +148,23 @@ class TestCommands:
         assert abs(values["entropic_discord"] - np.log(2)) <= 1e-4
         assert abs(values["geometric_discord"] - 0.5) <= 1e-6
 
+    def test_discord_reports_geometric_method(self, capsys, tmp_path):
+        mixed = write_spec(tmp_path, {"kind": "random", "dims": [2, 3], "seed": 1, "rank": 6})
+        code, out, _ = run_cli(
+            capsys, "discord", "--state", mixed, "--restarts", "3", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["geometric_method"] == "jacobi"
+        assert doc["optimizer_dg"]["restarts"] == 3
+        assert type(doc["optimizer_dg"]["evaluations"]) is int
+        assert doc["optimizer_dg"]["evaluations"] > 0
+        pure = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]}, "pure.json")
+        code, out, _ = run_cli(capsys, "discord", "--state", pure, "--format", "json")
+        doc = json.loads(out)
+        assert doc["geometric_method"] == "closed-form"
+        assert "optimizer_dg" not in doc
+
     def test_discord_log_base_two(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
         code, out, _ = run_cli(

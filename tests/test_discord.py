@@ -7,6 +7,7 @@ from qfc import (
     BipartiteState,
     DimensionGuardError,
     OptimizerConfig,
+    basis_qfi_sum,
     dag,
     entropic_discord,
     geometric_discord,
@@ -18,9 +19,12 @@ from qfc import (
     mutual_information,
     pure_from_schmidt,
     random_pure,
+    total_local_qfi_b,
+    total_mfi,
     von_neumann_entropy,
     werner,
 )
+from qfc import verify
 from qfc.states import haar_unitary, random_density
 
 CFG = OptimizerConfig(restarts=8, seed=0)
@@ -114,6 +118,69 @@ class TestGeometricDiscord:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             geometric_discord(max_entangled(2), CFG, method="grid")
+
+    def test_mixed_state_report(self):
+        state = BipartiteState(random_density(6, 6, 3), 2, 3)
+        result = geometric_discord(state, CFG)
+        assert result.method == "jacobi"
+        report = result.report
+        assert report.converged and report.restart_values.size == CFG.restarts
+        assert report.best_value == result.value == report.restart_values.min()
+        assert np.array_equal(report.best_unitary, result.argopt)
+        diff = state.rho - measured_state(state, result.argopt).rho
+        assert abs(float(np.sum(np.abs(diff) ** 2)) - result.value) <= 1e-12
+
+
+#: (dims, states per rank): 64 states, half full rank and half rank 2. Party
+#: a of dimension 3 or 4 gets fewer states, because the Nelder-Mead side takes
+#: about 0.7 s and 2 s per state there.
+ORACLE_DIMS = [((2, 2), 7), ((2, 3), 7), ((2, 4), 7), ((3, 2), 3), ((3, 3), 3), ((3, 4), 3),
+               ((4, 2), 1), ((4, 4), 1)]
+ORACLE_CFG = OptimizerConfig(restarts=8, tolerance=1e-10, seed=0)
+
+
+class TestJacobiOracles:
+    """The Jacobi basis against the Nelder-Mead search and at criterion 3's states."""
+
+    @pytest.mark.parametrize(
+        "dims, count", ORACLE_DIMS, ids=[f"{m}x{n}" for (m, n), _ in ORACLE_DIMS]
+    )
+    def test_jacobi_never_above_nelder_mead(self, dims, count):
+        d = dims[0] * dims[1]
+        for k in range(count):
+            for rank in (d, 2):
+                state = BipartiteState(random_density(d, rank, 700 + 10 * d + k), *dims)
+                jacobi = geometric_discord(state, ORACLE_CFG).value
+                searched = geometric_discord(state, ORACLE_CFG, method="optimized").value
+                assert jacobi <= searched + 1e-9
+
+    @staticmethod
+    def criterion3_states(noisy):
+        settings = verify.VerifySettings()
+        for i in range(20):
+            dims = verify._MIXED_DIMS[i % len(verify._MIXED_DIMS)]
+            if noisy:
+                yield verify._noisy_entangled(dims, settings.state_seed(3, 100 + i))
+            else:
+                build = verify._random_cq if i % 2 == 0 else verify._random_cc
+                yield build(dims, settings.state_seed(3, i))
+
+    @staticmethod
+    def at_u_g(state):
+        u_g = geometric_discord(state).argopt
+        return basis_qfi_sum(state, u_g), total_local_qfi_b(state) - total_mfi(state, u_g)
+
+    def test_u_g_is_a_zero_of_both_quantifiers_on_classical_states(self):
+        for state in self.criterion3_states(noisy=False):
+            qah, gap = self.at_u_g(state)
+            assert qah <= 1e-20
+            assert abs(gap) <= 1e-12
+
+    def test_u_g_is_no_zero_on_noisy_entangled_states(self):
+        for state in self.criterion3_states(noisy=True):
+            qah, gap = self.at_u_g(state)
+            assert qah >= 1e-3
+            assert gap >= 1e-3
 
 
 class TestLocalUnitaryInvariance:

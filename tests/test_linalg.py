@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from qfc import (
+    BipartiteState,
     HermiticityError,
     NormalizationError,
     ShapeError,
     dag,
     eigh,
     hermitian_basis,
+    joint_diagonalize,
     kron,
+    measured_state,
     partial_trace,
     schmidt,
 )
+from qfc.correlations import _a_components
 from qfc.states import haar_unitary, random_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -187,3 +191,63 @@ class TestHermitianBasis:
 
     def test_counts_for_dimension_three(self):
         assert hermitian_basis(np.eye(3)).shape == (9, 3, 3)
+
+
+def commuting_stack(d, seed, count=5):
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(d, seed)
+    return np.array([v @ np.diag(rng.normal(size=d)) @ dag(v) for _ in range(count)])
+
+
+def off_diagonal(m):
+    return m[:, ~np.eye(m.shape[-1], dtype=bool)]
+
+
+class TestJointDiagonalize:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_commuting_stack_is_diagonalized(self, d, seed):
+        mats = commuting_stack(d, seed)
+        u, residual, _ = joint_diagonalize(mats)
+        assert residual <= 1e-20
+        rotated = np.einsum("ak,mab,bl->mkl", u.conj(), mats, u)
+        assert np.max(np.abs(off_diagonal(rotated))) <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_degenerate_commuting_stack_converges(self, d):
+        # every rotation inside the shared eigenspace is equally good
+        v = haar_unitary(d, 9)
+        mats = np.array([v @ np.diag([1.0] * (d - 1) + [2.0]) @ dag(v), np.eye(d)])
+        u, residual, sweeps = joint_diagonalize(mats, haar_unitary(d, 10))
+        assert residual <= 1e-20
+        assert sweeps <= 5
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)])
+    @pytest.mark.parametrize("rank", ["full", 2])
+    def test_result_is_unitary_and_residual_is_distance(self, dims, rank):
+        d = dims[0] * dims[1]
+        state = BipartiteState(random_density(d, d if rank == "full" else 2, d), *dims)
+        for start in (None, haar_unitary(dims[0], 3)):
+            u, residual, _ = joint_diagonalize(_a_components(state.rho, dims), start)
+            assert np.linalg.norm(dag(u) @ u - np.eye(dims[0])) <= 1e-12
+            diff = state.rho - measured_state(state, u).rho
+            assert abs(residual - float(np.sum(np.abs(diff) ** 2))) <= 1e-12
+
+    def test_repeated_calls_are_bit_identical(self):
+        mats = _a_components(random_density(9, 9, 1), (3, 3))
+        start = haar_unitary(3, 2)
+        first, second = joint_diagonalize(mats, start), joint_diagonalize(mats, start)
+        assert np.array_equal(first[0], second[0])
+        assert first[1:] == second[1:]
+
+    def test_start_is_not_modified(self):
+        start = haar_unitary(3, 2)
+        kept = start.copy()
+        joint_diagonalize(_a_components(random_density(9, 9, 1), (3, 3)), start)
+        assert np.array_equal(start, kept)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ShapeError):
+            joint_diagonalize(np.eye(3))
+        with pytest.raises(ShapeError):
+            joint_diagonalize(commuting_stack(3, 0), np.eye(2))

@@ -1,8 +1,15 @@
 """Unitary parameterization and the multistart Nelder-Mead search."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qfc
 from qfc import (
     OptimizationError,
     OptimizerConfig,
@@ -12,6 +19,7 @@ from qfc import (
     optimize_basis,
     unitary_from_params,
 )
+from qfc.states import haar_unitary
 
 
 class TestUnitaryFromParams:
@@ -84,7 +92,7 @@ class TestOptimizeBasis:
         a = optimize_basis(objective, 2, "min", cfg)
         b = optimize_basis(objective, 2, "min", cfg)
         assert a.best_value == b.best_value
-        assert np.array_equal(a.best_params, b.best_params)
+        assert np.array_equal(a.best_unitary, b.best_unitary)
         assert np.array_equal(a.restart_values, b.restart_values)
         assert a.n_evaluations == b.n_evaluations
 
@@ -115,6 +123,58 @@ class TestOptimizeBasis:
         report = optimize_basis(objective, 2, "min", OptimizerConfig(restarts=4, seed=0))
         ordered = np.sort(report.restart_values)
         assert report.second_best_value == ordered[1]
+
+
+class TestWarmStart:
+    OBJECTIVE = staticmethod(lambda u: float(np.real(np.trace(u))))
+    CFG = OptimizerConfig(restarts=4, seed=7)
+
+    def test_first_call_of_restart_zero_receives_start(self):
+        start = haar_unitary(3, 1)
+        seen = []
+
+        def objective(u):
+            seen.append(u.copy())
+            return self.OBJECTIVE(u)
+
+        optimize_basis(objective, 3, "min", self.CFG, start=start)
+        assert np.array_equal(seen[0], start)
+
+    def test_other_restarts_keep_their_streams(self):
+        cold = optimize_basis(self.OBJECTIVE, 3, "min", self.CFG)
+        warm = optimize_basis(self.OBJECTIVE, 3, "min", self.CFG, start=haar_unitary(3, 1))
+        np.testing.assert_array_equal(warm.restart_values[1:], cold.restart_values[1:])
+
+    def test_best_unitary_attains_best_value(self):
+        report = optimize_basis(self.OBJECTIVE, 3, "min", self.CFG, start=haar_unitary(3, 1))
+        assert self.OBJECTIVE(report.best_unitary) == report.best_value
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,)])
+    def test_rejects_start_of_wrong_shape(self, shape):
+        start = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
+        with pytest.raises(ShapeError):
+            optimize_basis(self.OBJECTIVE, 2, "min", self.CFG, start=start)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+def test_cli_values_do_not_depend_on_blas_threads(tmp_path, dims):
+    spec = tmp_path / "state.json"
+    d = dims[0] * dims[1]
+    spec.write_text(json.dumps({"kind": "random", "dims": list(dims), "seed": 4, "rank": d}))
+    src = str(Path(qfc.__file__).resolve().parents[1])
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfc.cli", "qah", "--state", str(spec),
+             "--restarts", "4", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        values.append((doc["values"], doc["optimizer"]))
+    assert values[0] == values[1]
 
 
 class TestOptimizerConfig:
