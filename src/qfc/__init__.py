@@ -7,24 +7,19 @@ their optimizer, and entropic/geometric discord baselines.
 """
 
 from .correlations import (
-    ConditionalEnsemble,
     QuantifierResult,
     basis_qfi_sum,
-    conditional_states,
     lift_a,
     lift_b,
     measure_a,
     measurement_correlation,
     measurement_projectors,
-    mfi,
     observable_correlation,
     pure_state_correlation,
     total_local_qfi_b,
     total_mfi,
-    validate_measurement,
 )
 from .discord import (
-    DiscordResult,
     entropic_discord,
     geometric_discord,
     measured_state,
@@ -53,7 +48,6 @@ from .linalg import (
     eigh,
     hermitian_basis,
     joint_diagonalize,
-    kron,
     partial_trace,
     schmidt,
 )

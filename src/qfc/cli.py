@@ -291,11 +291,23 @@ def _cmd_qfi(args) -> int:
     return 0
 
 
+#: The solver of each quantity, by its command or sweep name. Each entry looks
+#: its function up in this module when it runs, so a function rebound here
+#: (``bench/tracing.py`` rebinds them to time them) is the one that runs.
+SOLVERS = {
+    "qah": lambda state, cfg: observable_correlation(state, cfg),
+    "qapi": lambda state, cfg: measurement_correlation(state, cfg),
+    "dq": lambda state, cfg: entropic_discord(state, cfg),
+    "dg": lambda state, cfg: geometric_discord(state, cfg),
+}
+
+QUANTITIES = tuple(SOLVERS)
+
+
 def _cmd_quantifier(args, command: str) -> int:
     spec, state = _read_spec(args.state, args.allow_large)
-    compute = observable_correlation if command == "qah" else measurement_correlation
     start = time.perf_counter()
-    result = compute(state, _config(args))
+    result = SOLVERS[command](state, _config(args))
     report = _base_report(command, spec, args)
     report["values"] = {command: result.value}
     report["optimizer"] = _optimizer_summary(result.report)
@@ -319,8 +331,7 @@ def _cmd_discord(args) -> int:
         report["optimizer_dg"] = _optimizer_summary(dg.report)
     report["wall_time_s"] = time.perf_counter() - start
     _emit(report, args.format)
-    ok = dq.report.converged and (dg.report is None or dg.report.converged)
-    return 0 if ok else 1
+    return 0 if dq.converged and dg.converged else 1
 
 
 #: Parameters sweepable per state kind, with the field they rewrite.
@@ -328,8 +339,6 @@ SWEEP_PARAMS = {
     "pure_schmidt": "s",
     "werner": "w",
 }
-
-QUANTITIES = ("qah", "qapi", "dq", "dg")
 
 
 def _sweep_state(spec: StateSpec, value: float, allow_large: bool) -> BipartiteState:
@@ -368,15 +377,8 @@ def _cmd_sweep(args) -> int:
         state = _sweep_state(spec, value, args.allow_large)
         row = [_fmt(value)]
         for q in quantities:
-            if q == "qah":
-                row.append(_fmt(observable_correlation(state, cfg).value))
-            elif q == "qapi":
-                row.append(_fmt(measurement_correlation(state, cfg).value))
-            elif q == "dq":
-                dq = entropic_discord(state, cfg).value
-                row.append(_fmt(dq / LN2 if args.log_base == "2" else dq))
-            else:
-                row.append(_fmt(geometric_discord(state, cfg).value))
+            x = SOLVERS[q](state, cfg).value
+            row.append(_fmt(x / LN2 if q == "dq" and args.log_base == "2" else x))
         writer.writerow(row)
     return 0
 
@@ -388,6 +390,26 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _restart_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfc",
@@ -397,8 +419,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--state", help="path to a JSON state specification")
     common.add_argument("--seed", type=int, default=0, help="base seed for optimizer restarts")
-    common.add_argument("--restarts", type=int, default=16, help="optimizer restarts")
-    common.add_argument("--tol", type=float, default=1e-6, help="optimizer objective tolerance")
+    common.add_argument("--restarts", type=_restart_count, default=16,
+                        help="optimizer restarts (>= 1)")
+    common.add_argument("--tol", type=_tolerance, default=1e-6,
+                        help="optimizer objective tolerance (finite, > 0)")
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     common.add_argument("--log-base", choices=("e", "2"), default="e",
                         help="display base for entropic quantities")

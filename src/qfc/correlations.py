@@ -20,54 +20,31 @@ import numpy as np
 
 from . import linalg
 from .errors import ShapeError
-from .fisher import qfi, qfi_weight_matrix
+from .fisher import qfi_weight_matrix
 from .optimize import OptimizerConfig, OptimizerReport, optimize_basis
 from .states import BipartiteState, state_vector
 
-#: Measurement outcomes with probability below this cutoff are dropped.
-OUTCOME_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class ConditionalEnsemble:
-    """Post-measurement ensemble on party b.
-
-    ``probs[k]`` and ``states[k]`` hold the outcome probability and the
-    normalized conditional state for each retained outcome; outcomes below
-    the probability cutoff are omitted and their total weight reported in
-    ``dropped_mass``.
-    """
-
-    probs: np.ndarray
-    states: np.ndarray
-    dropped_mass: float
-
-
 @dataclass(frozen=True)
 class QuantifierResult:
-    """Value of a correlation quantifier with its optimization evidence.
+    """A correlation value, the basis that attains it and how it was reached.
 
     ``argopt`` is the unitary whose columns realize the optimum (minimizing
-    basis or maximizing measurement). For :func:`measurement_correlation`
+    basis or maximizing measurement). ``method`` is ``"optimized"`` (the
+    Nelder-Mead search), ``"jacobi"`` (joint diagonalization; geometric
+    discord of mixed states) or ``"closed-form"`` (pure states; no search and
+    no ``report``). For :func:`measurement_correlation` and entropic discord
     the report tracks the inner maximization, so ``report.best_value`` is the
     maximal measured information, not ``value``.
     """
 
     value: float
     argopt: np.ndarray
-    report: OptimizerReport
+    method: str
+    report: OptimizerReport | None = None
 
     @property
     def converged(self) -> bool:
-        return self.report.converged
-
-
-def validate_measurement(u: np.ndarray, dim: int) -> np.ndarray:
-    """A rank-1 von Neumann measurement as a unitary of column directions."""
-    u = linalg.require_orthonormal_columns(u, "measurement")
-    if u.shape != (dim, dim):
-        raise ShapeError(f"measurement shape {u.shape} does not match dimension {dim}")
-    return u
+        return self.report is None or self.report.converged
 
 
 def measurement_projectors(u: np.ndarray) -> list[np.ndarray]:
@@ -81,7 +58,7 @@ def measure_a(state: BipartiteState, u: np.ndarray) -> np.ndarray:
 
     ``u`` holds directions on party a as columns. Only its shape is checked
     here, because optimizer objectives call this on every evaluation; for a
-    measurement, validate ``u`` first with :func:`validate_measurement`.
+    measurement, validate ``u`` first with :func:`linalg.require_unitary`.
     Returns a ``(k, dim_b, dim_b)`` stack for ``k`` columns; for a
     measurement, ``tr B_n`` is the probability of outcome n and ``sum_n B_n``
     is the b marginal.
@@ -115,13 +92,13 @@ def _sqrt_basis(state: BipartiteState) -> np.ndarray:
 def lift_a(h: np.ndarray, dim_b: int) -> np.ndarray:
     """Embed an observable of party a into the joint space: ``h (x) 1_b``."""
     h = linalg.require_hermitian(h, "observable")
-    return linalg.kron(h, np.eye(dim_b, dtype=complex))
+    return np.kron(h, np.eye(dim_b, dtype=complex))
 
 
 def lift_b(h: np.ndarray, dim_a: int) -> np.ndarray:
     """Embed an observable of party b into the joint space: ``1_a (x) h``."""
     h = linalg.require_hermitian(h, "observable")
-    return linalg.kron(np.eye(dim_a, dtype=complex), h)
+    return np.kron(np.eye(dim_a, dtype=complex), h)
 
 
 def total_local_qfi_b(state: BipartiteState) -> float:
@@ -140,33 +117,6 @@ def total_local_qfi_b(state: BipartiteState) -> float:
     return float(np.sum(w[:, :, None, None] * (reduced.real**2 + reduced.imag**2)))
 
 
-def conditional_states(state: BipartiteState, measurement: np.ndarray) -> ConditionalEnsemble:
-    """Outcome probabilities and conditional b-states of a measurement on a."""
-    blocks = measure_a(state, validate_measurement(measurement, state.dim_a))
-    probs = np.real(np.trace(blocks, axis1=1, axis2=2))
-    kept = probs > OUTCOME_CUTOFF
-    dropped = float(np.clip(probs[~kept], 0.0, None).sum())
-    normalized = blocks[kept] / probs[kept, None, None]
-    normalized = (normalized + normalized.conj().transpose(0, 2, 1)) / 2
-    return ConditionalEnsemble(probs[kept], normalized, dropped)
-
-
-def mfi(state: BipartiteState, measurement: np.ndarray, h_b: np.ndarray) -> float:
-    """Measurement-induced Fisher information for one observable on party b.
-
-    Equals ``sum_n p(n) F(rho_b|n, h_b)``, the best classical information
-    about the orbit of ``1 (x) h_b`` available to party b after the rank-1
-    measurement on party a.
-    """
-    h_b = linalg.require_hermitian(h_b, "observable")
-    if h_b.shape[0] != state.dim_b:
-        raise ShapeError(f"observable dimension {h_b.shape[0]} is not dim_b {state.dim_b}")
-    ensemble = conditional_states(state, measurement)
-    return float(
-        sum(p * qfi(sigma, h_b) for p, sigma in zip(ensemble.probs, ensemble.states))
-    )
-
-
 def _total_mfi(state: BipartiteState, u: np.ndarray) -> float:
     # The weights are homogeneous of degree one, so p_n w(spectrum of B_n / p_n)
     # is w(spectrum of B_n): no normalization and no 0/0 at a dark outcome.
@@ -180,10 +130,11 @@ def total_mfi(state: BipartiteState, measurement: np.ndarray) -> float:
     Basis free by Parseval's relation: ``sum_n sum_ij (l_i - l_j)^2 /
     (2 (l_i + l_j))`` over the eigenvalues ``l`` of each unnormalized
     measured block (:func:`measure_a`), pairs below the support cutoff
-    dropped. Equals the sum of :func:`mfi` over any trace-orthonormal
-    Hermitian basis of b and is nonnegative by construction.
+    dropped. Equals the sum of the measurement-induced Fisher information
+    ``sum_n p(n) F(rho_b|n, h)`` over any trace-orthonormal Hermitian basis
+    ``h`` of b and is nonnegative by construction.
     """
-    return _total_mfi(state, validate_measurement(measurement, state.dim_a))
+    return _total_mfi(state, linalg.require_unitary(measurement, state.dim_a, "measurement"))
 
 
 def _basis_qfi_core(w: np.ndarray, v3: np.ndarray, u: np.ndarray) -> float:
@@ -208,7 +159,7 @@ def basis_qfi_sum(state: BipartiteState, basis_u: np.ndarray) -> float:
     ``basis_u`` is a unitary whose columns are the basis vectors on party a.
     This is the quantity :func:`observable_correlation` minimizes.
     """
-    u = validate_measurement(basis_u, state.dim_a)
+    u = linalg.require_unitary(basis_u, state.dim_a, "basis")
     return _basis_qfi_objective(state)(u)
 
 
@@ -224,7 +175,7 @@ def observable_correlation(
     report = optimize_basis(
         _basis_qfi_objective(state), state.dim_a, "min", config, start=_sqrt_basis(state)
     )
-    return QuantifierResult(value=report.best_value, argopt=report.best_unitary, report=report)
+    return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
 
 def measurement_correlation(
@@ -241,9 +192,7 @@ def measurement_correlation(
     report = optimize_basis(
         lambda u: _total_mfi(state, u), state.dim_a, "max", config, start=_sqrt_basis(state)
     )
-    return QuantifierResult(
-        value=total - report.best_value, argopt=report.best_unitary, report=report
-    )
+    return QuantifierResult(total - report.best_value, report.best_unitary, "optimized", report)
 
 
 def pure_state_correlation(state: BipartiteState) -> float:

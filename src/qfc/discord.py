@@ -7,31 +7,19 @@ logarithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
 from .errors import DimensionGuardError
 from .linalg import dag
-from .optimize import OptimizerConfig, OptimizerReport, optimize_basis
+from .optimize import OptimizerConfig, multistart, optimize_basis
 from .states import PURITY_TOL, BipartiteState, haar_unitary, state_vector
-from .correlations import _a_components, _sqrt_basis, measure_a, validate_measurement
+from .correlations import QuantifierResult, _a_components, _sqrt_basis, measure_a
 
 ENTROPY_CUTOFF = 1e-15
 #: Entropic discord optimizes over a full basis of party a; cost grows
 #: steeply with dim_a, so larger parties are refused.
 MAX_DIM_A = 4
-
-
-@dataclass(frozen=True)
-class DiscordResult:
-    """A discord value with the measurement that attains it."""
-
-    value: float
-    argopt: np.ndarray
-    method: str  # "closed-form", "jacobi" (geometric) or "optimized" (Nelder-Mead)
-    report: OptimizerReport | None = None
 
 
 def _spectral_entropy(values: np.ndarray) -> float:
@@ -56,7 +44,7 @@ def mutual_information(state: BipartiteState) -> float:
 
 def measured_state(state: BipartiteState, measurement: np.ndarray) -> BipartiteState:
     """Dephased state ``sum_n (P_n (x) 1) rho (P_n (x) 1)`` after measuring a."""
-    u = validate_measurement(measurement, state.dim_a)
+    u = linalg.require_unitary(measurement, state.dim_a, "measurement")
     blocks = measure_a(state, u)
     d = state.dim
     rho = np.einsum("an,nij,bn->aibj", u, blocks, u.conj()).reshape(d, d)
@@ -65,7 +53,7 @@ def measured_state(state: BipartiteState, measurement: np.ndarray) -> BipartiteS
 
 def entropic_discord(
     state: BipartiteState, config: OptimizerConfig | None = None
-) -> DiscordResult:
+) -> QuantifierResult:
     """Minimal loss of mutual information under measurement on party a.
 
     ``min over measurements of I(rho) - I(measured rho)``, restricted to
@@ -89,17 +77,14 @@ def entropic_discord(
     report = optimize_basis(
         measured_information, state.dim_a, "max", config, start=_sqrt_basis(state)
     )
-    return DiscordResult(
-        value=base - report.best_value, argopt=report.best_unitary, method="optimized",
-        report=report,
-    )
+    return QuantifierResult(base - report.best_value, report.best_unitary, "optimized", report)
 
 
 def geometric_discord(
     state: BipartiteState,
     config: OptimizerConfig | None = None,
     method: str = "auto",
-) -> DiscordResult:
+) -> QuantifierResult:
     """Minimal squared Hilbert-Schmidt distance to a state measured on party a.
 
     For pure inputs the closed form ``1 - sum_i s_i^2`` applies, attained by
@@ -119,31 +104,19 @@ def geometric_discord(
         sd = linalg.schmidt(state_vector(state), state.dims)
         value = float(1.0 - np.sum(sd.coefficients**2))
         argopt = linalg.complete_basis(sd.a_vectors, state.dim_a)
-        return DiscordResult(value=value, argopt=argopt, method="closed-form")
+        return QuantifierResult(value, argopt, "closed-form")
 
     m = state.dim_a
     stack = _a_components(state.rho, state.dims)
     cfg = config if config is not None else OptimizerConfig()
     if method == "optimized":
         report = optimize_basis(lambda u: linalg.off_diagonal_mass(stack, u), m, "min", cfg)
-        return DiscordResult(report.best_value, report.best_unitary, "optimized", report)
+        return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
-    runs = [
-        linalg.joint_diagonalize(stack, None if k == 0 else haar_unitary(m, cfg.seed + k))
-        for k in range(cfg.restarts)
-    ]
-    residuals = np.array([residual for _, residual, _ in runs])
-    sweeps = [n for _, _, n in runs]
-    flags = np.array([n < linalg.JACOBI_MAX_SWEEPS for n in sweeps])
-    best = int(np.argmin(residuals))
-    report = OptimizerReport(
-        direction="min",
-        best_value=float(residuals[best]),
-        best_unitary=runs[best][0],
-        restart_values=residuals,
-        restart_converged=flags,
-        converged=bool(flags[best]),
-        n_evaluations=sum(sweeps) * m * (m - 1) // 2,
-        n_iterations=sum(sweeps),
-    )
-    return DiscordResult(report.best_value, report.best_unitary, "jacobi", report)
+    def search(k: int):
+        start = None if k == 0 else haar_unitary(m, cfg.seed + k)
+        u, residual, sweeps = linalg.joint_diagonalize(stack, start)
+        return u, residual, sweeps * m * (m - 1) // 2, sweeps, sweeps < linalg.JACOBI_MAX_SWEEPS
+
+    report = multistart(search, cfg.restarts, "min")
+    return QuantifierResult(report.best_value, report.best_unitary, "jacobi", report)

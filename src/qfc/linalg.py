@@ -61,9 +61,11 @@ def require_orthonormal_columns(
     return v
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two operators (or vectors)."""
-    return np.kron(a, b)
+def require_unitary(u: np.ndarray, dim: int, name: str = "unitary") -> np.ndarray:
+    """Return ``u`` as a complex array, raising unless it is a ``dim x dim`` unitary."""
+    if np.shape(u) != (dim, dim):
+        raise ShapeError(f"{name} of shape {np.shape(u)} does not match dimension {dim}")
+    return require_orthonormal_columns(u, name)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -214,12 +216,7 @@ def joint_diagonalize(mats: np.ndarray, start: np.ndarray | None = None):
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ShapeError(f"need a (K, d, d) stack of matrices, got shape {mats.shape}")
     d = mats.shape[1]
-    if start is None:
-        u = np.eye(d, dtype=complex)
-    else:
-        if np.shape(start) != (d, d):
-            raise ShapeError(f"start of shape {np.shape(start)} does not match dimension {d}")
-        u = require_orthonormal_columns(start, "start").copy()
+    u = np.eye(d, dtype=complex) if start is None else require_unitary(start, d, "start").copy()
     a = np.einsum("ak,mab,bl->mkl", u.conj(), mats, u)
     floor = _DEGENERATE_ABS * float(np.vdot(mats, mats).real)
     sweeps = 0

@@ -6,7 +6,9 @@ trace-orthonormal Hermitian basis; the chart ``p -> exp(i A(p))`` covers the
 whole unitary group. Optimization is multistart Nelder-Mead: restarts draw
 independent random generator coefficients, each restart owning its RNG
 stream (seed = base seed + restart index). Restart 0 may instead be warm
-started at a given basis, charted as ``start @ exp(i A(p))``.
+started at a given basis, charted as ``start @ exp(i A(p))``. The restart
+loop and its report are :func:`multistart`'s, shared with every other basis
+search (the Jacobi starts of geometric discord).
 """
 
 from __future__ import annotations
@@ -21,34 +23,32 @@ from .errors import OptimizationError, ShapeError
 
 #: Spread (radians) of the random generator coefficients at each restart.
 START_SPREAD = np.pi / 2
+#: Edge length of each restart's initial simplex.
+STEP_SCALE = 0.1
+#: Iteration cap of each restart; a restart that reaches it is unconverged.
+MAX_ITERATIONS = 2000
 #: Simplex collapse threshold; one of the convergence criteria.
 DIAMETER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multistart Nelder-Mead settings."""
+    """Multistart settings: restart count, objective tolerance and base seed."""
 
     restarts: int = 16
-    max_iterations: int = 2000
     tolerance: float = 1e-6
-    step_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
 class OptimizerReport:
-    """Outcome of a multistart search.
+    """Outcome of a multistart search, built by :func:`multistart`.
 
     ``restart_values`` holds each restart's final objective value in original
     (unsigned) units; ``converged`` is the flag of the restart that produced
@@ -101,18 +101,11 @@ def random_params(dim: int, rng: np.random.Generator, spread: float = START_SPRE
     return rng.normal(0.0, spread, size=dim * dim)
 
 
-def nelder_mead(
-    f,
-    x0: np.ndarray,
-    step: float,
-    tolerance: float,
-    max_iterations: int,
-    diameter_tol: float = DIAMETER_TOL,
-):
+def nelder_mead(f, x0: np.ndarray, step: float, tolerance: float, max_iterations: int):
     """Minimize ``f`` from ``x0`` with a standard Nelder-Mead simplex.
 
     Stops when the simplex objective spread drops below ``tolerance``, or the
-    simplex diameter drops below ``diameter_tol``, or the iteration cap is
+    simplex diameter drops below :data:`DIAMETER_TOL`, or the iteration cap is
     reached (in which case ``converged`` is False but the best point is still
     returned).
 
@@ -132,7 +125,7 @@ def nelder_mead(
         pts, fv = pts[order], fv[order]
         spread = fv[-1] - fv[0]
         diameter = np.max(np.linalg.norm(pts[1:] - pts[0], axis=1))
-        if spread < tolerance or diameter < diameter_tol:
+        if spread < tolerance or diameter < DIAMETER_TOL:
             converged = True
             break
         if nit >= max_iterations:
@@ -169,6 +162,33 @@ def nelder_mead(
     return pts[best], float(fv[best]), nfev, nit, converged
 
 
+def multistart(search, restarts: int, direction: str) -> OptimizerReport:
+    """Run ``search(k)`` for restarts ``k = 0 .. restarts - 1`` and keep the best.
+
+    ``search(k)`` returns ``(unitary, value, evaluations, iterations,
+    converged)`` for restart k. The best value is the smallest for
+    ``direction="min"`` and the largest for ``"max"``; ties resolve to the
+    lowest restart index. Evaluations and iterations are summed over the
+    restarts.
+    """
+    if direction not in ("min", "max"):
+        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    runs = [search(k) for k in range(restarts)]
+    values = np.array([run[1] for run in runs], dtype=float)
+    flags = np.array([run[4] for run in runs], dtype=bool)
+    best = int(np.argmin(values) if direction == "min" else np.argmax(values))
+    return OptimizerReport(
+        direction=direction,
+        best_value=float(values[best]),
+        best_unitary=runs[best][0],
+        restart_values=values,
+        restart_converged=flags,
+        converged=bool(flags[best]),
+        n_evaluations=sum(run[2] for run in runs),
+        n_iterations=sum(run[3] for run in runs),
+    )
+
+
 def optimize_basis(
     objective,
     dim: int,
@@ -181,59 +201,37 @@ def optimize_basis(
 
     ``objective`` receives a unitary matrix whose columns are the basis
     vectors / measurement directions and must return a finite float.
-    Restart k starts from random generator coefficients drawn from its own
-    stream (seed ``config.seed + k``). A ``start`` unitary replaces restart 0
-    by a search over ``start @ exp(i A(p))`` from ``p = 0``, so its first
-    evaluation is at ``start``; the other restarts are unchanged.
-    Deterministic for a fixed config and start.
+    Restart k is a Nelder-Mead search from random generator coefficients
+    drawn from its own stream (seed ``config.seed + k``). A ``start`` unitary
+    replaces restart 0 by a search over ``start @ exp(i A(p))`` from
+    ``p = 0``, so its first evaluation is at ``start``; the other restarts
+    are unchanged. Deterministic for a fixed config and start.
     """
-    if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
     if start is not None:
-        if np.shape(start) != (dim, dim):
-            raise ShapeError(f"start of shape {np.shape(start)} does not match dimension {dim}")
-        start = linalg.require_orthonormal_columns(start, "start")
+        start = linalg.require_unitary(start, dim, "start")
     cfg = config if config is not None else OptimizerConfig()
     sign = 1.0 if direction == "min" else -1.0
 
-    def chart(p: np.ndarray, base: np.ndarray | None) -> np.ndarray:
-        u = unitary_from_params(p, dim)
-        return u if base is None else base @ u
-
-    finals = np.empty(cfg.restarts)
-    flags = np.empty(cfg.restarts, dtype=bool)
-    unitaries = []
-    nfev_total = 0
-    nit_total = 0
-    for k in range(cfg.restarts):
+    def search(k: int):
         base = start if k == 0 else None
         if base is None:
             x0 = random_params(dim, np.random.default_rng(cfg.seed + k))
         else:
             x0 = np.zeros(dim * dim)
 
+        def chart(p: np.ndarray) -> np.ndarray:
+            u = unitary_from_params(p, dim)
+            return u if base is None else base @ u
+
         def wrapped(p: np.ndarray) -> float:
-            value = float(objective(chart(p, base)))
+            value = float(objective(chart(p)))
             if not np.isfinite(value):
                 raise OptimizationError(f"objective returned non-finite value {value}")
             return sign * value
 
-        x, fx, nfev, nit, ok = nelder_mead(
-            wrapped, x0, cfg.step_scale, cfg.tolerance, cfg.max_iterations
-        )
-        finals[k] = fx
-        flags[k] = ok
-        unitaries.append(chart(x, base))
-        nfev_total += nfev
-        nit_total += nit
-    best = int(np.argmin(finals))
-    return OptimizerReport(
-        direction=direction,
-        best_value=sign * finals[best],
-        best_unitary=unitaries[best],
-        restart_values=sign * finals,
-        restart_converged=flags,
-        converged=bool(flags[best]),
-        n_evaluations=nfev_total,
-        n_iterations=nit_total,
-    )
+        # Positional and through the module global: bench/tracing.py rebinds
+        # nelder_mead and reads the iteration cap from its fifth argument.
+        x, fx, nfev, nit, ok = nelder_mead(wrapped, x0, STEP_SCALE, cfg.tolerance, MAX_ITERATIONS)
+        return chart(x), sign * fx, nfev, nit, ok
+
+    return multistart(search, cfg.restarts, direction)

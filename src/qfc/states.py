@@ -141,7 +141,7 @@ def pure_from_schmidt(
         raise ShapeError("b_basis does not provide enough vectors in H^b")
     psi = np.zeros(m * n, dtype=complex)
     for i, ci in enumerate(c):
-        psi += np.sqrt(ci) * linalg.kron(a[:, i], b[:, i])
+        psi += np.sqrt(ci) * np.kron(a[:, i], b[:, i])
     psi /= np.linalg.norm(psi)
     return pure_state(psi, dims)
 
@@ -164,7 +164,7 @@ def make_cq(probs, a_basis: np.ndarray, sigmas) -> BipartiteState:
     m = a.shape[0]
     rho = np.zeros((m * n, m * n), dtype=complex)
     for pi, ai, si in zip(p, a.T, mats):
-        rho += pi * linalg.kron(np.outer(ai, ai.conj()), si)
+        rho += pi * np.kron(np.outer(ai, ai.conj()), si)
     return BipartiteState(validate_density(rho), m, n)
 
 
@@ -232,9 +232,9 @@ def make_witness_state(
     linalg.require_orthonormal_columns(np.column_stack([beta[1], beta[2]]), "beta1/beta2")
     eye_a = np.eye(m, dtype=complex)
     components = [
-        linalg.kron(eye_a[:, 0], beta[0]),
-        linalg.kron(a[0] * eye_a[:, 1] + a[1] * eye_a[:, 2], beta[1]),
-        linalg.kron(b[0] * eye_a[:, 1] + b[1] * eye_a[:, 2], beta[2]),
+        np.kron(eye_a[:, 0], beta[0]),
+        np.kron(a[0] * eye_a[:, 1] + a[1] * eye_a[:, 2], beta[1]),
+        np.kron(b[0] * eye_a[:, 1] + b[1] * eye_a[:, 2], beta[2]),
     ]
     rho = np.zeros((m * n, m * n), dtype=complex)
     for pi, psi in zip(p, components):
@@ -331,7 +331,7 @@ def apply_channel_b(state: BipartiteState, channel: KrausChannel) -> BipartiteSt
     eye_a = np.eye(state.dim_a, dtype=complex)
     out = np.zeros_like(state.rho)
     for k in channel.operators:
-        lifted = linalg.kron(eye_a, k)
+        lifted = np.kron(eye_a, k)
         out += lifted @ state.rho @ linalg.dag(lifted)
     return BipartiteState(validate_density(out), state.dim_a, state.dim_b)
 

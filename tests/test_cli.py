@@ -191,6 +191,21 @@ class TestCommands:
             expected = 1.0 - s**2 - (1.0 - s) ** 2
             assert abs(float(row[1]) - expected) <= 1e-4
 
+    def test_sweep_runs_every_solver(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        argv = ["sweep", "--state", path, "--param", "w", "--start", "0.0", "--stop", "1.0",
+                "--step", "1.0", "--quantities", "qah,qapi,dq,dg", "--restarts", "4"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["w", "qah", "qapi", "dq", "dg"]
+        # w = 1 is the singlet: 1/2 for qah, qapi and dg, ln 2 for dq
+        singlet = [float(v) for v in rows[2][1:]]
+        np.testing.assert_allclose(singlet, [0.5, 0.5, np.log(2), 0.5], atol=1e-4)
+        code, out, _ = run_cli(capsys, *argv, "--log-base", "2")
+        assert code == 0
+        assert abs(float(list(csv.reader(io.StringIO(out)))[2][3]) - 1.0) <= 1e-4
+
     def test_reproducible_output(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "random", "dims": [2, 2], "seed": 3, "rank": 4})
         argv = ["qah", "--state", path, "--restarts", "4", "--seed", "9", "--format", "json"]
@@ -248,3 +263,19 @@ class TestExitCodes:
             "--start", "0", "--stop", "1", "--step", "0.5",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5", "many"])
+    def test_bad_restarts_exit_two(self, capsys, tmp_path, value):
+        path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
+        with pytest.raises(SystemExit) as exc:
+            main(["qah", "--state", path, "--restarts", value])
+        assert exc.value.code == 2
+        assert "--restarts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf", "tight"])
+    def test_bad_tolerance_exits_two(self, capsys, tmp_path, value):
+        path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
+        with pytest.raises(SystemExit) as exc:
+            main(["qah", "--state", path, "--tol", value])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err

@@ -6,13 +6,10 @@ import pytest
 from qfc import (
     BipartiteState,
     OptimizerConfig,
-    OrthonormalityError,
     PurityError,
     basis_qfi_sum,
-    conditional_states,
     dag,
     hermitian_basis,
-    kron,
     lift_a,
     lift_b,
     make_cc,
@@ -21,7 +18,6 @@ from qfc import (
     max_entangled,
     measured_state,
     measurement_correlation,
-    mfi,
     observable_correlation,
     pure_from_schmidt,
     pure_state_correlation,
@@ -37,6 +33,8 @@ from qfc import (
 )
 from qfc.linalg import eigh, partial_trace
 from qfc.states import haar_unitary, random_density, random_hermitian
+
+from oracles import conditional_states, mfi
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -95,7 +93,7 @@ def _pure_mfi_b(state, u, h_b):
 
 class TestLifts:
     def test_lift_a_definition(self):
-        np.testing.assert_array_equal(lift_a(SZ, 2), kron(SZ, np.eye(2)))
+        np.testing.assert_array_equal(lift_a(SZ, 2), np.kron(SZ, np.eye(2)))
 
     def test_lift_b_identity(self):
         np.testing.assert_array_equal(lift_b(np.eye(3), 2), np.eye(6))
@@ -104,27 +102,11 @@ class TestLifts:
     def test_lifted_b_qfi_invariant_under_unitary_on_a(self, seed):
         state = random_mixed((2, 3), seed)
         h = random_hermitian(3, 40 + seed)
-        u = kron(haar_unitary(2, seed), np.eye(3))
+        u = np.kron(haar_unitary(2, seed), np.eye(3))
         rotated = BipartiteState(u @ state.rho @ dag(u), 2, 3)
         before = qfi(state.rho, lift_b(h, 2))
         after = qfi(rotated.rho, lift_b(h, 2))
         assert abs(before - after) <= 1e-9
-
-
-class TestObservableBasis:
-    def test_qubit_count_and_members(self):
-        basis = hermitian_basis(np.eye(2))
-        assert basis.shape == (4, 2, 2)
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_gram_matrix_is_identity(self, dim):
-        basis = hermitian_basis(np.eye(dim))
-        gram = np.einsum("mij,nji->mn", basis, basis)
-        np.testing.assert_allclose(gram, np.eye(dim * dim), atol=1e-12)
-
-    def test_rejects_non_orthonormal_vectors(self):
-        with pytest.raises(OrthonormalityError):
-            hermitian_basis(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
 class TestTotalLocalQfiB:
@@ -382,7 +364,7 @@ class TestQuantifierProperties:
     @pytest.mark.parametrize("seed", range(2))
     def test_local_unitary_invariance(self, seed):
         state = random_mixed((2, 2), 900 + seed)
-        u = kron(haar_unitary(2, seed), haar_unitary(2, 70 + seed))
+        u = np.kron(haar_unitary(2, seed), haar_unitary(2, 70 + seed))
         rotated = BipartiteState(u @ state.rho @ dag(u), 2, 2)
         for quantifier in (observable_correlation, measurement_correlation):
             a = quantifier(state, CFG).value

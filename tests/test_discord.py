@@ -7,16 +7,19 @@ from qfc import (
     BipartiteState,
     DimensionGuardError,
     OptimizerConfig,
+    OptimizerReport,
+    QuantifierResult,
     basis_qfi_sum,
     dag,
     entropic_discord,
     geometric_discord,
-    kron,
     make_cc,
     make_cq,
     max_entangled,
     measured_state,
+    measurement_correlation,
     mutual_information,
+    observable_correlation,
     pure_from_schmidt,
     random_pure,
     total_local_qfi_b,
@@ -25,6 +28,7 @@ from qfc import (
     werner,
 )
 from qfc import verify
+from qfc.optimize import multistart
 from qfc.states import haar_unitary, random_density
 
 CFG = OptimizerConfig(restarts=8, seed=0)
@@ -47,7 +51,7 @@ class TestEntropy:
 
 class TestMutualInformation:
     def test_product_state_factorizes(self):
-        rho = kron(random_density(2, 2, 0), random_density(3, 3, 1))
+        rho = np.kron(random_density(2, 2, 0), random_density(3, 3, 1))
         assert abs(mutual_information(BipartiteState(rho, 2, 3))) <= 1e-10
 
     def test_bell_state_has_two_bits(self):
@@ -61,7 +65,7 @@ class TestMutualInformation:
 
 class TestEntropicDiscord:
     def test_product_state_gives_zero(self):
-        rho = kron(random_density(2, 2, 5), random_density(2, 2, 6))
+        rho = np.kron(random_density(2, 2, 5), random_density(2, 2, 6))
         result = entropic_discord(BipartiteState(rho, 2, 2), CFG)
         assert abs(result.value) <= 1e-6
 
@@ -186,7 +190,46 @@ class TestJacobiOracles:
 class TestLocalUnitaryInvariance:
     def test_both_discords_invariant(self):
         state = werner(0.6)
-        u = kron(haar_unitary(2, 1), haar_unitary(2, 2))
+        u = np.kron(haar_unitary(2, 1), haar_unitary(2, 2))
         rotated = BipartiteState(u @ state.rho @ dag(u), 2, 2)
         assert abs(entropic_discord(state, CFG).value - entropic_discord(rotated, CFG).value) <= 2e-6
         assert abs(geometric_discord(state, CFG).value - geometric_discord(rotated, CFG).value) <= 2e-6
+
+
+class TestQuantifierResult:
+    """All four solvers return one result type that says how its value was reached."""
+
+    @pytest.mark.parametrize(
+        "solver, method",
+        [
+            (observable_correlation, "optimized"),
+            (measurement_correlation, "optimized"),
+            (entropic_discord, "optimized"),
+            (geometric_discord, "jacobi"),
+        ],
+        ids=["qah", "qapi", "dq", "dg"],
+    )
+    def test_searched_result_carries_its_report(self, solver, method):
+        state = BipartiteState(random_density(4, 4, 5), 2, 2)
+        result = solver(state, OptimizerConfig(restarts=2, seed=0))
+        assert isinstance(result, QuantifierResult)
+        assert result.method == method
+        assert isinstance(result.report, OptimizerReport)
+        assert result.converged is result.report.converged is True
+        assert np.array_equal(result.argopt, result.report.best_unitary)
+
+    def test_geometric_cross_check_is_optimized(self):
+        state = BipartiteState(random_density(4, 4, 5), 2, 2)
+        result = geometric_discord(state, OptimizerConfig(restarts=2), method="optimized")
+        assert result.method == "optimized" and result.converged
+
+    def test_closed_form_has_no_report_and_counts_as_converged(self):
+        result = geometric_discord(max_entangled(2))
+        assert isinstance(result, QuantifierResult)
+        assert result.method == "closed-form"
+        assert result.report is None
+        assert result.converged is True
+
+    def test_converged_is_the_flag_of_the_best_restart(self):
+        report = multistart(lambda k: (np.eye(2), float(k), 1, 1, k != 0), 2, "min")
+        assert not QuantifierResult(0.0, np.eye(2), "optimized", report).converged

@@ -11,7 +11,6 @@ from qfc import (
     dag,
     evolve,
     eigh,
-    kron,
     qfi,
     qfi_weight_matrix,
     sld,

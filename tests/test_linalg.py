@@ -1,4 +1,5 @@
-"""Tensor products, partial traces, eigendecomposition, Schmidt decomposition."""
+"""Partial traces, eigendecomposition, Schmidt decomposition, Hermitian bases, unitary
+checks and joint diagonalization."""
 
 import numpy as np
 import pytest
@@ -7,17 +8,19 @@ from qfc import (
     BipartiteState,
     HermiticityError,
     NormalizationError,
+    OrthonormalityError,
     ShapeError,
     dag,
     eigh,
     hermitian_basis,
     joint_diagonalize,
-    kron,
     measured_state,
     partial_trace,
     schmidt,
+    total_mfi,
 )
 from qfc.correlations import _a_components
+from qfc.linalg import require_unitary
 from qfc.states import haar_unitary, random_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,27 +32,6 @@ def bell_vector():
     return np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projector_times_identity(self):
-        got = kron(np.diag([1.0, 0.0]), np.eye(2))
-        assert np.array_equal(got, np.diag([1.0, 1.0, 0.0, 0.0]))
-
-    def test_matches_index_arithmetic_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        got = kron(a, b)
-        # independent four-index loop
-        for i in range(2):
-            for j in range(2):
-                for r in range(3):
-                    for t in range(3):
-                        assert abs(got[i * 3 + r, j * 3 + t] - a[i, j] * b[r, t]) < 1e-15
-
-
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
         rho = np.outer(bell_vector(), bell_vector().conj())
@@ -58,8 +40,8 @@ class TestPartialTrace:
     def test_product_state_recovers_factor(self):
         ra = random_density(2, 2, 1)
         rb = random_density(3, 3, 2)
-        np.testing.assert_allclose(partial_trace(kron(ra, rb), (2, 3), "a"), ra, atol=1e-14)
-        np.testing.assert_allclose(partial_trace(kron(ra, rb), (2, 3), "b"), rb, atol=1e-14)
+        np.testing.assert_allclose(partial_trace(np.kron(ra, rb), (2, 3), "a"), ra, atol=1e-14)
+        np.testing.assert_allclose(partial_trace(np.kron(ra, rb), (2, 3), "b"), rb, atol=1e-14)
 
     def test_matches_double_sum_oracle(self):
         rho = random_density(6, 6, 3)
@@ -83,7 +65,7 @@ class TestPartialTrace:
     def test_product_roundtrip_and_trace_preserved(self, seed):
         ra = random_density(2, 2, 10 * seed)
         rb = random_density(3, 3, 10 * seed + 1)
-        joint = kron(ra, rb)
+        joint = np.kron(ra, rb)
         np.testing.assert_allclose(partial_trace(joint, (2, 3), "a"), ra, atol=1e-12)
         reduced = partial_trace(joint, (2, 3), "b")
         assert abs(np.trace(reduced) - np.trace(joint)) < 1e-12
@@ -146,7 +128,7 @@ class TestSchmidt:
         psi /= np.linalg.norm(psi)
         sd = schmidt(psi, (3, 4))
         rebuilt = sum(
-            np.sqrt(c) * kron(sd.a_vectors[:, i], sd.b_vectors[:, i])
+            np.sqrt(c) * np.kron(sd.a_vectors[:, i], sd.b_vectors[:, i])
             for i, c in enumerate(sd.coefficients)
         )
         overlap = abs(np.vdot(rebuilt, psi))
@@ -159,7 +141,7 @@ class TestSchmidt:
         psi /= np.linalg.norm(psi)
         u = haar_unitary(2, seed)
         v = haar_unitary(3, seed + 50)
-        rotated = kron(u, v) @ psi
+        rotated = np.kron(u, v) @ psi
         before = schmidt(psi, (2, 3)).coefficients
         after = schmidt(rotated, (2, 3)).coefficients
         np.testing.assert_allclose(before, after, atol=1e-10)
@@ -191,6 +173,10 @@ class TestHermitianBasis:
 
     def test_counts_for_dimension_three(self):
         assert hermitian_basis(np.eye(3)).shape == (9, 3, 3)
+
+    def test_rejects_non_orthonormal_vectors(self):
+        with pytest.raises(OrthonormalityError):
+            hermitian_basis(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
 def commuting_stack(d, seed, count=5):
@@ -251,3 +237,45 @@ class TestJointDiagonalize:
             joint_diagonalize(np.eye(3))
         with pytest.raises(ShapeError):
             joint_diagonalize(commuting_stack(3, 0), np.eye(2))
+
+
+class TestRequireUnitary:
+    def test_returns_the_unitary_as_a_complex_array(self):
+        u = haar_unitary(3, 1)
+        np.testing.assert_array_equal(require_unitary(u, 3), u)
+        real = require_unitary(np.eye(2), 2)
+        assert real.dtype == complex
+        np.testing.assert_array_equal(real, np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2), (2,), (2, 2, 2)])
+    def test_wrong_shape_raises_shape_error(self, shape):
+        # checked before orthonormality: none of these could pass that check
+        with pytest.raises(ShapeError, match="start"):
+            require_unitary(np.ones(shape), 2, "start")
+
+    def test_non_orthonormal_columns_raise(self):
+        with pytest.raises(OrthonormalityError, match="basis"):
+            require_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]), 2, "basis")
+
+    # Every public function that takes a basis of party a checks it the same way.
+    CALLERS = {
+        "total_mfi": lambda state, u: total_mfi(state, u),
+        "measured_state": lambda state, u: measured_state(state, u),
+        "joint_diagonalize": lambda state, u: joint_diagonalize(
+            _a_components(state.rho, state.dims), u
+        ),
+    }
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_callers_reject_a_wrong_shape(self, caller):
+        state = BipartiteState(random_density(6, 6, 1), 2, 3)
+        with pytest.raises(ShapeError):
+            self.CALLERS[caller](state, np.eye(3))
+        with pytest.raises(ShapeError):
+            self.CALLERS[caller](state, np.eye(2)[:, :1])
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_callers_reject_non_orthonormal_columns(self, caller):
+        state = BipartiteState(random_density(6, 6, 1), 2, 3)
+        with pytest.raises(OrthonormalityError):
+            self.CALLERS[caller](state, np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -1,5 +1,6 @@
 """Unitary parameterization and the multistart Nelder-Mead search."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from qfc import (
     optimize_basis,
     unitary_from_params,
 )
+from qfc.optimize import multistart
 from qfc.states import haar_unitary
 
 
@@ -57,10 +59,60 @@ class TestNelderMead:
     def test_iteration_cap_reports_unconverged(self):
         f = lambda x: float(np.sum(x**2))
         _, _, _, nit, converged = nelder_mead(
-            f, np.ones(4), step=0.1, tolerance=1e-15, max_iterations=3, diameter_tol=0.0
+            f, np.ones(4), step=0.1, tolerance=1e-15, max_iterations=3
         )
         assert nit == 3
         assert not converged
+
+
+class TestMultistart:
+    @staticmethod
+    def search_over(values, flags=None):
+        """A search whose restart k ends at ``values[k]`` after k + 1 evaluations."""
+
+        def search(k):
+            converged = True if flags is None else flags[k]
+            return np.full((2, 2), k), values[k], k + 1, 2 * k, converged
+
+        return search
+
+    @pytest.mark.parametrize("direction, best", [("min", 1), ("max", 0)])
+    def test_ties_resolve_to_the_lowest_index(self, direction, best):
+        values = [3.0, 1.0, 3.0, 1.0]
+        report = multistart(self.search_over(values), 4, direction)
+        assert report.best_value == values[best]
+        assert np.array_equal(report.best_unitary, np.full((2, 2), best))
+
+    def test_counts_are_summed_over_restarts(self):
+        report = multistart(self.search_over([2.0, 1.0, 4.0]), 3, "min")
+        assert report.n_evaluations == 1 + 2 + 3
+        assert report.n_iterations == 0 + 2 + 4
+        assert type(report.n_evaluations) is int and type(report.n_iterations) is int
+        np.testing.assert_array_equal(report.restart_values, [2.0, 1.0, 4.0])
+        assert report.direction == "min"
+
+    def test_converged_flags_are_per_restart(self):
+        flags = [True, False, True]
+        report = multistart(self.search_over([2.0, 1.0, 4.0], flags), 3, "min")
+        np.testing.assert_array_equal(report.restart_converged, flags)
+        assert report.restart_converged.dtype == bool
+        assert not report.converged  # the best restart, index 1, did not converge
+        report = multistart(self.search_over([2.0, 1.0, 4.0], flags), 3, "max")
+        assert report.converged
+
+    def test_runs_each_restart_once_in_order(self):
+        seen = []
+
+        def search(k):
+            seen.append(k)
+            return np.eye(2), float(k), 1, 1, True
+
+        multistart(search, 5, "max")
+        assert seen == [0, 1, 2, 3, 4]
+
+    def test_rejects_bad_direction_before_searching(self):
+        with pytest.raises(ValueError):
+            multistart(lambda k: pytest.fail("searched"), 2, "best")
 
 
 class TestOptimizeBasis:
@@ -185,3 +237,13 @@ class TestOptimizerConfig:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [-1e-6, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_negative_or_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ValueError):
+            OptimizerConfig(tolerance=tolerance)
+
+    def test_has_three_settings(self):
+        cfg = OptimizerConfig()
+        assert (cfg.restarts, cfg.tolerance, cfg.seed) == (16, 1e-6, 0)
+        assert len(dataclasses.fields(cfg)) == 3

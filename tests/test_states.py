@@ -16,7 +16,6 @@ from qfc import (
     ValidationError,
     apply_channel_b,
     dag,
-    kron,
     make_cc,
     make_cq,
     make_witness_state,
@@ -102,7 +101,7 @@ class TestPureFromSchmidt:
 class TestClassicalConstructions:
     def test_single_term_is_product(self):
         state = make_cq([1.0], np.eye(2)[:, :1], [np.eye(2) / 2])
-        expected = kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
+        expected = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
         np.testing.assert_allclose(state.rho, expected, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -113,7 +112,7 @@ class TestClassicalConstructions:
         sigmas = [random_density(2, 2, 10 * seed + j) for j in range(3)]
         state = make_cq(probs, basis, sigmas)
         proj = np.outer(basis[:, 0], basis[:, 0].conj())
-        lifted = kron(proj, np.eye(2))
+        lifted = np.kron(proj, np.eye(2))
         assert np.linalg.norm(state.rho @ lifted - lifted @ state.rho) <= 1e-12
 
     def test_rejects_non_orthogonal_a_vectors(self):
@@ -137,7 +136,7 @@ class TestWitnessState:
         state = make_witness_state()
         proj = np.zeros((3, 3))
         proj[0, 0] = 1.0
-        lifted = kron(proj, np.eye(2))
+        lifted = np.kron(proj, np.eye(2))
         assert np.linalg.norm(state.rho @ lifted - lifted @ state.rho) <= 1e-12
 
     def test_rejects_orthogonal_components(self):
