@@ -54,7 +54,6 @@ from .linalg import (
 from .optimize import (
     OptimizerConfig,
     OptimizerReport,
-    nelder_mead,
     optimize_basis,
     unitary_from_params,
 )

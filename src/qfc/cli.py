@@ -193,8 +193,8 @@ def build_state(spec: StateSpec, allow_large: bool = False) -> BipartiteState:
         return bipartite(_complex_matrix(doc["matrix"], "raw_matrix.matrix"), dims)
     if kind == "random":
         seed = doc["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SchemaError("random.seed must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise SchemaError("random.seed must be a nonnegative integer")
         rank = doc.get("rank", 0)
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
             raise SchemaError("random.rank must be a nonnegative integer")
@@ -400,6 +400,16 @@ def _restart_count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -418,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qfc {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--state", help="path to a JSON state specification")
-    common.add_argument("--seed", type=int, default=0, help="base seed for optimizer restarts")
+    common.add_argument("--seed", type=_seed, default=0,
+                        help="base seed for optimizer restarts (>= 0)")
     common.add_argument("--restarts", type=_restart_count, default=16,
                         help="optimizer restarts (>= 1)")
     common.add_argument("--tol", type=_tolerance, default=1e-6,

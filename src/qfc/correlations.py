@@ -30,11 +30,12 @@ class QuantifierResult:
 
     ``argopt`` is the unitary whose columns realize the optimum (minimizing
     basis or maximizing measurement). ``method`` is ``"optimized"`` (the
-    Nelder-Mead search), ``"jacobi"`` (joint diagonalization; geometric
-    discord of mixed states) or ``"closed-form"`` (pure states; no search and
-    no ``report``). For :func:`measurement_correlation` and entropic discord
-    the report tracks the inner maximization, so ``report.best_value`` is the
-    maximal measured information, not ``value``.
+    gradient search of :func:`optimize_basis`), ``"jacobi"`` (joint
+    diagonalization; geometric discord of mixed states) or ``"closed-form"``
+    (pure states; no search and no ``report``). For
+    :func:`measurement_correlation` and entropic discord the report tracks
+    the inner maximization, so ``report.best_value`` is the maximal measured
+    information, not ``value``.
     """
 
     value: float
@@ -117,11 +118,36 @@ def total_local_qfi_b(state: BipartiteState) -> float:
     return float(np.sum(w[:, :, None, None] * (reduced.real**2 + reduced.imag**2)))
 
 
-def _total_mfi(state: BipartiteState, u: np.ndarray) -> float:
-    # The weights are homogeneous of degree one, so p_n w(spectrum of B_n / p_n)
-    # is w(spectrum of B_n): no normalization and no 0/0 at a dark outcome.
-    spectra = np.linalg.eigvalsh(measure_a(state, u))
-    return float(np.sum(qfi_weight_matrix(spectra)))
+def _measured_gradient(state: BipartiteState, u: np.ndarray, vecs, slopes) -> np.ndarray:
+    # Gradient of f(u) = sum_n F(B_n) for spectral functions F of the measured
+    # blocks, given the eigenvectors of each block and dF/dl at its eigenvalues:
+    # with D_n = V_n diag(dF/dl) V_n^dag, df = sum_n tr(D_n dB_n), so
+    # G[a, n] = 2 sum_b tr(D_n rho_ab) u[b, n] for the blocks rho_ab of rho.
+    m, n = state.dims
+    d = np.einsum("nik,nk,njk->nij", vecs, slopes, vecs.conj())
+    return 2.0 * np.einsum("nij,ajbi,bn->an", d, state.rho.reshape(m, n, m, n), u)
+
+
+def _mfi_objective(state: BipartiteState):
+    """Closure returning ``(total_mfi, G)`` for a measurement on party a."""
+
+    def objective(u: np.ndarray):
+        # The weights are homogeneous of degree one, so p_n w(spectrum of B_n /
+        # p_n) is w(spectrum of B_n): no normalization and no 0/0 at a dark
+        # outcome.
+        vals, vecs = np.linalg.eigh(measure_a(state, u))
+        li, lj = vals[:, :, None], vals[:, None, :]
+        sums = li + lj
+        # d/dl_i of sum_ij (l_i - l_j)^2 / (2 (l_i + l_j)), pairs below the
+        # support cutoff dropped
+        slopes = np.zeros_like(sums)
+        np.divide(
+            (li - lj) * (li + 3.0 * lj), sums**2, out=slopes, where=sums > linalg.SUPPORT_CUTOFF
+        )
+        value = float(np.sum(qfi_weight_matrix(vals)))
+        return value, _measured_gradient(state, u, vecs, slopes.sum(axis=2))
+
+    return objective
 
 
 def total_mfi(state: BipartiteState, measurement: np.ndarray) -> float:
@@ -134,18 +160,23 @@ def total_mfi(state: BipartiteState, measurement: np.ndarray) -> float:
     ``sum_n p(n) F(rho_b|n, h)`` over any trace-orthonormal Hermitian basis
     ``h`` of b and is nonnegative by construction.
     """
-    return _total_mfi(state, linalg.require_unitary(measurement, state.dim_a, "measurement"))
+    u = linalg.require_unitary(measurement, state.dim_a, "measurement")
+    return _mfi_objective(state)(u)[0]
 
 
-def _basis_qfi_core(w: np.ndarray, v3: np.ndarray, u: np.ndarray) -> float:
+def _basis_qfi_core(w: np.ndarray, v3: np.ndarray, u: np.ndarray):
     # c[m, nb, k] = <u_m| Psi_k[:, nb]>, so e[m, i, j] = <psi_i| P_m (x) 1 |psi_j>
     c = np.einsum("am,ank->mnk", u.conj(), v3)
     e = np.einsum("mni,mnj->mij", c.conj(), c)
-    return float(np.sum(w[None] * (e.real**2 + e.imag**2)))
+    value = float(np.sum(w[None] * (e.real**2 + e.imag**2)))
+    # The value is quartic in u: with W_m = w o e_m (Hermitian),
+    # G[a, m] = 4 sum W_m[j, i] conj(c[m, b, i]) v3[a, b, j].
+    x = c.conj() @ (w[None] * e).transpose(0, 2, 1)
+    return value, 4.0 * np.einsum("mbj,abj->am", x, v3)
 
 
 def _basis_qfi_objective(state: BipartiteState):
-    """Closure evaluating the summed per-projector QFI for a basis on party a."""
+    """Closure returning the summed per-projector QFI and its gradient ``G``."""
     m, n = state.dims
     spectrum = linalg.eigh(state.rho, "state")
     w = qfi_weight_matrix(spectrum.values)
@@ -160,7 +191,7 @@ def basis_qfi_sum(state: BipartiteState, basis_u: np.ndarray) -> float:
     This is the quantity :func:`observable_correlation` minimizes.
     """
     u = linalg.require_unitary(basis_u, state.dim_a, "basis")
-    return _basis_qfi_objective(state)(u)
+    return _basis_qfi_objective(state)(u)[0]
 
 
 def observable_correlation(
@@ -190,7 +221,7 @@ def measurement_correlation(
     """
     total = total_local_qfi_b(state)
     report = optimize_basis(
-        lambda u: _total_mfi(state, u), state.dim_a, "max", config, start=_sqrt_basis(state)
+        _mfi_objective(state), state.dim_a, "max", config, start=_sqrt_basis(state)
     )
     return QuantifierResult(total - report.best_value, report.best_unitary, "optimized", report)
 

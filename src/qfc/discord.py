@@ -14,7 +14,13 @@ from .errors import DimensionGuardError
 from .linalg import dag
 from .optimize import OptimizerConfig, multistart, optimize_basis
 from .states import PURITY_TOL, BipartiteState, haar_unitary, state_vector
-from .correlations import QuantifierResult, _a_components, _sqrt_basis, measure_a
+from .correlations import (
+    QuantifierResult,
+    _a_components,
+    _measured_gradient,
+    _sqrt_basis,
+    measure_a,
+)
 
 ENTROPY_CUTOFF = 1e-15
 #: Entropic discord optimizes over a full basis of party a; cost grows
@@ -67,12 +73,18 @@ def entropic_discord(
     base = mutual_information(state)
     entropy_b = von_neumann_entropy(state.marginal("b"))
 
-    def measured_information(u: np.ndarray) -> float:
+    def measured_information(u: np.ndarray):
         # I(measured rho) = S(rho_b) + H(p) - S(measured rho): measuring a
         # leaves rho_b alone, dephases rho_a to p_n = tr B_n and makes rho
-        # block diagonal in the basis u.
-        spectra = np.linalg.eigvalsh(measure_a(state, u))
-        return entropy_b + _spectral_entropy(spectra.sum(axis=1)) - _spectral_entropy(spectra)
+        # block diagonal in the basis u. Its slope in the eigenvalue l of
+        # block n is ln l - ln p_n, with both logarithms clipped at the cutoff.
+        spectra, vecs = np.linalg.eigh(measure_a(state, u))
+        probs = spectra.sum(axis=1)
+        value = entropy_b + _spectral_entropy(probs) - _spectral_entropy(spectra)
+        slopes = np.log(np.maximum(spectra, ENTROPY_CUTOFF)) - np.log(
+            np.maximum(probs, ENTROPY_CUTOFF)
+        )[:, None]
+        return value, _measured_gradient(state, u, vecs, slopes)
 
     report = optimize_basis(
         measured_information, state.dim_a, "max", config, start=_sqrt_basis(state)
@@ -95,8 +107,9 @@ def geometric_discord(
     runs from ``config.restarts`` starts, the identity and then
     ``haar_unitary(dim_a, config.seed + k)``, and keeps the lowest residual;
     its report counts pair rotations as evaluations and sweeps as
-    iterations. Pass ``method="optimized"`` to force the Nelder-Mead search
-    instead (used for cross-validation).
+    iterations. Pass ``method="optimized"`` to run the gradient search of
+    :func:`optimize_basis` on the same off-diagonal mass instead (used for
+    cross-validation).
     """
     if method not in ("auto", "optimized"):
         raise ValueError(f"method must be 'auto' or 'optimized', got {method!r}")
@@ -110,7 +123,9 @@ def geometric_discord(
     stack = _a_components(state.rho, state.dims)
     cfg = config if config is not None else OptimizerConfig()
     if method == "optimized":
-        report = optimize_basis(lambda u: linalg.off_diagonal_mass(stack, u), m, "min", cfg)
+        report = optimize_basis(
+            lambda u: linalg.off_diagonal_mass_and_gradient(stack, u), m, "min", cfg
+        )
         return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
     def search(k: int):

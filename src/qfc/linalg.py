@@ -170,15 +170,27 @@ def hermitian_basis(vectors: np.ndarray) -> np.ndarray:
     return ops
 
 
+def off_diagonal_mass_and_gradient(mats: np.ndarray, u: np.ndarray):
+    """:func:`off_diagonal_mass` and its gradient ``G``, ``df = Re tr(G^dag du)``.
+
+    With ``d_kn = <u_n| M_k |u_n>`` the value is ``sum_k ||M_k||^2 - sum_kn
+    d_kn^2``, so ``G[:, n] = -4 sum_k d_kn M_k u_n``.
+    """
+    m = np.asarray(mats).shape[-1]
+    rotated = np.einsum("ak,mab,bl->mkl", u.conj(), mats, u)
+    off = rotated[:, ~np.eye(m, dtype=bool)]
+    diagonal = rotated.diagonal(axis1=1, axis2=2).real
+    grad = -4.0 * np.einsum("kab,bn,kn->an", mats, u, diagonal)
+    return float(np.vdot(off, off).real), grad
+
+
 def off_diagonal_mass(mats: np.ndarray, u: np.ndarray) -> float:
     """``sum_k ||offdiag(U^dag M_k U)||_F^2`` for a ``(K, d, d)`` stack ``M``.
 
     The quantity :func:`joint_diagonalize` minimizes; a sum of squares, so
     it is ``>= 0`` by construction.
     """
-    m = np.asarray(mats).shape[-1]
-    rotated = np.einsum("ak,mab,bl->mkl", u.conj(), mats, u)[:, ~np.eye(m, dtype=bool)]
-    return float(np.vdot(rotated, rotated).real)
+    return off_diagonal_mass_and_gradient(mats, u)[0]
 
 
 #: Pair rotations whose sine is at most this are skipped; a sweep that skips

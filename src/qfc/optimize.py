@@ -1,14 +1,22 @@
-"""Derivative-free optimization over orthonormal bases of C^d.
+"""Gradient optimization over orthonormal bases of C^d.
 
-A basis (equivalently a rank-1 von Neumann measurement) is parameterized by
-d^2 real coefficients of a Hermitian generator A in the canonical
-trace-orthonormal Hermitian basis; the chart ``p -> exp(i A(p))`` covers the
-whole unitary group. Optimization is multistart Nelder-Mead: restarts draw
-independent random generator coefficients, each restart owning its RNG
-stream (seed = base seed + restart index). Restart 0 may instead be warm
-started at a given basis, charted as ``start @ exp(i A(p))``. The restart
-loop and its report are :func:`multistart`'s, shared with every other basis
-search (the Jacobi starts of geometric discord).
+A basis (equivalently a rank-1 von Neumann measurement) is a unitary u whose
+columns are the basis vectors. The chart ``p -> exp(i A(p))`` maps d^2 real
+coefficients of a Hermitian generator A, in the canonical trace-orthonormal
+Hermitian basis, onto the whole unitary group.
+
+An objective returns ``(value, G)``, the value and its Euclidean gradient,
+so that ``df = Re tr(G^dag du)``. Every objective here is invariant under
+``u -> u diag(e^{i phi})``, so the d diagonal generators are dead
+directions: restart k is a Riemannian BFGS search on U(d) (Edelman, Arias
+and Smith, SIAM J. Matrix Anal. Appl. 20, 303, 1998) in the d^2 - d
+coordinates of the off-diagonal generators. Each step is ``u <- u exp(i
+A(t p))`` along ``p = -H g`` for the inverse-Hessian estimate H and the
+gradient g in those coordinates, which are re-centred at every step. Restart
+k starts from random generator coefficients drawn from its own stream (seed
+= base seed + restart index); restart 0 may instead start at a given basis.
+The restart loop and its report are :func:`multistart`'s, shared with every
+other basis search (the Jacobi starts of geometric discord).
 """
 
 from __future__ import annotations
@@ -23,12 +31,13 @@ from .errors import OptimizationError, ShapeError
 
 #: Spread (radians) of the random generator coefficients at each restart.
 START_SPREAD = np.pi / 2
-#: Edge length of each restart's initial simplex.
-STEP_SCALE = 0.1
 #: Iteration cap of each restart; a restart that reaches it is unconverged.
 MAX_ITERATIONS = 2000
-#: Simplex collapse threshold; one of the convergence criteria.
-DIAMETER_TOL = 1e-8
+#: Sufficient-decrease constant of the backtracking (Armijo) line search.
+ARMIJO = 1e-4
+#: Step halvings a line search may make before it gives up and ends the
+#: restart.
+MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            # restart k draws from np.random.default_rng(seed + k)
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
@@ -101,67 +113,6 @@ def random_params(dim: int, rng: np.random.Generator, spread: float = START_SPRE
     return rng.normal(0.0, spread, size=dim * dim)
 
 
-def nelder_mead(f, x0: np.ndarray, step: float, tolerance: float, max_iterations: int):
-    """Minimize ``f`` from ``x0`` with a standard Nelder-Mead simplex.
-
-    Stops when the simplex objective spread drops below ``tolerance``, or the
-    simplex diameter drops below :data:`DIAMETER_TOL`, or the iteration cap is
-    reached (in which case ``converged`` is False but the best point is still
-    returned).
-
-    Returns ``(x_best, f_best, n_evaluations, n_iterations, converged)``.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    pts = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        pts[i + 1, i] += step
-    fv = np.array([f(p) for p in pts])
-    nfev = n + 1
-    nit = 0
-    converged = False
-    while True:
-        order = np.argsort(fv, kind="stable")
-        pts, fv = pts[order], fv[order]
-        spread = fv[-1] - fv[0]
-        diameter = np.max(np.linalg.norm(pts[1:] - pts[0], axis=1))
-        if spread < tolerance or diameter < DIAMETER_TOL:
-            converged = True
-            break
-        if nit >= max_iterations:
-            break
-        nit += 1
-        centroid = pts[:-1].mean(axis=0)
-        xr = 2.0 * centroid - pts[-1]
-        fr = f(xr)
-        nfev += 1
-        if fr < fv[0]:
-            xe = centroid + 2.0 * (xr - centroid)
-            fe = f(xe)
-            nfev += 1
-            if fe < fr:
-                pts[-1], fv[-1] = xe, fe
-            else:
-                pts[-1], fv[-1] = xr, fr
-        elif fr < fv[-2]:
-            pts[-1], fv[-1] = xr, fr
-        else:
-            if fr < fv[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid - 0.5 * (centroid - pts[-1])
-            fc = f(xc)
-            nfev += 1
-            if fc < min(fr, fv[-1]):
-                pts[-1], fv[-1] = xc, fc
-            else:
-                pts[1:] = pts[0] + 0.5 * (pts[1:] - pts[0])
-                fv[1:] = [f(p) for p in pts[1:]]
-                nfev += n
-    best = int(np.argmin(fv))
-    return pts[best], float(fv[best]), nfev, nit, converged
-
-
 def multistart(search, restarts: int, direction: str) -> OptimizerReport:
     """Run ``search(k)`` for restarts ``k = 0 .. restarts - 1`` and keep the best.
 
@@ -189,6 +140,74 @@ def multistart(search, restarts: int, direction: str) -> OptimizerReport:
     )
 
 
+@lru_cache(maxsize=None)
+def _tangent_rows(dim: int) -> np.ndarray:
+    # Row k is the off-diagonal generator Y_k, transposed and flattened, so
+    # tr(M Y_k) = _tangent_rows(dim)[k] @ M.ravel().
+    rows = _generator_basis(dim)[dim:].transpose(0, 2, 1).reshape(dim * dim - dim, -1)
+    rows.flags.writeable = False
+    return rows
+
+
+def _bfgs(objective, u: np.ndarray, sign: float, tolerance: float):
+    """Minimize ``sign * f`` from the unitary ``u`` by BFGS on U(d).
+
+    Returns ``(unitary, value, evaluations, iterations, converged)`` with the
+    value in the objective's own units. The search stops converged once the
+    last step lowered the value by at most ``tolerance`` (the start counts as
+    such a step) and the squared gradient norm is at most ``tolerance``. It
+    stops unconverged at :data:`MAX_ITERATIONS`, or when a line search finds
+    no step that lowers the value while the squared gradient norm is still
+    above ``tolerance``.
+    """
+    dim = u.shape[0]
+    rows = _tangent_rows(dim)
+    pad = np.zeros(dim)
+
+    def evaluate(v: np.ndarray):
+        value, grad = objective(v)
+        value = float(value)
+        # d/dt f(v exp(i t Y_k)) = Re tr(G^dag v i Y_k)
+        g = -sign * (rows @ (linalg.dag(grad) @ v).ravel()).imag
+        if not (np.isfinite(value) and np.all(np.isfinite(g))):
+            raise OptimizationError(f"objective returned non-finite value {value} or gradient")
+        return sign * value, g
+
+    f, g = evaluate(u)
+    evaluations, iterations, decrease = 1, 0, 0.0
+    h = None  # inverse Hessian estimate; the identity until the first update
+    while decrease > tolerance or g @ g > tolerance:
+        if iterations == MAX_ITERATIONS:
+            return u, sign * f, evaluations, iterations, False
+        p = -g if h is None else -h @ g
+        slope = g @ p
+        if slope >= 0.0:
+            p, slope = -g, -(g @ g)
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = u @ unitary_from_params(np.concatenate([pad, t * p]), dim)
+            f_new, g_new = evaluate(trial)
+            evaluations += 1
+            if f_new <= f + ARMIJO * t * slope:
+                break
+            t /= 2.0
+        else:
+            # No step lowers the value: the decrease is 0, so this is a
+            # stationary point to working precision unless g is still large.
+            return u, sign * f, evaluations, iterations, bool(g @ g <= tolerance)
+        s, y = t * p, g_new - g
+        sy = s @ y
+        if sy > 0.0:
+            if h is None:
+                h = (sy / (y @ y)) * np.eye(s.size)
+            hy = h @ y
+            h += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(hy, s) - np.outer(s, hy)) / sy
+        iterations += 1
+        decrease = f - f_new
+        u, f, g = trial, f_new, g_new
+    return u, sign * f, evaluations, iterations, True
+
+
 def optimize_basis(
     objective,
     dim: int,
@@ -199,13 +218,16 @@ def optimize_basis(
 ) -> OptimizerReport:
     """Optimize a function of an orthonormal basis (measurement) of C^dim.
 
-    ``objective`` receives a unitary matrix whose columns are the basis
-    vectors / measurement directions and must return a finite float.
-    Restart k is a Nelder-Mead search from random generator coefficients
-    drawn from its own stream (seed ``config.seed + k``). A ``start`` unitary
-    replaces restart 0 by a search over ``start @ exp(i A(p))`` from
-    ``p = 0``, so its first evaluation is at ``start``; the other restarts
-    are unchanged. Deterministic for a fixed config and start.
+    ``objective`` receives a unitary matrix u whose columns are the basis
+    vectors / measurement directions and returns ``(value, G)``: a finite
+    float and its Euclidean gradient, ``df = Re tr(G^dag du)``. It must be
+    invariant under ``u -> u diag(e^{i phi})``. Restart k is a BFGS search
+    (see :func:`_bfgs`) from the unitary of random generator coefficients
+    drawn from its own stream (seed ``config.seed + k``); a ``start``
+    unitary replaces the start of restart 0, so its first evaluation is at
+    ``start``, and leaves the other restarts unchanged. ``config.tolerance``
+    bounds both the last decrease and the squared gradient norm.
+    Deterministic for a fixed config and start.
     """
     if start is not None:
         start = linalg.require_unitary(start, dim, "start")
@@ -213,25 +235,10 @@ def optimize_basis(
     sign = 1.0 if direction == "min" else -1.0
 
     def search(k: int):
-        base = start if k == 0 else None
-        if base is None:
-            x0 = random_params(dim, np.random.default_rng(cfg.seed + k))
+        if k == 0 and start is not None:
+            u = start
         else:
-            x0 = np.zeros(dim * dim)
-
-        def chart(p: np.ndarray) -> np.ndarray:
-            u = unitary_from_params(p, dim)
-            return u if base is None else base @ u
-
-        def wrapped(p: np.ndarray) -> float:
-            value = float(objective(chart(p)))
-            if not np.isfinite(value):
-                raise OptimizationError(f"objective returned non-finite value {value}")
-            return sign * value
-
-        # Positional and through the module global: bench/tracing.py rebinds
-        # nelder_mead and reads the iteration cap from its fifth argument.
-        x, fx, nfev, nit, ok = nelder_mead(wrapped, x0, STEP_SCALE, cfg.tolerance, MAX_ITERATIONS)
-        return chart(x), sign * fx, nfev, nit, ok
+            u = unitary_from_params(random_params(dim, np.random.default_rng(cfg.seed + k)), dim)
+        return _bfgs(objective, u, sign, cfg.tolerance)
 
     return multistart(search, cfg.restarts, direction)

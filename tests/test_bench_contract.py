@@ -44,7 +44,7 @@ def traced_names():
                 tables[name] = ast.literal_eval(node.value)
     pairs = list(tables["SOLVES"])
     pairs += [(mod, attr) for mod, attrs in tables["ENTRY_POINTS"].items() for attr in attrs]
-    return pairs + [("optimize", "optimize_basis"), ("optimize", "nelder_mead")]
+    return pairs + [("optimize", "optimize_basis")]
 
 
 @pytest.mark.parametrize("module, attr", traced_names())

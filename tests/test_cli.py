@@ -82,6 +82,12 @@ class TestParseStateSpec:
         b = build_state(spec)
         np.testing.assert_array_equal(a.rho, b.rho)
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, True])
+    def test_random_kind_rejects_a_seed_that_is_no_nonnegative_integer(self, seed):
+        spec = parse_state_spec(json.dumps({"kind": "random", "dims": [2, 2], "seed": seed}))
+        with pytest.raises(SchemaError, match="random.seed"):
+            build_state(spec)
+
     def test_dimension_guard(self):
         spec = parse_state_spec('{"kind": "random", "dims": [6, 7], "seed": 0}')
         with pytest.raises(qfc.DimensionGuardError):
@@ -279,3 +285,18 @@ class TestExitCodes:
             main(["qah", "--state", path, "--tol", value])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-5", "-1", "2.5", "some"])
+    def test_bad_seed_exits_two(self, capsys, tmp_path, value):
+        # restart k draws from np.random.default_rng(seed + k), which rejects a negative seed
+        path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
+        with pytest.raises(SystemExit) as exc:
+            main(["qah", "--state", path, "--seed", value, "--restarts", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_negative_random_state_seed_exits_two(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "random", "dims": [2, 2], "seed": -3})
+        code, _, err = run_cli(capsys, "qah", "--state", path, "--restarts", "2")
+        assert code == 2
+        assert "random.seed" in err

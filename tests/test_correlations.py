@@ -327,6 +327,45 @@ class TestObservableCorrelation:
         assert abs(basis_qfi_sum(max_entangled(2), u) - result.value) <= 1e-10
 
 
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def qubit_a_closed_form(state):
+    """``qah = lambda_min(K) / 2`` for a qubit party a, with no search.
+
+    The projectors of a qubit basis are ``(1 +- n.sigma)/2``; their QFIs are
+    each ``n^T K n / 4`` for ``K_kl = sum_ij w_ij Re(<psi_i|s_k|psi_j>
+    <psi_j|s_l|psi_i>)``, ``s_k = sigma_k (x) 1``, so the minimum over unit n
+    is half the least eigenvalue of K.
+    """
+    spectrum = eigh(state.rho)
+    w = qfi_weight_matrix(spectrum.values)
+    v = spectrum.vectors
+    s = np.array([dag(v) @ np.kron(p, np.eye(state.dim_b)) @ v for p in PAULIS])
+    k = np.einsum("ij,kij,lij->kl", w, s, s.conj()).real
+    return 0.5 * float(np.linalg.eigvalsh(k)[0])
+
+
+class TestQubitClosedForm:
+    """The search against the qubit-a closed form on mixed 2 x n states."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("full_rank", [True, False], ids=["full", "rank2"])
+    def test_search_matches_closed_form(self, n, full_rank):
+        for k in range(4):
+            rank = 2 * n if full_rank else 2
+            state = random_mixed((2, n), 300 + 10 * n + k, rank)
+            cfg = OptimizerConfig(restarts=4, tolerance=1e-10, seed=k)
+            result = observable_correlation(state, cfg)
+            assert result.converged
+            assert abs(result.value - qubit_a_closed_form(state)) <= 1e-9
+
+    def test_closed_form_on_pure_states(self):
+        for dims in ((2, 2), (2, 3)):
+            state = random_pure(dims, 11)
+            assert abs(qubit_a_closed_form(state) - pure_state_correlation(state)) <= 1e-12
+
+
 class TestMeasurementCorrelation:
     def test_bell_reaches_one_half(self):
         result = measurement_correlation(max_entangled(2), CFG)

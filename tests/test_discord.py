@@ -28,6 +28,8 @@ from qfc import (
     werner,
 )
 from qfc import verify
+from qfc.correlations import _a_components
+from qfc.linalg import SUPPORT_CUTOFF, joint_diagonalize
 from qfc.optimize import multistart
 from qfc.states import haar_unitary, random_density
 
@@ -135,21 +137,19 @@ class TestGeometricDiscord:
         assert abs(float(np.sum(np.abs(diff) ** 2)) - result.value) <= 1e-12
 
 
-#: (dims, states per rank): 64 states, half full rank and half rank 2. Party
-#: a of dimension 3 or 4 gets fewer states, because the Nelder-Mead side takes
-#: about 0.7 s and 2 s per state there.
+#: (dims, states per rank): 64 states, half full rank and half rank 2.
 ORACLE_DIMS = [((2, 2), 7), ((2, 3), 7), ((2, 4), 7), ((3, 2), 3), ((3, 3), 3), ((3, 4), 3),
                ((4, 2), 1), ((4, 4), 1)]
 ORACLE_CFG = OptimizerConfig(restarts=8, tolerance=1e-10, seed=0)
 
 
 class TestJacobiOracles:
-    """The Jacobi basis against the Nelder-Mead search and at criterion 3's states."""
+    """The Jacobi basis against the gradient search and at criterion 3's states."""
 
     @pytest.mark.parametrize(
         "dims, count", ORACLE_DIMS, ids=[f"{m}x{n}" for (m, n), _ in ORACLE_DIMS]
     )
-    def test_jacobi_never_above_nelder_mead(self, dims, count):
+    def test_jacobi_never_above_the_search(self, dims, count):
         d = dims[0] * dims[1]
         for k in range(count):
             for rank in (d, 2):
@@ -185,6 +185,53 @@ class TestJacobiOracles:
             qah, gap = self.at_u_g(state)
             assert qah >= 1e-3
             assert gap >= 1e-3
+
+
+#: 20 states: dimensions cycled, full rank at even and rank 2 at odd indices.
+BOUND_DIMS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]
+
+
+def bound_states():
+    for i in range(20):
+        dims = BOUND_DIMS[i % len(BOUND_DIMS)]
+        d = dims[0] * dims[1]
+        yield BipartiteState(random_density(d, d if i % 2 == 0 else 2, 900 + i), *dims)
+
+
+def sqrt_residual(state):
+    """``(u_H, D_H)``: the Jacobi basis and residual of sqrt(rho)."""
+    vals, vecs = np.linalg.eigh(state.rho)
+    roots = np.sqrt(np.where(vals > SUPPORT_CUTOFF, vals, 0.0))
+    u_h, residual, _ = joint_diagonalize(_a_components((vecs * roots) @ dag(vecs), state.dims))
+    return u_h, residual
+
+
+class TestOptimizerFreeBounds:
+    """Bounds on both quantifiers from Jacobi residuals alone, no search.
+
+    With ``F(rho, H) >= ||[rho, H]||^2 / 2`` and, for the skew information
+    ``I = ||[sqrt(rho), H]||^2 / 2``, ``I <= F <= 2 I`` (Luo 2004), summing
+    over the projectors of a basis u gives ``qah(u) >= ||rho - Pi_u rho||^2``
+    and ``D_H(u) <= qah(u) <= 2 D_H(u)`` with ``D_H(u) = ||sqrt(rho) -
+    Pi_u sqrt(rho)||^2``. The qapi gap is >= 0 for every basis and its
+    minimum is at most its value at u_H.
+    """
+
+    CFG = OptimizerConfig(restarts=4, tolerance=1e-10, seed=0)
+
+    def test_qah_between_the_jacobi_residuals(self):
+        for state in bound_states():
+            qah = observable_correlation(state, self.CFG).value
+            d_g = geometric_discord(state, self.CFG).value
+            _, d_h = sqrt_residual(state)
+            assert d_g <= qah + 1e-9
+            assert d_h <= qah <= 2 * d_h + 1e-9
+
+    def test_qapi_between_zero_and_its_value_at_u_h(self):
+        for state in bound_states():
+            qapi = measurement_correlation(state, self.CFG).value
+            u_h, _ = sqrt_residual(state)
+            assert 0.0 <= qapi <= total_local_qfi_b(state) - total_mfi(state, u_h) + 1e-9
 
 
 class TestLocalUnitaryInvariance:

@@ -36,7 +36,10 @@ class _Captured(Exception):
 
 
 def captured_objective(solver, state):
-    """The objective ``solver`` hands to the optimizer for ``state``."""
+    """The objective ``solver`` hands to the optimizer for ``state``.
+
+    It returns ``(value, G)``; the gradient is checked in ``test_gradients.py``.
+    """
     holder = []
 
     def grab(objective, *args, **kwargs):
@@ -50,13 +53,15 @@ def captured_objective(solver, state):
 
 
 def entropic_objective(state):
-    return captured_objective(discord.entropic_discord, state)
+    objective = captured_objective(discord.entropic_discord, state)
+    return lambda u: objective(u)[0]
 
 
 def geometric_objective(state):
-    return captured_objective(
+    objective = captured_objective(
         lambda s: discord.geometric_discord(s, method="optimized"), state
     )
+    return lambda u: objective(u)[0]
 
 
 def mixed_state(dims, seed, rank):

@@ -1,4 +1,9 @@
-"""Unitary parameterization and the multistart Nelder-Mead search."""
+"""Unitary parameterization and the multistart gradient search on U(d).
+
+Objectives return ``(value, G)`` with ``df = Re tr(G^dag du)`` and are
+invariant under ``u -> u diag(e^{i phi})``, like every objective of the
+library.
+"""
 
 import dataclasses
 import json
@@ -6,6 +11,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,12 +22,32 @@ from qfc import (
     OptimizerConfig,
     ShapeError,
     dag,
-    nelder_mead,
     optimize_basis,
     unitary_from_params,
 )
+from qfc import optimize
+from qfc.linalg import off_diagonal_mass_and_gradient
 from qfc.optimize import multistart
-from qfc.states import haar_unitary
+from qfc.states import haar_unitary, random_hermitian
+
+
+def misalignment(u):
+    """``d - sum_n |u_nn|^2``: zero exactly when every column is a phase times e_n."""
+    diagonal = np.diagonal(u)
+    return float(u.shape[0] - np.sum(np.abs(diagonal) ** 2)), -2.0 * np.diag(diagonal)
+
+
+def overlap(u):
+    """``|u_00|^2``, largest (1) when the first column is e_0 up to a phase."""
+    grad = np.zeros_like(u)
+    grad[0, 0] = 2.0 * u[0, 0]
+    return float(abs(u[0, 0]) ** 2), grad
+
+
+def stack_objective(dim):
+    """Off-diagonal mass of three fixed Hermitian matrices, a landscape with local minima."""
+    stack = np.array([random_hermitian(dim, 40 + 3 * dim + k) for k in range(3)])
+    return lambda u: off_diagonal_mass_and_gradient(stack, u)
 
 
 class TestUnitaryFromParams:
@@ -44,25 +70,46 @@ class TestUnitaryFromParams:
             unitary_from_params(np.zeros(3), 2)
 
 
-class TestNelderMead:
-    def test_minimizes_shifted_quadratic(self):
-        target = np.array([1.0, -2.0, 0.5])
-        f = lambda x: float(np.sum((x - target) ** 2))
-        x, fx, nfev, nit, converged = nelder_mead(
-            f, np.zeros(3), step=0.5, tolerance=1e-10, max_iterations=2000
-        )
-        assert converged
-        assert fx <= 1e-8
-        np.testing.assert_allclose(x, target, atol=1e-4)
-        assert nfev > nit > 0
+class TestGradientSearch:
+    def test_diagonalizes_a_hermitian_matrix(self):
+        h = random_hermitian(4, 9)
+        objective = lambda u: off_diagonal_mass_and_gradient(h[None], u)
+        report = optimize_basis(objective, 4, "min", OptimizerConfig(restarts=2, tolerance=1e-12))
+        assert report.converged and report.restart_converged.all()
+        assert report.best_value <= 1e-12
+        rotated = dag(report.best_unitary) @ h @ report.best_unitary
+        np.testing.assert_allclose(np.sort(np.diag(rotated).real), np.linalg.eigvalsh(h), atol=1e-6)
+
+    def test_converged_restarts_end_at_a_small_gradient(self):
+        objective = stack_objective(3)
+        tolerance = 1e-8
+        cfg = OptimizerConfig(restarts=4, tolerance=tolerance)
+        report = optimize_basis(objective, 3, "min", cfg)
+        assert report.converged
+        u = report.best_unitary
+        _, grad = objective(u)
+        # the coordinates of the off-diagonal generators: d/dt f(u exp(i t Y_k))
+        g = -(optimize._tangent_rows(3) @ (dag(grad) @ u).ravel()).imag
+        assert g @ g <= tolerance
 
     def test_iteration_cap_reports_unconverged(self):
-        f = lambda x: float(np.sum(x**2))
-        _, _, _, nit, converged = nelder_mead(
-            f, np.ones(4), step=0.1, tolerance=1e-15, max_iterations=3
-        )
-        assert nit == 3
-        assert not converged
+        with mock.patch.object(optimize, "MAX_ITERATIONS", 2):
+            report = optimize_basis(stack_objective(3), 3, "min", OptimizerConfig(restarts=1))
+        assert report.n_iterations == 2
+        assert not report.converged
+
+    def test_failed_line_search_with_a_large_gradient_is_unconverged(self):
+        # a constant value with a nonzero gradient: no step passes the Armijo test
+        grad = np.diag([1.0, -1.0]).astype(complex) @ np.array([[0, 1], [1, 0]])
+        report = optimize_basis(lambda u: (1.0, u @ grad), 2, "min", OptimizerConfig(restarts=1))
+        assert not report.converged
+        assert report.n_evaluations == 1 + optimize.MAX_HALVINGS
+        assert report.n_iterations == 0
+
+    def test_non_finite_gradient_aborts(self):
+        objective = lambda u: (0.0, np.full((2, 2), np.nan))
+        with pytest.raises(OptimizationError):
+            optimize_basis(objective, 2, "min", OptimizerConfig(restarts=1))
 
 
 class TestMultistart:
@@ -117,29 +164,24 @@ class TestMultistart:
 
 class TestOptimizeBasis:
     def test_constant_objective_converges_immediately(self):
-        report = optimize_basis(lambda u: 4.25, 2, "min", OptimizerConfig(restarts=2))
+        objective = lambda u: (4.25, np.zeros((2, 2)))
+        report = optimize_basis(objective, 2, "min", OptimizerConfig(restarts=2))
         assert report.converged
         assert report.best_value == 4.25
         assert np.all(report.restart_values == 4.25)
+        assert report.n_evaluations == 2 and report.n_iterations == 0
 
     def test_column_alignment_objective_reaches_zero(self):
-        eye = np.eye(2)
-
-        def deviation(u):
-            return float(np.sum(np.abs(u - eye) ** 2))
-
-        report = optimize_basis(deviation, 2, "min", OptimizerConfig(restarts=16, seed=1))
+        report = optimize_basis(misalignment, 2, "min", OptimizerConfig(restarts=16, seed=1))
         assert report.best_value <= 1e-6
 
     def test_direction_max(self):
-        # largest |<e_0|u e_0>|^2 over unitaries is 1
-        objective = lambda u: float(abs(u[0, 0]) ** 2)
-        report = optimize_basis(objective, 2, "max", OptimizerConfig(restarts=8, seed=3))
+        report = optimize_basis(overlap, 2, "max", OptimizerConfig(restarts=8, seed=3))
         assert abs(report.best_value - 1.0) <= 1e-6
         assert report.best_value == max(report.restart_values)
 
     def test_deterministic_for_fixed_seed(self):
-        objective = lambda u: float(np.real(np.trace(u)))
+        objective = stack_objective(2)
         cfg = OptimizerConfig(restarts=4, seed=11)
         a = optimize_basis(objective, 2, "min", cfg)
         b = optimize_basis(objective, 2, "min", cfg)
@@ -149,7 +191,7 @@ class TestOptimizeBasis:
         assert a.n_evaluations == b.n_evaluations
 
     def test_monotone_under_nested_restarts(self):
-        objective = lambda u: float(np.real(np.trace(u)))
+        objective = stack_objective(3)
         values = []
         for restarts in (1, 2, 4, 8):
             cfg = OptimizerConfig(restarts=restarts, seed=5)
@@ -157,28 +199,29 @@ class TestOptimizeBasis:
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_restart_values_prefix_stable(self):
-        objective = lambda u: float(np.real(np.trace(u)))
+        objective = stack_objective(2)
         small = optimize_basis(objective, 2, "min", OptimizerConfig(restarts=3, seed=2))
         large = optimize_basis(objective, 2, "min", OptimizerConfig(restarts=6, seed=2))
         np.testing.assert_array_equal(large.restart_values[:3], small.restart_values)
 
     def test_non_finite_objective_aborts(self):
+        objective = lambda u: (float("nan"), np.zeros((2, 2)))
         with pytest.raises(OptimizationError):
-            optimize_basis(lambda u: float("nan"), 2, "min", OptimizerConfig(restarts=1))
+            optimize_basis(objective, 2, "min", OptimizerConfig(restarts=1))
 
     def test_rejects_bad_direction(self):
         with pytest.raises(ValueError):
-            optimize_basis(lambda u: 0.0, 2, "best")
+            optimize_basis(lambda u: (0.0, np.zeros((2, 2))), 2, "best")
 
     def test_second_best_value(self):
-        objective = lambda u: float(np.real(np.trace(u)))
+        objective = stack_objective(2)
         report = optimize_basis(objective, 2, "min", OptimizerConfig(restarts=4, seed=0))
         ordered = np.sort(report.restart_values)
         assert report.second_best_value == ordered[1]
 
 
 class TestWarmStart:
-    OBJECTIVE = staticmethod(lambda u: float(np.real(np.trace(u))))
+    OBJECTIVE = staticmethod(stack_objective(3))
     CFG = OptimizerConfig(restarts=4, seed=7)
 
     def test_first_call_of_restart_zero_receives_start(self):
@@ -199,7 +242,7 @@ class TestWarmStart:
 
     def test_best_unitary_attains_best_value(self):
         report = optimize_basis(self.OBJECTIVE, 3, "min", self.CFG, start=haar_unitary(3, 1))
-        assert self.OBJECTIVE(report.best_unitary) == report.best_value
+        assert self.OBJECTIVE(report.best_unitary)[0] == report.best_value
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,)])
     def test_rejects_start_of_wrong_shape(self, shape):
@@ -242,6 +285,12 @@ class TestOptimizerConfig:
     def test_rejects_negative_or_non_finite_tolerance(self, tolerance):
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=tolerance)
+
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_rejects_negative_seed(self, seed):
+        # restart k draws from np.random.default_rng(seed + k), which needs seed + k >= 0
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig(seed=seed)
 
     def test_has_three_settings(self):
         cfg = OptimizerConfig()
