@@ -193,9 +193,14 @@ def off_diagonal_mass(mats: np.ndarray, u: np.ndarray) -> float:
     return off_diagonal_mass_and_gradient(mats, u)[0]
 
 
-#: Pair rotations whose sine is at most this are skipped; a sweep that skips
-#: every pair ends :func:`joint_diagonalize`.
+#: Pair rotations whose sine is at most this are skipped.
 JACOBI_SINE_TOL = 1e-12
+#: A sweep that lowers the off-diagonal mass by at most this share of the
+#: stack's squared norm, roundoff in the mass itself, ends
+#: :func:`joint_diagonalize`; so does a sweep that skips every pair. On
+#: stacks that do not commute the sines fall only linearly, and the mass
+#: reaches working precision long before they reach JACOBI_SINE_TOL.
+JACOBI_MASS_TOL = 1e-15
 #: Sweep cap; a search that needs every allowed sweep counts as unconverged.
 JACOBI_MAX_SWEEPS = 1000
 #: Eigenvalues of a pair's 3x3 matrix this close to its largest, relative to
@@ -216,8 +221,11 @@ def joint_diagonalize(mats: np.ndarray, start: np.ndarray | None = None):
     real symmetric matrix, which maximizes the pair's diagonal contrast
     over all rotations of that pair. When the top eigenspace is degenerate
     the vector closest to no rotation is used, so a pair on which every
-    rotation is equally good is left alone. Sweeps stop when no rotation
-    sine exceeds :data:`JACOBI_SINE_TOL` or after :data:`JACOBI_MAX_SWEEPS`.
+    rotation is equally good is left alone, and so is a pair whose rotation
+    sine is at most :data:`JACOBI_SINE_TOL`. Sweeps stop once a sweep lowers
+    the off-diagonal mass of the rotated stack by at most
+    :data:`JACOBI_MASS_TOL` times ``sum_k ||M_k||^2`` (a sweep that rotates
+    no pair lowers it by 0), or after :data:`JACOBI_MAX_SWEEPS`.
 
     ``start`` (default: the identity) is the unitary the sweeps begin from.
     Returns ``(u, residual, sweeps)``: the columns of ``u`` are the basis,
@@ -230,12 +238,13 @@ def joint_diagonalize(mats: np.ndarray, start: np.ndarray | None = None):
     d = mats.shape[1]
     u = np.eye(d, dtype=complex) if start is None else require_unitary(start, d, "start").copy()
     a = np.einsum("ak,mab,bl->mkl", u.conj(), mats, u)
-    floor = _DEGENERATE_ABS * float(np.vdot(mats, mats).real)
-    sweeps = 0
-    rotated = True
-    while rotated and sweeps < JACOBI_MAX_SWEEPS:
+    norm2 = float(np.vdot(mats, mats).real)
+    floor = _DEGENERATE_ABS * norm2
+    off = ~np.eye(d, dtype=bool)
+    mass = float(np.vdot(a[:, off], a[:, off]).real)
+    sweeps, decrease = 0, np.inf
+    while decrease > JACOBI_MASS_TOL * norm2 and sweeps < JACOBI_MAX_SWEEPS:
         sweeps += 1
-        rotated = False
         for p in range(d - 1):
             for q in range(p + 1, d):
                 pq = [p, q]
@@ -253,11 +262,12 @@ def joint_diagonalize(mats: np.ndarray, start: np.ndarray | None = None):
                 s = (y - 1j * z) / (2 * c)
                 if abs(s) <= JACOBI_SINE_TOL:
                     continue
-                rotated = True
                 rot = np.array([[c, -np.conj(s)], [s, c]])
                 a[:, pq, :] = rot.conj().T @ a[:, pq, :]
                 a[:, :, pq] = a[:, :, pq] @ rot
                 u[:, pq] = u[:, pq] @ rot
+        new_mass = float(np.vdot(a[:, off], a[:, off]).real)
+        decrease, mass = mass - new_mass, new_mass
     return u, off_diagonal_mass(mats, u), sweeps
 
 

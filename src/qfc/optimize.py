@@ -12,7 +12,11 @@ directions: restart k is a Riemannian BFGS search on U(d) (Edelman, Arias
 and Smith, SIAM J. Matrix Anal. Appl. 20, 303, 1998) in the d^2 - d
 coordinates of the off-diagonal generators. Each step is ``u <- u exp(i
 A(t p))`` along ``p = -H g`` for the inverse-Hessian estimate H and the
-gradient g in those coordinates, which are re-centred at every step. Restart
+gradient g in those coordinates, which are re-centred at every step. Until
+a step meets positive curvature there is no H; the step is then steepest
+descent from a step length the search remembers (see :func:`_bfgs`), so a
+restart that starts where the minimized value curves down leaves in a few
+doublings rather than in many unit steps. Restart
 k starts from random generator coefficients drawn from its own stream (seed
 = base seed + restart index); restart 0 may instead start at a given basis.
 The restart loop and its report are :func:`multistart`'s, shared with every
@@ -153,12 +157,21 @@ def _bfgs(objective, u: np.ndarray, sign: float, tolerance: float):
     """Minimize ``sign * f`` from the unitary ``u`` by BFGS on U(d).
 
     Returns ``(unitary, value, evaluations, iterations, converged)`` with the
-    value in the objective's own units. The search stops converged once the
-    last step lowered the value by at most ``tolerance`` (the start counts as
-    such a step) and the squared gradient norm is at most ``tolerance``. It
-    stops unconverged at :data:`MAX_ITERATIONS`, or when a line search finds
-    no step that lowers the value while the squared gradient norm is still
-    above ``tolerance``.
+    value in the objective's own units. Each backtracking (Armijo) line search
+    along ``p`` starts at ``t = 1`` once the inverse Hessian H exists. Before
+    that ``p = -g`` and the first trial is a remembered step ``t_sd``: 1 at
+    the start, doubled after a line search that accepted its first trial, and
+    otherwise the step the backtrack accepted. Every trial is capped at
+    ``|t p| <= pi``.
+
+    The search stops converged once the squared gradient norm is at most
+    ``tolerance`` and either the last step lowered the value by at most
+    ``tolerance`` (the start counts as such a step) or the predicted decrease
+    ``-g.p`` is at most ``tolerance``; the latter ends a search at roundoff
+    level without a line search that could only halve its way to nothing.
+    It stops unconverged at :data:`MAX_ITERATIONS`, or when a line search
+    finds no step that lowers the value while the squared gradient norm is
+    still above ``tolerance``.
     """
     dim = u.shape[0]
     rows = _tangent_rows(dim)
@@ -176,14 +189,18 @@ def _bfgs(objective, u: np.ndarray, sign: float, tolerance: float):
     f, g = evaluate(u)
     evaluations, iterations, decrease = 1, 0, 0.0
     h = None  # inverse Hessian estimate; the identity until the first update
+    t_sd = 1.0  # first trial of a steepest-descent line search
     while decrease > tolerance or g @ g > tolerance:
-        if iterations == MAX_ITERATIONS:
-            return u, sign * f, evaluations, iterations, False
         p = -g if h is None else -h @ g
         slope = g @ p
         if slope >= 0.0:
             p, slope = -g, -(g @ g)
-        t = 1.0
+        if g @ g <= tolerance and -slope <= tolerance:
+            break  # the predicted decrease is within tolerance too
+        if iterations == MAX_ITERATIONS:
+            return u, sign * f, evaluations, iterations, False
+        # |t p| <= pi keeps the generator's eigenvalues from wrapping.
+        t = first = min(t_sd if h is None else 1.0, np.pi / np.sqrt(p @ p))
         for _ in range(MAX_HALVINGS):
             trial = u @ unitary_from_params(np.concatenate([pad, t * p]), dim)
             f_new, g_new = evaluate(trial)
@@ -202,6 +219,7 @@ def _bfgs(objective, u: np.ndarray, sign: float, tolerance: float):
                 h = (sy / (y @ y)) * np.eye(s.size)
             hy = h @ y
             h += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(hy, s) - np.outer(s, hy)) / sy
+        t_sd = 2.0 * t if t == first else t
         iterations += 1
         decrease = f - f_new
         u, f, g = trial, f_new, g_new

@@ -8,6 +8,7 @@ from qfc import (
     BipartiteState,
     HermiticityError,
     NormalizationError,
+    OptimizerConfig,
     OrthonormalityError,
     ShapeError,
     dag,
@@ -15,12 +16,13 @@ from qfc import (
     hermitian_basis,
     joint_diagonalize,
     measured_state,
+    optimize_basis,
     partial_trace,
     schmidt,
     total_mfi,
 )
 from qfc.correlations import _a_components
-from qfc.linalg import require_unitary
+from qfc.linalg import off_diagonal_mass_and_gradient, require_unitary
 from qfc.states import haar_unitary, random_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -218,6 +220,22 @@ class TestJointDiagonalize:
             assert np.linalg.norm(dag(u) @ u - np.eye(dims[0])) <= 1e-12
             diff = state.rho - measured_state(state, u).rho
             assert abs(residual - float(np.sum(np.abs(diff) ** 2))) <= 1e-12
+
+    @pytest.mark.parametrize("root", [False, True], ids=["rho", "sqrt-rho"])
+    def test_non_commuting_stack_stops_at_working_precision(self, root):
+        # Jacobi converges only linearly here: with the sine rule alone these
+        # searches took 413-469 sweeps for a residual no better than this.
+        rho = random_density(12, 2, 14)
+        if root:
+            vals, vecs = np.linalg.eigh(rho)
+            rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dag(vecs)
+        mats = _a_components(rho, (4, 3))
+        objective = lambda u: off_diagonal_mass_and_gradient(mats, u)
+        floor = optimize_basis(objective, 4, "min", OptimizerConfig(restarts=4, tolerance=1e-14))
+        for start in (None, haar_unitary(4, 1), haar_unitary(4, 2)):
+            _, residual, sweeps = joint_diagonalize(mats, start)
+            assert sweeps <= 300
+            assert residual - floor.best_value <= 1e-13
 
     def test_repeated_calls_are_bit_identical(self):
         mats = _a_components(random_density(9, 9, 1), (3, 3))

@@ -25,7 +25,8 @@ from qfc import (
     optimize_basis,
     unitary_from_params,
 )
-from qfc import optimize
+from qfc import entropic_discord, measurement_correlation, optimize, verify
+from qfc.correlations import _mfi_objective
 from qfc.linalg import off_diagonal_mass_and_gradient
 from qfc.optimize import multistart
 from qfc.states import haar_unitary, random_hermitian
@@ -110,6 +111,84 @@ class TestGradientSearch:
         objective = lambda u: (0.0, np.full((2, 2), np.nan))
         with pytest.raises(OptimizationError):
             optimize_basis(objective, 2, "min", OptimizerConfig(restarts=1))
+
+
+class TestStepRule:
+    """Step memory and the trial-step cap of the steepest-descent steps, and
+    the stop on the predicted decrease."""
+
+    STATE = verify._noisy_entangled((3, 3), 30103)
+
+    def test_no_trial_step_is_longer_than_pi(self):
+        # beyond chart length pi the generator's eigenvalues wrap
+        lengths = []
+        chart = optimize.unitary_from_params
+
+        def recording(params, dim):
+            lengths.append(np.linalg.norm(params))
+            return chart(params, dim)
+
+        objective = _mfi_objective(self.STATE)
+        with mock.patch.object(optimize, "unitary_from_params", recording):
+            *_, converged = optimize._bfgs(objective, haar_unitary(3, 1), -1.0, 1e-6)
+        assert converged
+        assert max(lengths) <= np.pi * (1 + 1e-12)
+        assert max(lengths) >= np.pi * (1 - 1e-12)  # this search reaches the cap
+
+    def test_scaled_objective_converges(self):
+        # Scaling f by eps scales |g|^2 by eps^2. Without step memory every
+        # steepest-descent step stays a unit step, eps times too short: the
+        # same search hit the iteration cap on 3 of 4 restarts, with 7,875
+        # evaluations and restarts 2.8e-2 short of the best value.
+        eps = 1e-2
+        objective = _mfi_objective(self.STATE)
+        scaled = lambda u: tuple(eps * part for part in objective(u))
+        plain = optimize_basis(objective, 3, "max", OptimizerConfig(restarts=4, seed=5))
+        cfg = OptimizerConfig(restarts=4, seed=5, tolerance=1e-6 * eps**2)
+        report = optimize_basis(scaled, 3, "max", cfg)
+        assert report.restart_converged.all()
+        assert abs(report.best_value / eps - plain.best_value) <= 1e-6
+        assert report.n_evaluations <= 0.1 * cfg.restarts * optimize.MAX_ITERATIONS
+
+    @pytest.mark.parametrize("index, dims", [(1, (2, 3)), (16, (2, 2))])
+    def test_no_line_search_is_spent_at_roundoff(self, index, dims):
+        # Criterion-3 classical states whose qapi search, once converged to
+        # roundoff, used to run a last line search through every halving.
+        seed = verify.VerifySettings().state_seed(3, index)
+        build = verify._random_cq if index % 2 == 0 else verify._random_cc
+        runs = []
+        bfgs = optimize._bfgs
+
+        def recording(*args):
+            runs.append(bfgs(*args))
+            return runs[-1]
+
+        with mock.patch.object(optimize, "_bfgs", recording):
+            measurement_correlation(
+                build(dims, seed), OptimizerConfig(restarts=4, tolerance=1e-8, seed=4 * seed)
+            )
+        for _, _, evaluations, iterations, converged in runs:
+            assert converged
+            # the evaluations beyond one per accepted step are backtracks
+            assert evaluations - 1 - iterations < optimize.MAX_HALVINGS
+
+
+def test_noisy_qapi_and_entropic_discord_evaluation_budget():
+    """Evaluations of the qapi and entropic-discord solves of criterion 3's 20
+    noisy entangled states (seed 0, 4 restarts, optimizer seed 4 x state seed).
+
+    Deterministic: 5,569 with unit steepest-descent steps, 1,822 with step
+    memory. The bound is half of the former.
+    """
+    dims = verify._MIXED_DIMS
+    total = 0
+    for i in range(20):
+        seed = verify.VerifySettings().state_seed(3, 100 + i)
+        state = verify._noisy_entangled(dims[i % len(dims)], seed)
+        cfg = OptimizerConfig(restarts=4, seed=4 * seed)
+        for solver in (measurement_correlation, entropic_discord):
+            total += solver(state, cfg).report.n_evaluations
+    assert total <= 2_800
 
 
 class TestMultistart:
