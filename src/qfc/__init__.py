@@ -47,7 +47,6 @@ from .linalg import (
     dag,
     eigh,
     hermitian_basis,
-    joint_diagonalize,
     partial_trace,
     schmidt,
 )

@@ -30,9 +30,8 @@ class QuantifierResult:
 
     ``argopt`` is the unitary whose columns realize the optimum (minimizing
     basis or maximizing measurement). ``method`` is ``"optimized"`` (the
-    gradient search of :func:`optimize_basis`), ``"jacobi"`` (joint
-    diagonalization; geometric discord of mixed states) or ``"closed-form"``
-    (pure states; no search and no ``report``). For
+    gradient search of :func:`optimize_basis`) or ``"closed-form"`` (pure
+    states in geometric discord; no search and no ``report``). For
     :func:`measurement_correlation` and entropic discord the report tracks
     the inner maximization, so ``report.best_value`` is the maximal measured
     information, not ``value``.
@@ -74,20 +73,19 @@ def measure_a(state: BipartiteState, u: np.ndarray) -> np.ndarray:
 def _a_components(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     # A_k = tr_b[(1 (x) Y_k) X] over the trace-orthonormal Hermitian basis Y_k
     # of b, so X = sum_k A_k (x) Y_k and, for the dephasing Pi_u of party a in
-    # the basis u, ||X - Pi_u X||^2 = linalg.off_diagonal_mass(A, u).
+    # the basis u, ||X - Pi_u X||^2 is the off-diagonal mass of the A_k
+    # (linalg.off_diagonal_mass_and_gradient).
     m, n = dims
     y = linalg.hermitian_basis(np.eye(n))
     return np.einsum("kji,aibj->kab", y, np.asarray(x).reshape(m, n, m, n))
 
 
-def _sqrt_basis(state: BipartiteState) -> np.ndarray:
-    # u_H, the basis of party a that best diagonalizes sqrt(rho): the warm
-    # start of every basis search. Eigenvalues below the support cutoff are
-    # roundoff, which the square root would lift to about 1e-8.
-    vals, vecs = np.linalg.eigh(state.rho)
-    roots = np.sqrt(np.where(vals > linalg.SUPPORT_CUTOFF, vals, 0.0))
-    root = (vecs * roots) @ linalg.dag(vecs)
-    return linalg.joint_diagonalize(_a_components(root, state.dims))[0]
+def _start_basis(state: BipartiteState) -> np.ndarray:
+    # Restart 0 of every basis search: the eigenbasis of rho_a, for one
+    # d_a x d_a eigh. It is the optimum on pure states (the Schmidt basis)
+    # and on CQ/CC states whose rho_a has no repeated eigenvalue (it is then
+    # the classical basis).
+    return np.linalg.eigh(state.marginal("a"))[1]
 
 
 def lift_a(h: np.ndarray, dim_b: int) -> np.ndarray:
@@ -204,7 +202,7 @@ def observable_correlation(
     Schmidt coefficients ``s_i``.
     """
     report = optimize_basis(
-        _basis_qfi_objective(state), state.dim_a, "min", config, start=_sqrt_basis(state)
+        _basis_qfi_objective(state), state.dim_a, "min", config, start=_start_basis(state)
     )
     return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
@@ -221,7 +219,7 @@ def measurement_correlation(
     """
     total = total_local_qfi_b(state)
     report = optimize_basis(
-        _mfi_objective(state), state.dim_a, "max", config, start=_sqrt_basis(state)
+        _mfi_objective(state), state.dim_a, "max", config, start=_start_basis(state)
     )
     return QuantifierResult(total - report.best_value, report.best_unitary, "optimized", report)
 

@@ -12,13 +12,13 @@ import numpy as np
 from . import linalg
 from .errors import DimensionGuardError
 from .linalg import dag
-from .optimize import OptimizerConfig, multistart, optimize_basis
-from .states import PURITY_TOL, BipartiteState, haar_unitary, state_vector
+from .optimize import OptimizerConfig, optimize_basis
+from .states import PURITY_TOL, BipartiteState, state_vector
 from .correlations import (
     QuantifierResult,
     _a_components,
     _measured_gradient,
-    _sqrt_basis,
+    _start_basis,
     measure_a,
 )
 
@@ -87,7 +87,7 @@ def entropic_discord(
         return value, _measured_gradient(state, u, vecs, slopes)
 
     report = optimize_basis(
-        measured_information, state.dim_a, "max", config, start=_sqrt_basis(state)
+        measured_information, state.dim_a, "max", config, start=_start_basis(state)
     )
     return QuantifierResult(base - report.best_value, report.best_unitary, "optimized", report)
 
@@ -100,16 +100,14 @@ def geometric_discord(
     """Minimal squared Hilbert-Schmidt distance to a state measured on party a.
 
     For pure inputs the closed form ``1 - sum_i s_i^2`` applies, attained by
-    measuring in the Schmidt basis. Mixed inputs are solved by Jacobi joint
-    diagonalization (``method="jacobi"``): with ``rho = sum_k A_k (x) Y_k``
-    over a trace-orthonormal Hermitian basis ``Y_k`` of b, the distance in
-    the basis u is the off-diagonal mass of the ``A_k`` in that basis. It
-    runs from ``config.restarts`` starts, the identity and then
-    ``haar_unitary(dim_a, config.seed + k)``, and keeps the lowest residual;
-    its report counts pair rotations as evaluations and sweeps as
-    iterations. Pass ``method="optimized"`` to run the gradient search of
-    :func:`optimize_basis` on the same off-diagonal mass instead (used for
-    cross-validation).
+    measuring in the Schmidt basis. Mixed inputs run the gradient search of
+    :func:`optimize_basis` (``method="optimized"``): with ``rho = sum_k A_k
+    (x) Y_k`` over a trace-orthonormal Hermitian basis ``Y_k`` of b, the
+    distance in the basis u is the off-diagonal mass of the ``A_k`` in that
+    basis (:func:`linalg.off_diagonal_mass_and_gradient`). Restart 0 starts
+    at the eigenbasis of rho_a, as in every other basis search. Pass
+    ``method="optimized"`` to run the search on pure inputs too (used to
+    cross-check the closed form).
     """
     if method not in ("auto", "optimized"):
         raise ValueError(f"method must be 'auto' or 'optimized', got {method!r}")
@@ -119,19 +117,12 @@ def geometric_discord(
         argopt = linalg.complete_basis(sd.a_vectors, state.dim_a)
         return QuantifierResult(value, argopt, "closed-form")
 
-    m = state.dim_a
     stack = _a_components(state.rho, state.dims)
-    cfg = config if config is not None else OptimizerConfig()
-    if method == "optimized":
-        report = optimize_basis(
-            lambda u: linalg.off_diagonal_mass_and_gradient(stack, u), m, "min", cfg
-        )
-        return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
-
-    def search(k: int):
-        start = None if k == 0 else haar_unitary(m, cfg.seed + k)
-        u, residual, sweeps = linalg.joint_diagonalize(stack, start)
-        return u, residual, sweeps * m * (m - 1) // 2, sweeps, sweeps < linalg.JACOBI_MAX_SWEEPS
-
-    report = multistart(search, cfg.restarts, "min")
-    return QuantifierResult(report.best_value, report.best_unitary, "jacobi", report)
+    report = optimize_basis(
+        lambda u: linalg.off_diagonal_mass_and_gradient(stack, u),
+        state.dim_a,
+        "min",
+        config,
+        start=_start_basis(state),
+    )
+    return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)

@@ -19,7 +19,6 @@ from .linalg import SUPPORT_CUTOFF, dag
 PROBABILITY_FLOOR = 1e-12
 #: Probability derivatives below this threshold are treated as stationary.
 DERIVATIVE_FLOOR = 1e-8
-DEFAULT_FD_STEP = 1e-4
 
 
 def _check_same_dim(rho: np.ndarray, h: np.ndarray) -> None:
@@ -123,26 +122,23 @@ def classical_fi(
     h: np.ndarray,
     povm,
     theta: float = 0.0,
-    step: float = DEFAULT_FD_STEP,
 ) -> float:
     """Classical Fisher information of a POVM on the unitary orbit of ``rho``.
 
-    ``(1/4) sum_x (d p_x / d theta)^2 / p_x`` with the derivative taken by
-    central finite differences. Outcomes with probability below the floor
-    contribute zero when their derivative also vanishes; a near-zero
-    probability with a non-vanishing derivative is an undefined 0/0 point
-    and raises, suggesting evaluation at an offset theta.
+    ``(1/4) sum_x (d p_x / d theta)^2 / p_x`` with the exact derivative
+    ``d p_x / d theta = Re tr(M_x i[rho_theta, H])``. Outcomes with
+    probability below the floor contribute zero when their derivative also
+    vanishes; a near-zero probability with a non-vanishing derivative is an
+    undefined 0/0 point and raises, suggesting evaluation at an offset theta.
     """
-    if step <= 0:
-        raise ValueError(f"finite-difference step must be positive, got {step}")
     mats = validate_povm(povm, np.asarray(rho).shape[0])
     r0 = evolve(rho, h, theta)
-    rp = evolve(rho, h, theta + step)
-    rm = evolve(rho, h, theta - step)
+    h = np.asarray(h, dtype=complex)  # validated by evolve
+    drho = 1j * (r0 @ h - h @ r0)
     total = 0.0
     for x, m in enumerate(mats):
         p0 = float(np.real(np.trace(m @ r0)))
-        dp = float(np.real(np.trace(m @ rp) - np.trace(m @ rm))) / (2.0 * step)
+        dp = float(np.real(np.trace(m @ drho)))
         if p0 < PROBABILITY_FLOOR:
             if abs(dp) < DERIVATIVE_FLOOR:
                 continue

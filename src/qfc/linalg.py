@@ -171,9 +171,11 @@ def hermitian_basis(vectors: np.ndarray) -> np.ndarray:
 
 
 def off_diagonal_mass_and_gradient(mats: np.ndarray, u: np.ndarray):
-    """:func:`off_diagonal_mass` and its gradient ``G``, ``df = Re tr(G^dag du)``.
+    """Off-diagonal mass of a stack in the basis u, and its gradient ``G``.
 
-    With ``d_kn = <u_n| M_k |u_n>`` the value is ``sum_k ||M_k||^2 - sum_kn
+    The mass of a ``(K, d, d)`` stack ``M`` is ``sum_k ||offdiag(U^dag M_k
+    U)||_F^2``, a sum of squares, so ``>= 0``; ``df = Re tr(G^dag du)``. With
+    ``d_kn = <u_n| M_k |u_n>`` the value is ``sum_k ||M_k||^2 - sum_kn
     d_kn^2``, so ``G[:, n] = -4 sum_k d_kn M_k u_n``.
     """
     m = np.asarray(mats).shape[-1]
@@ -182,93 +184,6 @@ def off_diagonal_mass_and_gradient(mats: np.ndarray, u: np.ndarray):
     diagonal = rotated.diagonal(axis1=1, axis2=2).real
     grad = -4.0 * np.einsum("kab,bn,kn->an", mats, u, diagonal)
     return float(np.vdot(off, off).real), grad
-
-
-def off_diagonal_mass(mats: np.ndarray, u: np.ndarray) -> float:
-    """``sum_k ||offdiag(U^dag M_k U)||_F^2`` for a ``(K, d, d)`` stack ``M``.
-
-    The quantity :func:`joint_diagonalize` minimizes; a sum of squares, so
-    it is ``>= 0`` by construction.
-    """
-    return off_diagonal_mass_and_gradient(mats, u)[0]
-
-
-#: Pair rotations whose sine is at most this are skipped.
-JACOBI_SINE_TOL = 1e-12
-#: A sweep that lowers the off-diagonal mass by at most this share of the
-#: stack's squared norm, roundoff in the mass itself, ends
-#: :func:`joint_diagonalize`; so does a sweep that skips every pair. On
-#: stacks that do not commute the sines fall only linearly, and the mass
-#: reaches working precision long before they reach JACOBI_SINE_TOL.
-JACOBI_MASS_TOL = 1e-15
-#: Sweep cap; a search that needs every allowed sweep counts as unconverged.
-JACOBI_MAX_SWEEPS = 1000
-#: Eigenvalues of a pair's 3x3 matrix this close to its largest, relative to
-#: the largest, count as one top eigenspace; ...
-_DEGENERATE_REL = 1e-12
-#: ... and so do all of them where they differ by less than this share of
-#: the stack's squared norm, the roundoff left on a pair that is already
-#: diagonal and degenerate in every matrix.
-_DEGENERATE_ABS = 1e-28
-
-
-def joint_diagonalize(mats: np.ndarray, start: np.ndarray | None = None):
-    """Unitary that jointly diagonalizes a stack of Hermitian matrices, approximately.
-
-    Minimizes :func:`off_diagonal_mass` over unitaries ``U`` by complex
-    Jacobi sweeps (Cardoso and Souloumiac, SIAM J. Matrix Anal. Appl. 17,
-    161, 1996): each pair (p, q) is rotated by the top eigenvector of a 3x3
-    real symmetric matrix, which maximizes the pair's diagonal contrast
-    over all rotations of that pair. When the top eigenspace is degenerate
-    the vector closest to no rotation is used, so a pair on which every
-    rotation is equally good is left alone, and so is a pair whose rotation
-    sine is at most :data:`JACOBI_SINE_TOL`. Sweeps stop once a sweep lowers
-    the off-diagonal mass of the rotated stack by at most
-    :data:`JACOBI_MASS_TOL` times ``sum_k ||M_k||^2`` (a sweep that rotates
-    no pair lowers it by 0), or after :data:`JACOBI_MAX_SWEEPS`.
-
-    ``start`` (default: the identity) is the unitary the sweeps begin from.
-    Returns ``(u, residual, sweeps)``: the columns of ``u`` are the basis,
-    ``residual`` is ``off_diagonal_mass(mats, u)`` and ``sweeps`` counts
-    every sweep made, the last one included. Deterministic.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ShapeError(f"need a (K, d, d) stack of matrices, got shape {mats.shape}")
-    d = mats.shape[1]
-    u = np.eye(d, dtype=complex) if start is None else require_unitary(start, d, "start").copy()
-    a = np.einsum("ak,mab,bl->mkl", u.conj(), mats, u)
-    norm2 = float(np.vdot(mats, mats).real)
-    floor = _DEGENERATE_ABS * norm2
-    off = ~np.eye(d, dtype=bool)
-    mass = float(np.vdot(a[:, off], a[:, off]).real)
-    sweeps, decrease = 0, np.inf
-    while decrease > JACOBI_MASS_TOL * norm2 and sweeps < JACOBI_MAX_SWEEPS:
-        sweeps += 1
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                pq = [p, q]
-                app, aqq, apq, aqp = a[:, p, p], a[:, q, q], a[:, p, q], a[:, q, p]
-                g = np.stack([app - aqq, apq + aqp, 1j * (aqp - apq)])
-                # g g^dag is real symmetric; it is decomposed as a complex
-                # matrix because the real LAPACK path costs the process
-                # about 0.5 MB of resident memory when first used.
-                vals, vecs = np.linalg.eigh((g @ g.conj().T).real.astype(complex))
-                top = vecs[:, vals >= vals[-1] * (1.0 - _DEGENERATE_REL) - floor]
-                proj = (top @ top.conj().T).real  # onto the top eigenspace
-                k = 0 if proj[0, 0] > 0 else int(np.argmax(proj.diagonal()))
-                x, y, z = proj[:, k] / np.sqrt(proj[k, k])
-                c = np.sqrt((1.0 + x) / 2)
-                s = (y - 1j * z) / (2 * c)
-                if abs(s) <= JACOBI_SINE_TOL:
-                    continue
-                rot = np.array([[c, -np.conj(s)], [s, c]])
-                a[:, pq, :] = rot.conj().T @ a[:, pq, :]
-                a[:, :, pq] = a[:, :, pq] @ rot
-                u[:, pq] = u[:, pq] @ rot
-        new_mass = float(np.vdot(a[:, off], a[:, off]).real)
-        decrease, mass = mass - new_mass, new_mass
-    return u, off_diagonal_mass(mats, u), sweeps
 
 
 def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:

@@ -18,9 +18,9 @@ descent from a step length the search remembers (see :func:`_bfgs`), so a
 restart that starts where the minimized value curves down leaves in a few
 doublings rather than in many unit steps. Restart
 k starts from random generator coefficients drawn from its own stream (seed
-= base seed + restart index); restart 0 may instead start at a given basis.
-The restart loop and its report are :func:`multistart`'s, shared with every
-other basis search (the Jacobi starts of geometric discord).
+= base seed + restart index); restart 0 may instead start at a given basis,
+which every solver of party a sets to the eigenbasis of rho_a. The restart
+loop and its report are :func:`multistart`'s.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ def unitary_from_params(params: np.ndarray, dim: int) -> np.ndarray:
     return (vecs * np.exp(1j * vals)) @ linalg.dag(vecs)
 
 
-def random_params(dim: int, rng: np.random.Generator, spread: float = START_SPREAD) -> np.ndarray:
+def random_params(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random generator coefficients for one restart."""
-    return rng.normal(0.0, spread, size=dim * dim)
+    return rng.normal(0.0, START_SPREAD, size=dim * dim)
 
 
 def multistart(search, restarts: int, direction: str) -> OptimizerReport:
@@ -243,7 +243,8 @@ def optimize_basis(
     (see :func:`_bfgs`) from the unitary of random generator coefficients
     drawn from its own stream (seed ``config.seed + k``); a ``start``
     unitary replaces the start of restart 0, so its first evaluation is at
-    ``start``, and leaves the other restarts unchanged. ``config.tolerance``
+    ``start``, and leaves the other restarts unchanged. Every solver of
+    party a passes the eigenbasis of rho_a as ``start``. ``config.tolerance``
     bounds both the last decrease and the squared gradient norm.
     Deterministic for a fixed config and start.
     """

@@ -161,7 +161,7 @@ class TestCommands:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["geometric_method"] == "jacobi"
+        assert doc["geometric_method"] == "optimized"
         assert doc["optimizer_dg"]["restarts"] == 3
         assert type(doc["optimizer_dg"]["evaluations"]) is int
         assert doc["optimizer_dg"]["evaluations"] > 0

@@ -178,10 +178,6 @@ class TestClassicalFi:
         povm = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         assert abs(classical_fi(rho, SX, povm)) <= 1e-12
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            classical_fi(PLUS, SZ, [np.eye(2)], step=0.0)
-
 
 class TestValidatePovm:
     def test_accepts_projective_measurement(self):

@@ -1,5 +1,5 @@
 """Partial traces, eigendecomposition, Schmidt decomposition, Hermitian bases, unitary
-checks and joint diagonalization."""
+checks and the Jacobi joint-diagonalization oracle."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from qfc import (
     dag,
     eigh,
     hermitian_basis,
-    joint_diagonalize,
     measured_state,
     optimize_basis,
     partial_trace,
@@ -24,6 +23,8 @@ from qfc import (
 from qfc.correlations import _a_components
 from qfc.linalg import off_diagonal_mass_and_gradient, require_unitary
 from qfc.states import haar_unitary, random_density
+
+from oracles import joint_diagonalize
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -279,9 +280,6 @@ class TestRequireUnitary:
     CALLERS = {
         "total_mfi": lambda state, u: total_mfi(state, u),
         "measured_state": lambda state, u: measured_state(state, u),
-        "joint_diagonalize": lambda state, u: joint_diagonalize(
-            _a_components(state.rho, state.dims), u
-        ),
     }
 
     @pytest.mark.parametrize("caller", CALLERS)
