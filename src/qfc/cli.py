@@ -386,7 +386,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_verification
 
-    results = run_verification(seed=args.seed, restarts=args.restarts, tolerance=args.tol)
+    results = run_verification(_config(args))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -426,14 +426,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quantum Fisher information and QFI-based correlation quantifiers.",
     )
     parser.add_argument("--version", action="version", version=f"qfc {__version__}")
+    defaults = OptimizerConfig()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--state", help="path to a JSON state specification")
-    common.add_argument("--seed", type=_seed, default=0,
-                        help="base seed for optimizer restarts (>= 0)")
-    common.add_argument("--restarts", type=_restart_count, default=16,
-                        help="optimizer restarts (>= 1)")
-    common.add_argument("--tol", type=_tolerance, default=1e-6,
-                        help="optimizer objective tolerance (finite, > 0)")
+    common.add_argument("--seed", type=_seed, default=defaults.seed,
+                        help=f"base seed for optimizer restarts (>= 0, default {defaults.seed})")
+    common.add_argument("--restarts", type=_restart_count, default=defaults.restarts,
+                        help=f"optimizer restarts (>= 1, default {defaults.restarts})")
+    common.add_argument("--tol", type=_tolerance, default=defaults.tolerance,
+                        help=f"optimizer objective tolerance (finite, > 0, "
+                             f"default {defaults.tolerance:g})")
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     common.add_argument("--log-base", choices=("e", "2"), default="e",
                         help="display base for entropic quantities")

@@ -28,13 +28,11 @@ from .states import BipartiteState, state_vector
 class QuantifierResult:
     """A correlation value, the basis that attains it and how it was reached.
 
-    ``argopt`` is the unitary whose columns realize the optimum (minimizing
-    basis or maximizing measurement). ``method`` is ``"optimized"`` (the
-    gradient search of :func:`optimize_basis`) or ``"closed-form"`` (pure
-    states in geometric discord; no search and no ``report``). For
-    :func:`measurement_correlation` and entropic discord the report tracks
-    the inner maximization, so ``report.best_value`` is the maximal measured
-    information, not ``value``.
+    ``argopt`` is the unitary whose columns realize the optimum (the
+    minimizing basis or measurement). ``method`` is ``"optimized"`` (the
+    gradient search of :func:`optimize_basis`, whose ``report.best_value``
+    is ``value``) or ``"closed-form"`` (pure states in geometric discord; no
+    search and no ``report``).
     """
 
     value: float
@@ -56,7 +54,7 @@ def measurement_projectors(u: np.ndarray) -> list[np.ndarray]:
 def measure_a(state: BipartiteState, u: np.ndarray) -> np.ndarray:
     """Unnormalized measured blocks ``B_n = (<u_n| (x) 1) rho (|u_n> (x) 1)``.
 
-    ``u`` holds directions on party a as columns. Only its shape is checked
+    ``u`` holds vectors of party a as columns. Only its shape is checked
     here, because optimizer objectives call this on every evaluation; for a
     measurement, validate ``u`` first with :func:`linalg.require_unitary`.
     Returns a ``(k, dim_b, dim_b)`` stack for ``k`` columns; for a
@@ -66,7 +64,7 @@ def measure_a(state: BipartiteState, u: np.ndarray) -> np.ndarray:
     m, n = state.dims
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != m:
-        raise ShapeError(f"directions of shape {u.shape} do not match dim_a {m}")
+        raise ShapeError(f"vectors of shape {u.shape} do not match dim_a {m}")
     return np.einsum("an,aibj,bn->nij", u.conj(), state.rho.reshape(m, n, m, n), u)
 
 
@@ -201,9 +199,7 @@ def observable_correlation(
     exactly on CQ/CC states; equal to ``1 - sum_i s_i^2`` on pure states with
     Schmidt coefficients ``s_i``.
     """
-    report = optimize_basis(
-        _basis_qfi_objective(state), state.dim_a, "min", config, start=_start_basis(state)
-    )
+    report = optimize_basis(_basis_qfi_objective(state), _start_basis(state), config=config)
     return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
 
@@ -212,16 +208,20 @@ def measurement_correlation(
 ) -> QuantifierResult:
     """Quantum correlation as the Fisher gap of hierarchical measurements.
 
-    Subtracts from the basis-summed local QFI on party b its maximum
-    measurement-induced counterpart over rank-1 von Neumann measurements on
-    party a. Zero exactly on CQ/CC states; equal to ``1 - sum_i s_i^2`` on
-    pure states.
+    Minimizes, over rank-1 von Neumann measurements on party a, the gap
+    between the basis-summed local QFI on party b and its measurement-induced
+    counterpart :func:`total_mfi`. Zero exactly on CQ/CC states; equal to
+    ``1 - sum_i s_i^2`` on pure states.
     """
     total = total_local_qfi_b(state)
-    report = optimize_basis(
-        _mfi_objective(state), state.dim_a, "max", config, start=_start_basis(state)
-    )
-    return QuantifierResult(total - report.best_value, report.best_unitary, "optimized", report)
+    mfi = _mfi_objective(state)
+
+    def gap(u: np.ndarray):
+        value, grad = mfi(u)
+        return total - value, -grad
+
+    report = optimize_basis(gap, _start_basis(state), config=config)
+    return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
 
 def pure_state_correlation(state: BipartiteState) -> float:

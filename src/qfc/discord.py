@@ -73,23 +73,21 @@ def entropic_discord(
     base = mutual_information(state)
     entropy_b = von_neumann_entropy(state.marginal("b"))
 
-    def measured_information(u: np.ndarray):
+    def loss(u: np.ndarray):
         # I(measured rho) = S(rho_b) + H(p) - S(measured rho): measuring a
         # leaves rho_b alone, dephases rho_a to p_n = tr B_n and makes rho
         # block diagonal in the basis u. Its slope in the eigenvalue l of
         # block n is ln l - ln p_n, with both logarithms clipped at the cutoff.
         spectra, vecs = np.linalg.eigh(measure_a(state, u))
         probs = spectra.sum(axis=1)
-        value = entropy_b + _spectral_entropy(probs) - _spectral_entropy(spectra)
+        measured = entropy_b + _spectral_entropy(probs) - _spectral_entropy(spectra)
         slopes = np.log(np.maximum(spectra, ENTROPY_CUTOFF)) - np.log(
             np.maximum(probs, ENTROPY_CUTOFF)
         )[:, None]
-        return value, _measured_gradient(state, u, vecs, slopes)
+        return base - measured, -_measured_gradient(state, u, vecs, slopes)
 
-    report = optimize_basis(
-        measured_information, state.dim_a, "max", config, start=_start_basis(state)
-    )
-    return QuantifierResult(base - report.best_value, report.best_unitary, "optimized", report)
+    report = optimize_basis(loss, _start_basis(state), config=config)
+    return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
 
 def geometric_discord(
@@ -120,9 +118,7 @@ def geometric_discord(
     stack = _a_components(state.rho, state.dims)
     report = optimize_basis(
         lambda u: linalg.off_diagonal_mass_and_gradient(stack, u),
-        state.dim_a,
-        "min",
-        config,
-        start=_start_basis(state),
+        _start_basis(state),
+        config=config,
     )
     return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)

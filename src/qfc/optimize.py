@@ -7,8 +7,8 @@ Hermitian basis, onto the whole unitary group.
 
 An objective returns ``(value, G)``, the value and its Euclidean gradient,
 so that ``df = Re tr(G^dag du)``. Every objective here is invariant under
-``u -> u diag(e^{i phi})``, so the d diagonal generators are dead
-directions: restart k is a Riemannian BFGS search on U(d) (Edelman, Arias
+``u -> u diag(e^{i phi})``, so the d diagonal generators leave it
+unchanged: restart k is a Riemannian BFGS search on U(d) (Edelman, Arias
 and Smith, SIAM J. Matrix Anal. Appl. 20, 303, 1998) in the d^2 - d
 coordinates of the off-diagonal generators. Each step is ``u <- u exp(i
 A(t p))`` along ``p = -H g`` for the inverse-Hessian estimate H and the
@@ -16,10 +16,11 @@ gradient g in those coordinates, which are re-centred at every step. Until
 a step meets positive curvature there is no H; the step is then steepest
 descent from a step length the search remembers (see :func:`_bfgs`), so a
 restart that starts where the minimized value curves down leaves in a few
-doublings rather than in many unit steps. Restart
-k starts from random generator coefficients drawn from its own stream (seed
-= base seed + restart index); restart 0 may instead start at a given basis,
-which every solver of party a sets to the eigenbasis of rho_a. The restart
+doublings rather than in many unit steps. Every search minimizes: each
+quantifier is a minimum over bases, and its objective returns the quantifier
+itself. Restart 0 starts at a given basis, which every solver of party a
+sets to the eigenbasis of rho_a; restart k >= 1 starts from random generator
+coefficients drawn from its own stream (seed = base seed + k). The restart
 loop and its report are :func:`multistart`'s.
 """
 
@@ -66,13 +67,13 @@ class OptimizerConfig:
 class OptimizerReport:
     """Outcome of a multistart search, built by :func:`multistart`.
 
-    ``restart_values`` holds each restart's final objective value in original
-    (unsigned) units; ``converged`` is the flag of the restart that produced
-    the best value. Ties between equally good restarts resolve to the lowest
-    restart index. ``best_unitary`` is the basis that attains ``best_value``.
+    ``restart_values`` holds each restart's final objective value;
+    ``best_value`` is the smallest of them and ``converged`` is the flag of
+    the restart that reached it. Ties between equally good restarts resolve
+    to the lowest restart index. ``best_unitary`` is the basis that attains
+    ``best_value``.
     """
 
-    direction: str
     best_value: float
     best_unitary: np.ndarray
     restart_values: np.ndarray
@@ -86,8 +87,7 @@ class OptimizerReport:
         """Runner-up among restart finals (nan for a single restart)."""
         if self.restart_values.size < 2:
             return float("nan")
-        ordered = np.sort(self.restart_values)
-        return float(ordered[1] if self.direction == "min" else ordered[-2])
+        return float(np.sort(self.restart_values)[1])
 
 
 @lru_cache(maxsize=None)
@@ -117,23 +117,19 @@ def random_params(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, START_SPREAD, size=dim * dim)
 
 
-def multistart(search, restarts: int, direction: str) -> OptimizerReport:
+def multistart(search, restarts: int) -> OptimizerReport:
     """Run ``search(k)`` for restarts ``k = 0 .. restarts - 1`` and keep the best.
 
     ``search(k)`` returns ``(unitary, value, evaluations, iterations,
-    converged)`` for restart k. The best value is the smallest for
-    ``direction="min"`` and the largest for ``"max"``; ties resolve to the
-    lowest restart index. Evaluations and iterations are summed over the
-    restarts.
+    converged)`` for restart k. The best value is the smallest; ties resolve
+    to the lowest restart index. Evaluations and iterations are summed over
+    the restarts.
     """
-    if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
     runs = [search(k) for k in range(restarts)]
     values = np.array([run[1] for run in runs], dtype=float)
     flags = np.array([run[4] for run in runs], dtype=bool)
-    best = int(np.argmin(values) if direction == "min" else np.argmax(values))
+    best = int(np.argmin(values))
     return OptimizerReport(
-        direction=direction,
         best_value=float(values[best]),
         best_unitary=runs[best][0],
         restart_values=values,
@@ -153,16 +149,15 @@ def _tangent_rows(dim: int) -> np.ndarray:
     return rows
 
 
-def _bfgs(objective, u: np.ndarray, sign: float, tolerance: float):
-    """Minimize ``sign * f`` from the unitary ``u`` by BFGS on U(d).
+def _bfgs(objective, u: np.ndarray, tolerance: float):
+    """Minimize ``f`` from the unitary ``u`` by BFGS on U(d).
 
-    Returns ``(unitary, value, evaluations, iterations, converged)`` with the
-    value in the objective's own units. Each backtracking (Armijo) line search
-    along ``p`` starts at ``t = 1`` once the inverse Hessian H exists. Before
-    that ``p = -g`` and the first trial is a remembered step ``t_sd``: 1 at
-    the start, doubled after a line search that accepted its first trial, and
-    otherwise the step the backtrack accepted. Every trial is capped at
-    ``|t p| <= pi``.
+    Returns ``(unitary, value, evaluations, iterations, converged)``. Each
+    backtracking (Armijo) line search along ``p`` starts at ``t = 1`` once
+    the inverse Hessian H exists. Before that ``p = -g`` and the first trial
+    is a remembered step ``t_sd``: 1 at the start, doubled after a line
+    search that accepted its first trial, and otherwise the step the
+    backtrack accepted. Every trial is capped at ``|t p| <= pi``.
 
     The search stops converged once the squared gradient norm is at most
     ``tolerance`` and either the last step lowered the value by at most
@@ -181,10 +176,10 @@ def _bfgs(objective, u: np.ndarray, sign: float, tolerance: float):
         value, grad = objective(v)
         value = float(value)
         # d/dt f(v exp(i t Y_k)) = Re tr(G^dag v i Y_k)
-        g = -sign * (rows @ (linalg.dag(grad) @ v).ravel()).imag
+        g = -(rows @ (linalg.dag(grad) @ v).ravel()).imag
         if not (np.isfinite(value) and np.all(np.isfinite(g))):
             raise OptimizationError(f"objective returned non-finite value {value} or gradient")
-        return sign * value, g
+        return value, g
 
     f, g = evaluate(u)
     evaluations, iterations, decrease = 1, 0, 0.0
@@ -198,7 +193,7 @@ def _bfgs(objective, u: np.ndarray, sign: float, tolerance: float):
         if g @ g <= tolerance and -slope <= tolerance:
             break  # the predicted decrease is within tolerance too
         if iterations == MAX_ITERATIONS:
-            return u, sign * f, evaluations, iterations, False
+            return u, f, evaluations, iterations, False
         # |t p| <= pi keeps the generator's eigenvalues from wrapping.
         t = first = min(t_sd if h is None else 1.0, np.pi / np.sqrt(p @ p))
         for _ in range(MAX_HALVINGS):
@@ -211,7 +206,7 @@ def _bfgs(objective, u: np.ndarray, sign: float, tolerance: float):
         else:
             # No step lowers the value: the decrease is 0, so this is a
             # stationary point to working precision unless g is still large.
-            return u, sign * f, evaluations, iterations, bool(g @ g <= tolerance)
+            return u, f, evaluations, iterations, bool(g @ g <= tolerance)
         s, y = t * p, g_new - g
         sy = s @ y
         if sy > 0.0:
@@ -223,41 +218,34 @@ def _bfgs(objective, u: np.ndarray, sign: float, tolerance: float):
         iterations += 1
         decrease = f - f_new
         u, f, g = trial, f_new, g_new
-    return u, sign * f, evaluations, iterations, True
+    return u, f, evaluations, iterations, True
 
 
-def optimize_basis(
-    objective,
-    dim: int,
-    direction: str = "min",
-    config: OptimizerConfig | None = None,
-    *,
-    start: np.ndarray | None = None,
-) -> OptimizerReport:
-    """Optimize a function of an orthonormal basis (measurement) of C^dim.
+def optimize_basis(objective, start, *, config=None):
+    """Minimize a function of an orthonormal basis (measurement) of C^d.
 
     ``objective`` receives a unitary matrix u whose columns are the basis
-    vectors / measurement directions and returns ``(value, G)``: a finite
+    vectors (the measurement of party a) and returns ``(value, G)``: a finite
     float and its Euclidean gradient, ``df = Re tr(G^dag du)``. It must be
-    invariant under ``u -> u diag(e^{i phi})``. Restart k is a BFGS search
-    (see :func:`_bfgs`) from the unitary of random generator coefficients
-    drawn from its own stream (seed ``config.seed + k``); a ``start``
-    unitary replaces the start of restart 0, so its first evaluation is at
-    ``start``, and leaves the other restarts unchanged. Every solver of
-    party a passes the eigenbasis of rho_a as ``start``. ``config.tolerance``
-    bounds both the last decrease and the squared gradient norm.
+    invariant under ``u -> u diag(e^{i phi})``. ``start`` is a d x d unitary,
+    the start of restart 0; every solver of party a passes the eigenbasis of
+    rho_a. Restart k >= 1 starts from the unitary of random generator
+    coefficients drawn from its own stream (seed ``config.seed + k``). Each
+    restart is a BFGS search (see :func:`_bfgs`); ``config`` (an
+    :class:`OptimizerConfig`, the default one if None) sets the restarts and
+    the tolerance, which bounds both the last decrease and the squared
+    gradient norm. Returns the :class:`OptimizerReport` of the restarts.
     Deterministic for a fixed config and start.
     """
-    if start is not None:
-        start = linalg.require_unitary(start, dim, "start")
+    dim = np.shape(start)[0] if np.ndim(start) else 0
+    start = linalg.require_unitary(start, dim, "start")
     cfg = config if config is not None else OptimizerConfig()
-    sign = 1.0 if direction == "min" else -1.0
 
     def search(k: int):
-        if k == 0 and start is not None:
+        if k == 0:
             u = start
         else:
             u = unitary_from_params(random_params(dim, np.random.default_rng(cfg.seed + k)), dim)
-        return _bfgs(objective, u, sign, cfg.tolerance)
+        return _bfgs(objective, u, cfg.tolerance)
 
-    return multistart(search, cfg.restarts, direction)
+    return multistart(search, cfg.restarts)

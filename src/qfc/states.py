@@ -28,17 +28,20 @@ PURITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """A density matrix on H^a (x) H^b with party-a-major indexing."""
+    """A density matrix on H^a (x) H^b with party-a-major indexing.
+
+    The constructor checks the matrix with :func:`validate_density`, so an
+    unnormalized, non-Hermitian or non-positive matrix raises a
+    :class:`ValidationError` here rather than giving a wrong number later.
+    """
 
     rho: np.ndarray
     dim_a: int
     dim_b: int
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
+        rho = validate_density(self.rho)
         object.__setattr__(self, "rho", rho)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ShapeError(f"state matrix must be square, got shape {rho.shape}")
         if self.dim_a * self.dim_b != rho.shape[0]:
             raise ShapeError(
                 f"dims {self.dim_a}x{self.dim_b} do not match matrix size {rho.shape[0]}"
@@ -83,7 +86,7 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
 
 def bipartite(m: np.ndarray, dims: tuple[int, int]) -> BipartiteState:
     """Validate a raw matrix and tag it with subsystem dimensions."""
-    return BipartiteState(validate_density(m), dims[0], dims[1])
+    return BipartiteState(m, dims[0], dims[1])
 
 
 def _validate_probs(probs, count: int | None = None) -> np.ndarray:
@@ -165,7 +168,7 @@ def make_cq(probs, a_basis: np.ndarray, sigmas) -> BipartiteState:
     rho = np.zeros((m * n, m * n), dtype=complex)
     for pi, ai, si in zip(p, a.T, mats):
         rho += pi * np.kron(np.outer(ai, ai.conj()), si)
-    return BipartiteState(validate_density(rho), m, n)
+    return BipartiteState(rho, m, n)
 
 
 def make_cc(
@@ -190,15 +193,14 @@ def make_witness_state(
     b=(1.0, 0.0),
     probs=(1 / 3, 1 / 3, 1 / 3),
     dims: tuple[int, int] = (3, 2),
-    betas: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> BipartiteState:
     """Three-component mixture that fools any single local commutation test.
 
-    On an MxN system with M >= 3, mixes ``|0> (x) beta0`` with two components
-    supported on span{|1>, |2>} of party a whose a-side overlap
-    ``a1*b1 + a2*b2`` must be nonzero. The result commutes with the local
-    projector ``|0><0| (x) 1`` yet is not classical on a, so its quantum
-    correlation is strictly positive.
+    On an MxN system with M >= 3, mixes ``|0>|0>``, ``(a1|1> + a2|2>)|0>``
+    and ``(b1|1> + b2|2>)|1>`` with weights ``probs``; the a-side overlap
+    ``a1*b1 + a2*b2`` of the last two must be nonzero. The result commutes
+    with the local projector ``|0><0| (x) 1`` yet is not classical on a, so
+    its quantum correlation is strictly positive.
     """
     m, n = dims
     if m < 3:
@@ -219,27 +221,17 @@ def make_witness_state(
             "a1*b1 + a2*b2 vanishes; the two components must overlap on party a"
         )
     p = _validate_probs(probs, 3)
-    if betas is None:
-        eye_b = np.eye(n, dtype=complex)
-        betas = (eye_b[:, 0], eye_b[:, 0], eye_b[:, 1])
-    beta = [np.asarray(v, dtype=complex).reshape(-1) for v in betas]
-    if any(v.size != n for v in beta):
-        raise ShapeError("beta vectors must live in H^b")
-    for i, v in enumerate(beta):
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-10:
-            raise NormalizationError(f"beta{i} has norm {norm:.12f}, expected 1")
-    linalg.require_orthonormal_columns(np.column_stack([beta[1], beta[2]]), "beta1/beta2")
     eye_a = np.eye(m, dtype=complex)
+    e0, e1 = np.eye(n, dtype=complex)[:2]
     components = [
-        np.kron(eye_a[:, 0], beta[0]),
-        np.kron(a[0] * eye_a[:, 1] + a[1] * eye_a[:, 2], beta[1]),
-        np.kron(b[0] * eye_a[:, 1] + b[1] * eye_a[:, 2], beta[2]),
+        np.kron(eye_a[:, 0], e0),
+        np.kron(a[0] * eye_a[:, 1] + a[1] * eye_a[:, 2], e0),
+        np.kron(b[0] * eye_a[:, 1] + b[1] * eye_a[:, 2], e1),
     ]
     rho = np.zeros((m * n, m * n), dtype=complex)
     for pi, psi in zip(p, components):
         rho += pi * np.outer(psi, psi.conj())
-    return BipartiteState(validate_density(rho), m, n)
+    return BipartiteState(rho, m, n)
 
 
 def max_entangled(m: int) -> BipartiteState:
@@ -257,7 +249,7 @@ def werner(w: float) -> BipartiteState:
     psi[1] = 1 / np.sqrt(2)
     psi[2] = -1 / np.sqrt(2)
     rho = w * np.outer(psi, psi.conj()) + (1 - w) * np.eye(4) / 4
-    return BipartiteState(validate_density(rho), 2, 2)
+    return BipartiteState(rho, 2, 2)
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
@@ -333,7 +325,7 @@ def apply_channel_b(state: BipartiteState, channel: KrausChannel) -> BipartiteSt
     for k in channel.operators:
         lifted = np.kron(eye_a, k)
         out += lifted @ state.rho @ linalg.dag(lifted)
-    return BipartiteState(validate_density(out), state.dim_a, state.dim_b)
+    return BipartiteState(out, state.dim_a, state.dim_b)
 
 
 def random_kraus_channel(dim: int, n_operators: int, seed) -> KrausChannel:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,23 +53,9 @@ class CriterionResult:
     seconds: float
 
 
-@dataclass(frozen=True)
-class VerifySettings:
-    """Seeding and optimizer configuration shared by all criteria."""
-
-    seed: int = 0
-    restarts: int = 16
-    tolerance: float = 1e-6
-
-    def optimizer(self, tolerance: float | None = None) -> OptimizerConfig:
-        return OptimizerConfig(
-            restarts=self.restarts,
-            tolerance=self.tolerance if tolerance is None else tolerance,
-            seed=self.seed,
-        )
-
-    def state_seed(self, criterion: int, index: int) -> int:
-        return self.seed + 10_000 * criterion + index
+def state_seed(seed: int, criterion: int, index: int) -> int:
+    """Seed of state ``index`` of a criterion, for the optimizer base seed ``seed``."""
+    return seed + 10_000 * criterion + index
 
 
 def _done(number: int, name: str, passed: bool, detail: str, start: float) -> CriterionResult:
@@ -80,13 +66,12 @@ _PURE_DIMS = [(2, 2)] * 8 + [(2, 3)] * 8 + [(3, 3)] * 7 + [(3, 4)] * 7
 _MIXED_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 
-def check_pure_coincidence(st: VerifySettings) -> CriterionResult:
+def check_pure_coincidence(cfg: OptimizerConfig) -> CriterionResult:
     """Both quantifiers match 1 - sum(s^2) on seeded random pure states."""
     start = time.perf_counter()
-    cfg = st.optimizer()
     worst_obs = worst_meas = 0.0
     for i, dims in enumerate(_PURE_DIMS):
-        state = random_pure(dims, st.state_seed(1, i))
+        state = random_pure(dims, state_seed(cfg.seed, 1, i))
         closed = pure_state_correlation(state)
         worst_obs = max(worst_obs, abs(observable_correlation(state, cfg).value - closed))
         worst_meas = max(worst_meas, abs(measurement_correlation(state, cfg).value - closed))
@@ -98,10 +83,9 @@ def check_pure_coincidence(st: VerifySettings) -> CriterionResult:
     return _done(1, "pure-state coincidence with closed form", passed, detail, start)
 
 
-def check_maximal_values(st: VerifySettings) -> CriterionResult:
+def check_maximal_values(cfg: OptimizerConfig) -> CriterionResult:
     """Maximally entangled MxM states reach the ceiling 1 - 1/M."""
     start = time.perf_counter()
-    cfg = st.optimizer()
     worst = 0.0
     for m in (2, 3):
         state = max_entangled(m)
@@ -142,25 +126,24 @@ def _noisy_entangled(dims: tuple[int, int], seed: int) -> BipartiteState:
     return BipartiteState(rho, *dims)
 
 
-def check_zero_discord_detection(st: VerifySettings) -> CriterionResult:
+def check_zero_discord_detection(cfg: OptimizerConfig) -> CriterionResult:
     """Quantifiers vanish on CQ/CC states and stay away from zero otherwise."""
     start = time.perf_counter()
-    cfg = st.optimizer(tolerance=min(st.tolerance, 1e-8))
+    tight = replace(cfg, tolerance=min(cfg.tolerance, 1e-8))
     worst_zero = 0.0
     for i in range(20):
         dims = _MIXED_DIMS[i % len(_MIXED_DIMS)]
         build = _random_cq if i % 2 == 0 else _random_cc
-        state = build(dims, st.state_seed(3, i))
+        state = build(dims, state_seed(cfg.seed, 3, i))
         worst_zero = max(
             worst_zero,
-            abs(observable_correlation(state, cfg).value),
-            abs(measurement_correlation(state, cfg).value),
+            abs(observable_correlation(state, tight).value),
+            abs(measurement_correlation(state, tight).value),
         )
-    cfg = st.optimizer()
     least_nonzero = np.inf
     for i in range(20):
         dims = _MIXED_DIMS[i % len(_MIXED_DIMS)]
-        state = _noisy_entangled(dims, st.state_seed(3, 100 + i))
+        state = _noisy_entangled(dims, state_seed(cfg.seed, 3, 100 + i))
         least_nonzero = min(
             least_nonzero,
             observable_correlation(state, cfg).value,
@@ -174,14 +157,14 @@ def check_zero_discord_detection(st: VerifySettings) -> CriterionResult:
     return _done(3, "zero on classical states, nonzero off them", passed, detail, start)
 
 
-def check_commuting_witness(st: VerifySettings) -> CriterionResult:
+def check_commuting_witness(cfg: OptimizerConfig) -> CriterionResult:
     """A single commuting local projector does not certify zero correlation."""
     start = time.perf_counter()
     state = make_witness_state()
     proj = np.zeros((state.dim_a, state.dim_a), dtype=complex)
     proj[0, 0] = 1.0
     local_qfi = qfi(state.rho, lift_a(proj, state.dim_b))
-    value = observable_correlation(state, st.optimizer()).value
+    value = observable_correlation(state, cfg).value
     passed = local_qfi <= 1e-12 and value >= 1e-3
     detail = (
         f"projector driving QFI {local_qfi:.2e} (tol 1e-12) "
@@ -190,7 +173,7 @@ def check_commuting_witness(st: VerifySettings) -> CriterionResult:
     return _done(4, "commuting-projector witness state", passed, detail, start)
 
 
-def check_qfi_bounds(st: VerifySettings) -> CriterionResult:
+def check_qfi_bounds(cfg: OptimizerConfig) -> CriterionResult:
     """0 <= QFI <= variance, convexity in the state, and QFI = variance when pure."""
     start = time.perf_counter()
     dims = (2, 3, 4)
@@ -198,7 +181,7 @@ def check_qfi_bounds(st: VerifySettings) -> CriterionResult:
     worst_high = -np.inf
     for i in range(200):
         d = dims[i % 3]
-        seed = st.state_seed(5, i)
+        seed = state_seed(cfg.seed, 5, i)
         rho = random_density(d, d if i % 2 == 0 else max(1, d - 1), seed)
         h = random_hermitian(d, seed + 1)
         f = qfi(rho, h)
@@ -206,7 +189,7 @@ def check_qfi_bounds(st: VerifySettings) -> CriterionResult:
         worst_high = max(worst_high, f - variance(rho, h))
     worst_convex = -np.inf
     for i in range(100):
-        seed = st.state_seed(5, 1000 + i)
+        seed = state_seed(cfg.seed, 5, 1000 + i)
         rng = np.random.default_rng(seed)
         lam = rng.dirichlet(np.ones(3))
         parts = [random_density(3, 3, seed + 10 + j) for j in range(3)]
@@ -217,7 +200,7 @@ def check_qfi_bounds(st: VerifySettings) -> CriterionResult:
     worst_pure = 0.0
     for i in range(50):
         d = dims[i % 3]
-        seed = st.state_seed(5, 2000 + i)
+        seed = state_seed(cfg.seed, 5, 2000 + i)
         rng = np.random.default_rng(seed)
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         psi /= np.linalg.norm(psi)
@@ -238,14 +221,14 @@ def check_qfi_bounds(st: VerifySettings) -> CriterionResult:
     return _done(5, "QFI bounds, convexity, pure-state variance", passed, detail, start)
 
 
-def check_sld_consistency(st: VerifySettings) -> CriterionResult:
+def check_sld_consistency(cfg: OptimizerConfig) -> CriterionResult:
     """The SLD solves its defining equation and reproduces the spectral QFI."""
     start = time.perf_counter()
     dims = (2, 3, 4)
     worst_resid = worst_agree = 0.0
     for i in range(100):
         d = dims[i % 3]
-        seed = st.state_seed(6, i)
+        seed = state_seed(cfg.seed, 6, i)
         rho = random_density(d, d if i % 3 else max(1, d - 1), seed)
         h = random_hermitian(d, seed + 1)
         l = sld(rho, h)
@@ -263,13 +246,13 @@ def check_sld_consistency(st: VerifySettings) -> CriterionResult:
     return _done(6, "SLD consistency", passed, detail, start)
 
 
-def check_basis_sum_invariance(st: VerifySettings) -> CriterionResult:
+def check_basis_sum_invariance(cfg: OptimizerConfig) -> CriterionResult:
     """The basis-free local QFI on party b equals its sum over any observable basis."""
     start = time.perf_counter()
     worst = 0.0
     for i in range(20):
         dims = _MIXED_DIMS[i % len(_MIXED_DIMS)]
-        seed = st.state_seed(7, i)
+        seed = state_seed(cfg.seed, 7, i)
         state = BipartiteState(
             random_density(dims[0] * dims[1], dims[0] * dims[1], seed), *dims
         )
@@ -292,13 +275,13 @@ def check_basis_sum_invariance(st: VerifySettings) -> CriterionResult:
     return _done(7, "observable-basis-sum invariance", passed, detail, start)
 
 
-def check_mfi_hierarchy(st: VerifySettings) -> CriterionResult:
+def check_mfi_hierarchy(cfg: OptimizerConfig) -> CriterionResult:
     """Measured information never beats the local QFI; equality for CQ states."""
     start = time.perf_counter()
     worst_gap = -np.inf
     for i in range(100):
         dims = _MIXED_DIMS[i % len(_MIXED_DIMS)]
-        seed = st.state_seed(8, i)
+        seed = state_seed(cfg.seed, 8, i)
         state = BipartiteState(
             random_density(dims[0] * dims[1], dims[0] * dims[1], seed), *dims
         )
@@ -308,7 +291,7 @@ def check_mfi_hierarchy(st: VerifySettings) -> CriterionResult:
     worst_eq = 0.0
     for i in range(20):
         dims = _MIXED_DIMS[i % len(_MIXED_DIMS)]
-        seed = st.state_seed(8, 1000 + i)
+        seed = state_seed(cfg.seed, 8, 1000 + i)
         basis = haar_unitary(dims[0], seed)
         rng = np.random.default_rng(seed + 1)
         probs = rng.dirichlet(np.ones(dims[0]))
@@ -325,14 +308,14 @@ def check_mfi_hierarchy(st: VerifySettings) -> CriterionResult:
     return _done(8, "measured-information hierarchy", passed, detail, start)
 
 
-def check_measurement_achievability(st: VerifySettings) -> CriterionResult:
+def check_measurement_achievability(cfg: OptimizerConfig) -> CriterionResult:
     """Measuring in the SLD eigenbasis attains the QFI classically."""
     start = time.perf_counter()
     dims = (2, 3, 4)
     worst = 0.0
     for i in range(50):
         d = dims[i % 3]
-        seed = st.state_seed(9, i)
+        seed = state_seed(cfg.seed, 9, i)
         rho = random_density(d, d, seed)
         h = random_hermitian(d, seed + 1)
         basis = eigh(sld(rho, h)).vectors
@@ -343,14 +326,13 @@ def check_measurement_achievability(st: VerifySettings) -> CriterionResult:
     return _done(9, "optimal-measurement achievability", passed, detail, start)
 
 
-def check_channel_contractivity(st: VerifySettings) -> CriterionResult:
+def check_channel_contractivity(cfg: OptimizerConfig) -> CriterionResult:
     """Channels on party b never increase the observable quantifier."""
     start = time.perf_counter()
-    cfg = st.optimizer()
     worst = -np.inf
     for i in range(10):
         dims = (2, 2) if i % 2 == 0 else (2, 3)
-        seed = st.state_seed(10, i)
+        seed = state_seed(cfg.seed, 10, i)
         state = BipartiteState(
             random_density(dims[0] * dims[1], dims[0] * dims[1], seed), *dims
         )
@@ -378,13 +360,12 @@ def _grid_entropic_discord(state: BipartiteState, n_theta: int = 31, n_phi: int 
     return mutual_information(state) - best
 
 
-def check_discord_baselines(st: VerifySettings) -> CriterionResult:
+def check_discord_baselines(cfg: OptimizerConfig) -> CriterionResult:
     """Geometric discord closed form vs search; Bell entropic discord = ln 2."""
     start = time.perf_counter()
-    cfg = st.optimizer()
     worst_geo = 0.0
     for i, dims in enumerate([(2, 2)] * 3 + [(2, 3)] * 3):
-        state = random_pure(dims, st.state_seed(11, i))
+        state = random_pure(dims, state_seed(cfg.seed, 11, i))
         closed = geometric_discord(state).value
         searched = geometric_discord(state, cfg, method="optimized").value
         worst_geo = max(worst_geo, abs(closed - searched))
@@ -415,18 +396,17 @@ ALL_CRITERIA = (
 )
 
 
-def run_verification(
-    seed: int = 0,
-    restarts: int = 16,
-    tolerance: float = 1e-6,
-    stream=None,
-) -> list[CriterionResult]:
-    """Run every acceptance criterion, printing one pass/fail line each."""
+def run_verification(config: OptimizerConfig | None = None, stream=None) -> list[CriterionResult]:
+    """Run every acceptance criterion, printing one pass/fail line each.
+
+    ``config`` (default :class:`OptimizerConfig`) sets the optimizer of every
+    search and, through its seed, the seed of every state.
+    """
+    cfg = config if config is not None else OptimizerConfig()
     out = stream if stream is not None else sys.stdout
-    settings = VerifySettings(seed=seed, restarts=restarts, tolerance=tolerance)
     results = []
     for check in ALL_CRITERIA:
-        result = check(settings)
+        result = check(cfg)
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         print(

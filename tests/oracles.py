@@ -17,6 +17,7 @@ import numpy as np
 from qfc import ShapeError, linalg, measure_a, qfi
 from qfc.correlations import _a_components
 from qfc.linalg import off_diagonal_mass_and_gradient, require_unitary
+from qfc.optimize import random_params, unitary_from_params
 from qfc.states import haar_unitary
 
 #: Measurement outcomes with probability below this cutoff are dropped.
@@ -159,3 +160,12 @@ def jacobi_basis(state, starts: int, seed: int = 0):
         for k in range(starts)
     ]
     return min(runs, key=lambda run: run[1])
+
+
+def random_start(dim: int, seed: int) -> np.ndarray:
+    """The unitary a random restart draws from the stream seeded ``seed``.
+
+    Restart k >= 1 of a search at base seed s starts at ``random_start(d, s +
+    k)``; tests that need a random restart 0 pass ``random_start(d, s)``.
+    """
+    return unitary_from_params(random_params(dim, np.random.default_rng(seed)), dim)

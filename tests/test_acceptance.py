@@ -7,14 +7,15 @@ report. ``qfc verify`` runs the same checks from the command line.
 
 import pytest
 
-from qfc.verify import ALL_CRITERIA, VerifySettings
+from qfc.optimize import OptimizerConfig
+from qfc.verify import ALL_CRITERIA
 
-SETTINGS = VerifySettings(seed=0, restarts=16, tolerance=1e-6)
+CONFIG = OptimizerConfig(seed=0, restarts=16, tolerance=1e-6)
 
 
 @pytest.mark.parametrize("check", ALL_CRITERIA, ids=lambda fn: fn.__name__)
 def test_criterion(check):
-    result = check(SETTINGS)
+    result = check(CONFIG)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.number:2d}. {result.name}: {result.detail} [{result.seconds:.1f}s]")
     assert result.passed, f"{result.name}: {result.detail}"

@@ -9,6 +9,7 @@ benchmark files are only read, never imported or edited.
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -50,6 +51,17 @@ def traced_names():
 @pytest.mark.parametrize("module, attr", traced_names())
 def test_traced_entry_point_exists(module, attr):
     assert callable(getattr(importlib.import_module(f"qfc.{module}"), attr, None))
+
+
+def test_optimize_basis_takes_config_by_keyword_only():
+    # The tracer reads a solve's tolerance from ``kwargs["config"]``, or else
+    # from ``args[3]``; a config passed by position would be missed.
+    params = inspect.signature(qfc.optimize.optimize_basis).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        ("objective", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("start", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("config", inspect.Parameter.KEYWORD_ONLY, None),
+    ]
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)

@@ -162,14 +162,13 @@ class TestJacobiOracles:
 
     @staticmethod
     def criterion3_states(noisy):
-        settings = verify.VerifySettings()
         for i in range(20):
             dims = verify._MIXED_DIMS[i % len(verify._MIXED_DIMS)]
             if noisy:
-                yield verify._noisy_entangled(dims, settings.state_seed(3, 100 + i))
+                yield verify._noisy_entangled(dims, verify.state_seed(0, 3, 100 + i))
             else:
                 build = verify._random_cq if i % 2 == 0 else verify._random_cc
-                yield build(dims, settings.state_seed(3, i))
+                yield build(dims, verify.state_seed(0, 3, i))
 
     @staticmethod
     def bases(state):
@@ -274,6 +273,7 @@ class TestQuantifierResult:
         assert isinstance(result.report, OptimizerReport)
         assert result.converged is result.report.converged is True
         assert np.array_equal(result.argopt, result.report.best_unitary)
+        assert result.value == result.report.best_value
 
     def test_geometric_cross_check_is_optimized(self):
         state = BipartiteState(random_density(4, 4, 5), 2, 2)
@@ -288,5 +288,5 @@ class TestQuantifierResult:
         assert result.converged is True
 
     def test_converged_is_the_flag_of_the_best_restart(self):
-        report = multistart(lambda k: (np.eye(2), float(k), 1, 1, k != 0), 2, "min")
+        report = multistart(lambda k: (np.eye(2), float(k), 1, 1, k != 0), 2)
         assert not QuantifierResult(0.0, np.eye(2), "optimized", report).converged

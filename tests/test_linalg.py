@@ -24,7 +24,7 @@ from qfc.correlations import _a_components
 from qfc.linalg import off_diagonal_mass_and_gradient, require_unitary
 from qfc.states import haar_unitary, random_density
 
-from oracles import joint_diagonalize
+from oracles import joint_diagonalize, random_start
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -232,7 +232,8 @@ class TestJointDiagonalize:
             rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dag(vecs)
         mats = _a_components(rho, (4, 3))
         objective = lambda u: off_diagonal_mass_and_gradient(mats, u)
-        floor = optimize_basis(objective, 4, "min", OptimizerConfig(restarts=4, tolerance=1e-14))
+        cfg = OptimizerConfig(restarts=4, tolerance=1e-14)
+        floor = optimize_basis(objective, random_start(4, 0), config=cfg)
         for start in (None, haar_unitary(4, 1), haar_unitary(4, 2)):
             _, residual, sweeps = joint_diagonalize(mats, start)
             assert sweeps <= 300

@@ -26,10 +26,12 @@ from qfc import (
     unitary_from_params,
 )
 from qfc import entropic_discord, measurement_correlation, optimize, verify
-from qfc.correlations import _mfi_objective
+from qfc.correlations import _mfi_objective, total_local_qfi_b
 from qfc.linalg import off_diagonal_mass_and_gradient
 from qfc.optimize import multistart
 from qfc.states import haar_unitary, random_hermitian
+
+from oracles import random_start
 
 
 def misalignment(u):
@@ -43,6 +45,17 @@ def overlap(u):
     grad = np.zeros_like(u)
     grad[0, 0] = 2.0 * u[0, 0]
     return float(abs(u[0, 0]) ** 2), grad
+
+
+def qapi_gap(state):
+    """The qapi objective: the local QFI on b less the measured information."""
+    total, mfi = total_local_qfi_b(state), _mfi_objective(state)
+
+    def gap(u):
+        value, grad = mfi(u)
+        return total - value, -grad
+
+    return gap
 
 
 def stack_objective(dim):
@@ -75,7 +88,9 @@ class TestGradientSearch:
     def test_diagonalizes_a_hermitian_matrix(self):
         h = random_hermitian(4, 9)
         objective = lambda u: off_diagonal_mass_and_gradient(h[None], u)
-        report = optimize_basis(objective, 4, "min", OptimizerConfig(restarts=2, tolerance=1e-12))
+        report = optimize_basis(
+            objective, random_start(4, 0), config=OptimizerConfig(restarts=2, tolerance=1e-12)
+        )
         assert report.converged and report.restart_converged.all()
         assert report.best_value <= 1e-12
         rotated = dag(report.best_unitary) @ h @ report.best_unitary
@@ -85,7 +100,7 @@ class TestGradientSearch:
         objective = stack_objective(3)
         tolerance = 1e-8
         cfg = OptimizerConfig(restarts=4, tolerance=tolerance)
-        report = optimize_basis(objective, 3, "min", cfg)
+        report = optimize_basis(objective, random_start(3, 0), config=cfg)
         assert report.converged
         u = report.best_unitary
         _, grad = objective(u)
@@ -95,14 +110,18 @@ class TestGradientSearch:
 
     def test_iteration_cap_reports_unconverged(self):
         with mock.patch.object(optimize, "MAX_ITERATIONS", 2):
-            report = optimize_basis(stack_objective(3), 3, "min", OptimizerConfig(restarts=1))
+            report = optimize_basis(
+                stack_objective(3), random_start(3, 0), config=OptimizerConfig(restarts=1)
+            )
         assert report.n_iterations == 2
         assert not report.converged
 
     def test_failed_line_search_with_a_large_gradient_is_unconverged(self):
         # a constant value with a nonzero gradient: no step passes the Armijo test
         grad = np.diag([1.0, -1.0]).astype(complex) @ np.array([[0, 1], [1, 0]])
-        report = optimize_basis(lambda u: (1.0, u @ grad), 2, "min", OptimizerConfig(restarts=1))
+        report = optimize_basis(
+            lambda u: (1.0, u @ grad), random_start(2, 0), config=OptimizerConfig(restarts=1)
+        )
         assert not report.converged
         assert report.n_evaluations == 1 + optimize.MAX_HALVINGS
         assert report.n_iterations == 0
@@ -110,7 +129,7 @@ class TestGradientSearch:
     def test_non_finite_gradient_aborts(self):
         objective = lambda u: (0.0, np.full((2, 2), np.nan))
         with pytest.raises(OptimizationError):
-            optimize_basis(objective, 2, "min", OptimizerConfig(restarts=1))
+            optimize_basis(objective, np.eye(2), config=OptimizerConfig(restarts=1))
 
 
 class TestStepRule:
@@ -128,9 +147,9 @@ class TestStepRule:
             lengths.append(np.linalg.norm(params))
             return chart(params, dim)
 
-        objective = _mfi_objective(self.STATE)
+        objective = qapi_gap(self.STATE)
         with mock.patch.object(optimize, "unitary_from_params", recording):
-            *_, converged = optimize._bfgs(objective, haar_unitary(3, 1), -1.0, 1e-6)
+            *_, converged = optimize._bfgs(objective, haar_unitary(3, 1), 1e-6)
         assert converged
         assert max(lengths) <= np.pi * (1 + 1e-12)
         assert max(lengths) >= np.pi * (1 - 1e-12)  # this search reaches the cap
@@ -141,11 +160,12 @@ class TestStepRule:
         # same search hit the iteration cap on 3 of 4 restarts, with 7,875
         # evaluations and restarts 2.8e-2 short of the best value.
         eps = 1e-2
-        objective = _mfi_objective(self.STATE)
+        objective = qapi_gap(self.STATE)
         scaled = lambda u: tuple(eps * part for part in objective(u))
-        plain = optimize_basis(objective, 3, "max", OptimizerConfig(restarts=4, seed=5))
+        start = random_start(3, 5)
+        plain = optimize_basis(objective, start, config=OptimizerConfig(restarts=4, seed=5))
         cfg = OptimizerConfig(restarts=4, seed=5, tolerance=1e-6 * eps**2)
-        report = optimize_basis(scaled, 3, "max", cfg)
+        report = optimize_basis(scaled, start, config=cfg)
         assert report.restart_converged.all()
         assert abs(report.best_value / eps - plain.best_value) <= 1e-6
         assert report.n_evaluations <= 0.1 * cfg.restarts * optimize.MAX_ITERATIONS
@@ -154,7 +174,7 @@ class TestStepRule:
     def test_no_line_search_is_spent_at_roundoff(self, index, dims):
         # Criterion-3 classical states whose qapi search, once converged to
         # roundoff, used to run a last line search through every halving.
-        seed = verify.VerifySettings().state_seed(3, index)
+        seed = verify.state_seed(0, 3, index)
         build = verify._random_cq if index % 2 == 0 else verify._random_cc
         runs = []
         bfgs = optimize._bfgs
@@ -183,7 +203,7 @@ def test_noisy_qapi_and_entropic_discord_evaluation_budget():
     dims = verify._MIXED_DIMS
     total = 0
     for i in range(20):
-        seed = verify.VerifySettings().state_seed(3, 100 + i)
+        seed = verify.state_seed(0, 3, 100 + i)
         state = verify._noisy_entangled(dims[i % len(dims)], seed)
         cfg = OptimizerConfig(restarts=4, seed=4 * seed)
         for solver in (measurement_correlation, entropic_discord):
@@ -202,28 +222,26 @@ class TestMultistart:
 
         return search
 
-    @pytest.mark.parametrize("direction, best", [("min", 1), ("max", 0)])
-    def test_ties_resolve_to_the_lowest_index(self, direction, best):
+    def test_ties_resolve_to_the_lowest_index(self):
         values = [3.0, 1.0, 3.0, 1.0]
-        report = multistart(self.search_over(values), 4, direction)
-        assert report.best_value == values[best]
-        assert np.array_equal(report.best_unitary, np.full((2, 2), best))
+        report = multistart(self.search_over(values), 4)
+        assert report.best_value == values[1]
+        assert np.array_equal(report.best_unitary, np.full((2, 2), 1))
 
     def test_counts_are_summed_over_restarts(self):
-        report = multistart(self.search_over([2.0, 1.0, 4.0]), 3, "min")
+        report = multistart(self.search_over([2.0, 1.0, 4.0]), 3)
         assert report.n_evaluations == 1 + 2 + 3
         assert report.n_iterations == 0 + 2 + 4
         assert type(report.n_evaluations) is int and type(report.n_iterations) is int
         np.testing.assert_array_equal(report.restart_values, [2.0, 1.0, 4.0])
-        assert report.direction == "min"
 
     def test_converged_flags_are_per_restart(self):
         flags = [True, False, True]
-        report = multistart(self.search_over([2.0, 1.0, 4.0], flags), 3, "min")
+        report = multistart(self.search_over([2.0, 1.0, 4.0], flags), 3)
         np.testing.assert_array_equal(report.restart_converged, flags)
         assert report.restart_converged.dtype == bool
         assert not report.converged  # the best restart, index 1, did not converge
-        report = multistart(self.search_over([2.0, 1.0, 4.0], flags), 3, "max")
+        report = multistart(self.search_over([2.0, 4.0, 1.0], flags), 3)
         assert report.converged
 
     def test_runs_each_restart_once_in_order(self):
@@ -233,37 +251,36 @@ class TestMultistart:
             seen.append(k)
             return np.eye(2), float(k), 1, 1, True
 
-        multistart(search, 5, "max")
+        multistart(search, 5)
         assert seen == [0, 1, 2, 3, 4]
-
-    def test_rejects_bad_direction_before_searching(self):
-        with pytest.raises(ValueError):
-            multistart(lambda k: pytest.fail("searched"), 2, "best")
 
 
 class TestOptimizeBasis:
     def test_constant_objective_converges_immediately(self):
         objective = lambda u: (4.25, np.zeros((2, 2)))
-        report = optimize_basis(objective, 2, "min", OptimizerConfig(restarts=2))
+        report = optimize_basis(objective, np.eye(2), config=OptimizerConfig(restarts=2))
         assert report.converged
         assert report.best_value == 4.25
         assert np.all(report.restart_values == 4.25)
         assert report.n_evaluations == 2 and report.n_iterations == 0
 
     def test_column_alignment_objective_reaches_zero(self):
-        report = optimize_basis(misalignment, 2, "min", OptimizerConfig(restarts=16, seed=1))
+        cfg = OptimizerConfig(restarts=16, seed=1)
+        report = optimize_basis(misalignment, random_start(2, 1), config=cfg)
         assert report.best_value <= 1e-6
 
-    def test_direction_max(self):
-        report = optimize_basis(overlap, 2, "max", OptimizerConfig(restarts=8, seed=3))
-        assert abs(report.best_value - 1.0) <= 1e-6
-        assert report.best_value == max(report.restart_values)
+    def test_maximum_as_minimum_of_the_negation(self):
+        negated = lambda u: tuple(-part for part in overlap(u))
+        cfg = OptimizerConfig(restarts=8, seed=3)
+        report = optimize_basis(negated, random_start(2, 3), config=cfg)
+        assert abs(report.best_value + 1.0) <= 1e-6
+        assert report.best_value == min(report.restart_values)
 
     def test_deterministic_for_fixed_seed(self):
         objective = stack_objective(2)
         cfg = OptimizerConfig(restarts=4, seed=11)
-        a = optimize_basis(objective, 2, "min", cfg)
-        b = optimize_basis(objective, 2, "min", cfg)
+        a = optimize_basis(objective, random_start(2, 11), config=cfg)
+        b = optimize_basis(objective, random_start(2, 11), config=cfg)
         assert a.best_value == b.best_value
         assert np.array_equal(a.best_unitary, b.best_unitary)
         assert np.array_equal(a.restart_values, b.restart_values)
@@ -274,27 +291,24 @@ class TestOptimizeBasis:
         values = []
         for restarts in (1, 2, 4, 8):
             cfg = OptimizerConfig(restarts=restarts, seed=5)
-            values.append(optimize_basis(objective, 3, "min", cfg).best_value)
+            values.append(optimize_basis(objective, random_start(3, 5), config=cfg).best_value)
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_restart_values_prefix_stable(self):
         objective = stack_objective(2)
-        small = optimize_basis(objective, 2, "min", OptimizerConfig(restarts=3, seed=2))
-        large = optimize_basis(objective, 2, "min", OptimizerConfig(restarts=6, seed=2))
+        start = random_start(2, 2)
+        small = optimize_basis(objective, start, config=OptimizerConfig(restarts=3, seed=2))
+        large = optimize_basis(objective, start, config=OptimizerConfig(restarts=6, seed=2))
         np.testing.assert_array_equal(large.restart_values[:3], small.restart_values)
 
     def test_non_finite_objective_aborts(self):
         objective = lambda u: (float("nan"), np.zeros((2, 2)))
         with pytest.raises(OptimizationError):
-            optimize_basis(objective, 2, "min", OptimizerConfig(restarts=1))
-
-    def test_rejects_bad_direction(self):
-        with pytest.raises(ValueError):
-            optimize_basis(lambda u: (0.0, np.zeros((2, 2))), 2, "best")
+            optimize_basis(objective, np.eye(2), config=OptimizerConfig(restarts=1))
 
     def test_second_best_value(self):
         objective = stack_objective(2)
-        report = optimize_basis(objective, 2, "min", OptimizerConfig(restarts=4, seed=0))
+        report = optimize_basis(objective, random_start(2, 0), config=OptimizerConfig(restarts=4))
         ordered = np.sort(report.restart_values)
         assert report.second_best_value == ordered[1]
 
@@ -311,23 +325,23 @@ class TestWarmStart:
             seen.append(u.copy())
             return self.OBJECTIVE(u)
 
-        optimize_basis(objective, 3, "min", self.CFG, start=start)
+        optimize_basis(objective, start, config=self.CFG)
         assert np.array_equal(seen[0], start)
 
     def test_other_restarts_keep_their_streams(self):
-        cold = optimize_basis(self.OBJECTIVE, 3, "min", self.CFG)
-        warm = optimize_basis(self.OBJECTIVE, 3, "min", self.CFG, start=haar_unitary(3, 1))
-        np.testing.assert_array_equal(warm.restart_values[1:], cold.restart_values[1:])
+        one = optimize_basis(self.OBJECTIVE, random_start(3, 7), config=self.CFG)
+        other = optimize_basis(self.OBJECTIVE, haar_unitary(3, 1), config=self.CFG)
+        np.testing.assert_array_equal(other.restart_values[1:], one.restart_values[1:])
 
     def test_best_unitary_attains_best_value(self):
-        report = optimize_basis(self.OBJECTIVE, 3, "min", self.CFG, start=haar_unitary(3, 1))
+        report = optimize_basis(self.OBJECTIVE, haar_unitary(3, 1), config=self.CFG)
         assert self.OBJECTIVE(report.best_unitary)[0] == report.best_value
 
-    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,)])
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), ()])
     def test_rejects_start_of_wrong_shape(self, shape):
         start = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
         with pytest.raises(ShapeError):
-            optimize_basis(self.OBJECTIVE, 2, "min", self.CFG, start=start)
+            optimize_basis(self.OBJECTIVE, start, config=self.CFG)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])

@@ -60,6 +60,19 @@ class TestBipartiteState:
         with pytest.raises(ShapeError):
             BipartiteState(np.eye(4) / 4, 2, 3)
 
+    @pytest.mark.parametrize(
+        "rho, error",
+        [
+            (2 * max_entangled(2).rho, TraceError),
+            (np.diag([1.5, -0.5, 0.0, 0.0]), PositivityError),
+            (np.eye(4) / 4 + 0.1 * np.eye(4, k=1), HermiticityError),
+        ],
+        ids=["trace", "positivity", "hermiticity"],
+    )
+    def test_constructor_refuses_an_invalid_density(self, rho, error):
+        with pytest.raises(error):
+            BipartiteState(rho, 2, 2)
+
     def test_marginals_and_purity(self):
         state = max_entangled(2)
         np.testing.assert_allclose(state.marginal("b"), np.eye(2) / 2, atol=1e-14)
