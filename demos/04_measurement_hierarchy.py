@@ -47,7 +47,7 @@ def basis_sum(basis):
     return sum(qfi(state.rho, lift_b(h, 2)) for h in basis)
 
 
-canonical = hermitian_basis(np.eye(3))
+canonical = hermitian_basis(3)
 rng = np.random.default_rng(5)
 for k in range(3):
     mix, _ = np.linalg.qr(rng.standard_normal((9, 9)))

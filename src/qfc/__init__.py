@@ -60,7 +60,6 @@ from .states import (
     BipartiteState,
     KrausChannel,
     apply_channel_b,
-    bipartite,
     haar_unitary,
     make_cc,
     make_cq,

@@ -10,8 +10,11 @@
 * ``verify``  - run the full acceptance suite, one pass/fail line each
 
 States are described by JSON documents (see ``KIND_SCHEMAS``); complex
-matrix entries are nested ``[re, im]`` pairs in row-major order. Exit codes:
-0 success, 1 physics/verification failure or non-convergence, 2 usage error.
+matrix entries are nested ``[re, im]`` pairs in row-major order, and a
+spec's ``dims`` bind every matrix in it (each ``cq`` sigma is ``dims[1]`` x
+``dims[1]``). ``--seed``, ``--restarts`` and ``--tol`` accept exactly what
+``OptimizerConfig`` accepts. Exit codes: 0 success, 1 physics/verification
+failure or non-convergence, 2 usage error.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .fisher import qfi, sld, variance
 from .optimize import OptimizerConfig
 from .states import (
     BipartiteState,
-    bipartite,
     make_cc,
     make_cq,
     make_witness_state,
@@ -161,6 +163,10 @@ def build_state(spec: StateSpec, allow_large: bool = False) -> BipartiteState:
         sigmas = [
             _complex_matrix(m, f"cq.sigmas[{i}]") for i, m in enumerate(doc["sigmas"])
         ]
+        n = dims[1]
+        for i, sigma in enumerate(sigmas):
+            if sigma.shape != (n, n):
+                raise SchemaError(f"cq.sigmas[{i}] must be {n}x{n} (cq.dims), got {sigma.shape}")
         a_basis = np.eye(dims[0], dtype=complex)[:, : len(doc["probs"])]
         return make_cq(doc["probs"], a_basis, sigmas)
     if kind == "cc":
@@ -190,14 +196,12 @@ def build_state(spec: StateSpec, allow_large: bool = False) -> BipartiteState:
             kwargs["probs"] = doc["probs"]
         return make_witness_state(**kwargs)
     if kind == "raw_matrix":
-        return bipartite(_complex_matrix(doc["matrix"], "raw_matrix.matrix"), dims)
+        return BipartiteState(_complex_matrix(doc["matrix"], "raw_matrix.matrix"), *dims)
     if kind == "random":
-        seed = doc["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise SchemaError("random.seed must be a nonnegative integer")
-        rank = doc.get("rank", 0)
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-            raise SchemaError("random.rank must be a nonnegative integer")
+        seed, rank = doc["seed"], doc.get("rank", 0)
+        for name, value in (("seed", seed), ("rank", rank)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise SchemaError(f"random.{name} must be a nonnegative integer")
         if rank == 0:
             return random_pure(dims, seed)
         return BipartiteState(random_density(dims[0] * dims[1], rank, seed), *dims)
@@ -390,34 +394,23 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _restart_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _config_value(name: str, parse):
+    """Argparse type for the :class:`OptimizerConfig` field ``name``.
 
+    Parses the text with ``parse`` (``int`` or ``float``) and lets
+    ``OptimizerConfig`` judge the value, so a flag accepts exactly the values
+    the config does.
+    """
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
+    def convert(text: str):
+        try:
+            value = parse(text)
+            OptimizerConfig(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,11 +422,13 @@ def _build_parser() -> argparse.ArgumentParser:
     defaults = OptimizerConfig()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--state", help="path to a JSON state specification")
-    common.add_argument("--seed", type=_seed, default=defaults.seed,
+    common.add_argument("--seed", type=_config_value("seed", int), default=defaults.seed,
                         help=f"base seed for optimizer restarts (>= 0, default {defaults.seed})")
-    common.add_argument("--restarts", type=_restart_count, default=defaults.restarts,
+    common.add_argument("--restarts", type=_config_value("restarts", int),
+                        default=defaults.restarts,
                         help=f"optimizer restarts (>= 1, default {defaults.restarts})")
-    common.add_argument("--tol", type=_tolerance, default=defaults.tolerance,
+    common.add_argument("--tol", type=_config_value("tolerance", float),
+                        default=defaults.tolerance,
                         help=f"optimizer objective tolerance (finite, > 0, "
                              f"default {defaults.tolerance:g})")
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")

@@ -74,7 +74,7 @@ def _a_components(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     # the basis u, ||X - Pi_u X||^2 is the off-diagonal mass of the A_k
     # (linalg.off_diagonal_mass_and_gradient).
     m, n = dims
-    y = linalg.hermitian_basis(np.eye(n))
+    y = linalg.hermitian_basis(n)
     return np.einsum("kji,aibj->kab", y, np.asarray(x).reshape(m, n, m, n))
 
 

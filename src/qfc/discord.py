@@ -70,21 +70,21 @@ def entropic_discord(
         raise DimensionGuardError(
             f"entropic discord supports dim_a <= {MAX_DIM_A}, got {state.dim_a}"
         )
-    base = mutual_information(state)
-    entropy_b = von_neumann_entropy(state.marginal("b"))
+    base = von_neumann_entropy(state.marginal("a")) - von_neumann_entropy(state.rho)
 
     def loss(u: np.ndarray):
         # I(measured rho) = S(rho_b) + H(p) - S(measured rho): measuring a
-        # leaves rho_b alone, dephases rho_a to p_n = tr B_n and makes rho
-        # block diagonal in the basis u. Its slope in the eigenvalue l of
-        # block n is ln l - ln p_n, with both logarithms clipped at the cutoff.
+        # leaves rho_b alone (so S(rho_b) cancels from the loss), dephases
+        # rho_a to p_n = tr B_n and makes rho block diagonal in the basis u.
+        # The slope of I(measured rho) in the eigenvalue l of block n is
+        # ln l - ln p_n, with both logarithms clipped at the cutoff.
         spectra, vecs = np.linalg.eigh(measure_a(state, u))
         probs = spectra.sum(axis=1)
-        measured = entropy_b + _spectral_entropy(probs) - _spectral_entropy(spectra)
+        value = base - _spectral_entropy(probs) + _spectral_entropy(spectra)
         slopes = np.log(np.maximum(spectra, ENTROPY_CUTOFF)) - np.log(
             np.maximum(probs, ENTROPY_CUTOFF)
         )[:, None]
-        return base - measured, -_measured_gradient(state, u, vecs, slopes)
+        return value, -_measured_gradient(state, u, vecs, slopes)
 
     report = optimize_basis(loss, _start_basis(state), config=config)
     return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)

@@ -21,9 +21,13 @@ PROBABILITY_FLOOR = 1e-12
 DERIVATIVE_FLOOR = 1e-8
 
 
-def _check_same_dim(rho: np.ndarray, h: np.ndarray) -> None:
+def _operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state and the Hermitian observable as complex arrays of one shape."""
+    h = linalg.require_hermitian(h, "observable")
+    rho = np.asarray(rho, dtype=complex)
     if rho.shape != h.shape:
         raise ShapeError(f"state shape {rho.shape} does not match observable {h.shape}")
+    return rho, h
 
 
 def validate_povm(elements, dim: int | None = None) -> list[np.ndarray]:
@@ -46,9 +50,7 @@ def validate_povm(elements, dim: int | None = None) -> list[np.ndarray]:
 
 def evolve(rho: np.ndarray, h: np.ndarray, theta: float) -> np.ndarray:
     """Unitary orbit ``exp(-i theta H) rho exp(i theta H)``."""
-    rho = np.asarray(rho, dtype=complex)
-    h = linalg.require_hermitian(h, "observable")
-    _check_same_dim(rho, h)
+    rho, h = _operands(rho, h)
     vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
     u = (vecs * np.exp(-1j * theta * vals)) @ dag(vecs)
     return u @ rho @ dag(u)
@@ -75,9 +77,7 @@ def qfi(rho: np.ndarray, h: np.ndarray) -> float:
     Evaluated spectrally: ``sum_ij (p_i - p_j)^2 / (2(p_i + p_j))
     |<psi_i|H|psi_j>|^2`` over eigenpairs inside the support.
     """
-    h = linalg.require_hermitian(h, "observable")
-    rho = np.asarray(rho, dtype=complex)
-    _check_same_dim(rho, h)
+    rho, h = _operands(rho, h)
     spectrum = linalg.eigh(rho, "state")
     elems = dag(spectrum.vectors) @ h @ spectrum.vectors
     w = qfi_weight_matrix(spectrum.values)
@@ -86,9 +86,7 @@ def qfi(rho: np.ndarray, h: np.ndarray) -> float:
 
 def variance(rho: np.ndarray, h: np.ndarray) -> float:
     """Variance ``tr(rho H^2) - (tr rho H)^2`` of an observable."""
-    h = linalg.require_hermitian(h, "observable")
-    rho = np.asarray(rho, dtype=complex)
-    _check_same_dim(rho, h)
+    rho, h = _operands(rho, h)
     first = float(np.real(np.trace(rho @ h)))
     second = float(np.real(np.trace(rho @ h @ h)))
     return second - first**2
@@ -101,9 +99,7 @@ def sld(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     |psi_y> / (p_x + p_y)``; eigenvalue pairs outside the support contribute
     zero.
     """
-    h = linalg.require_hermitian(h, "observable")
-    rho = np.asarray(rho, dtype=complex)
-    _check_same_dim(rho, h)
+    rho, h = _operands(rho, h)
     spectrum = linalg.eigh(rho, "state")
     p = spectrum.values
     elems = dag(spectrum.vectors) @ h @ spectrum.vectors
@@ -117,34 +113,29 @@ def sld(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (l + dag(l)) / 2
 
 
-def classical_fi(
-    rho: np.ndarray,
-    h: np.ndarray,
-    povm,
-    theta: float = 0.0,
-) -> float:
-    """Classical Fisher information of a POVM on the unitary orbit of ``rho``.
+def classical_fi(rho: np.ndarray, h: np.ndarray, povm) -> float:
+    """Classical Fisher information of a POVM at ``rho`` on its unitary orbit.
 
-    ``(1/4) sum_x (d p_x / d theta)^2 / p_x`` with the exact derivative
-    ``d p_x / d theta = Re tr(M_x i[rho_theta, H])``. Outcomes with
+    ``(1/4) sum_x (d p_x / d theta)^2 / p_x`` at theta = 0 with the exact
+    derivative ``d p_x / d theta = Re tr(M_x i[rho, H])``. Outcomes with
     probability below the floor contribute zero when their derivative also
     vanishes; a near-zero probability with a non-vanishing derivative is an
-    undefined 0/0 point and raises, suggesting evaluation at an offset theta.
+    undefined 0/0 point and raises. Another point of the orbit is the state
+    ``evolve(rho, h, theta)``.
     """
     mats = validate_povm(povm, np.asarray(rho).shape[0])
-    r0 = evolve(rho, h, theta)
-    h = np.asarray(h, dtype=complex)  # validated by evolve
-    drho = 1j * (r0 @ h - h @ r0)
+    rho, h = _operands(rho, h)
+    drho = 1j * (rho @ h - h @ rho)
     total = 0.0
     for x, m in enumerate(mats):
-        p0 = float(np.real(np.trace(m @ r0)))
+        p0 = float(np.real(np.trace(m @ rho)))
         dp = float(np.real(np.trace(m @ drho)))
         if p0 < PROBABILITY_FLOOR:
             if abs(dp) < DERIVATIVE_FLOOR:
                 continue
             raise DegeneratePointError(
                 f"outcome {x} has probability {p0:.3e} with derivative {dp:.3e}; "
-                "evaluate at an offset theta"
+                "evaluate at a nearby point of the orbit, evolve(rho, h, theta)"
             )
         total += dp**2 / p0
     return 0.25 * total

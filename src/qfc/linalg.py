@@ -30,31 +30,27 @@ def hermiticity_defect(h: np.ndarray) -> float:
     return float(np.linalg.norm(h - dag(h)))
 
 
-def require_hermitian(
-    h: np.ndarray, name: str = "matrix", tol: float = HERMITICITY_TOL
-) -> np.ndarray:
+def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``h`` as a complex array, raising if it is not Hermitian."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {h.shape}")
     defect = hermiticity_defect(h)
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise HermiticityError(
-            f"{name} is not Hermitian: ||H - H^dag|| = {defect:.3e} > {tol:.0e}"
+            f"{name} is not Hermitian: ||H - H^dag|| = {defect:.3e} > {HERMITICITY_TOL:.0e}"
         )
     return h
 
 
-def require_orthonormal_columns(
-    v: np.ndarray, name: str = "basis", tol: float = ORTHONORMALITY_TOL
-) -> np.ndarray:
+def require_orthonormal_columns(v: np.ndarray, name: str = "basis") -> np.ndarray:
     """Return ``v`` as a complex array, raising unless its columns are orthonormal."""
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2:
         raise ShapeError(f"{name} must be a 2-d array of column vectors")
     gram = dag(v) @ v
     defect = np.linalg.norm(gram - np.eye(v.shape[1]))
-    if defect > tol:
+    if defect > ORTHONORMALITY_TOL:
         raise OrthonormalityError(
             f"{name} columns are not orthonormal: ||V^dag V - I|| = {defect:.3e}"
         )
@@ -143,29 +139,24 @@ def schmidt(psi: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     return SchmidtDecomposition(coeffs[kept], u[:, kept], vh[kept].T)
 
 
-def hermitian_basis(vectors: np.ndarray) -> np.ndarray:
-    """Complete trace-orthonormal set of d^2 Hermitian operators.
+def hermitian_basis(d: int) -> np.ndarray:
+    """Complete trace-orthonormal set of d^2 Hermitian d x d operators.
 
-    Built on orthonormal column vectors ``v_k``: the d projectors
-    ``|v_k><v_k|`` followed, for each pair k < l, by the normalized real and
-    imaginary combinations ``(|v_k><v_l| + h.c.)/sqrt(2)`` and
-    ``i(|v_k><v_l| - h.c.)/sqrt(2)``. Satisfies tr(B_u B_v) = delta_uv.
+    The d projectors ``|k><k|`` onto the computational basis, followed, for
+    each pair k < l, by the normalized real and imaginary combinations
+    ``(|k><l| + |l><k|)/sqrt(2)`` and ``i(|k><l| - |l><k|)/sqrt(2)``.
+    Satisfies tr(B_u B_v) = delta_uv.
     """
-    v = require_orthonormal_columns(vectors, "observable basis vectors")
-    d = v.shape[0]
-    if v.shape[1] != d:
-        raise ShapeError(f"need {d} basis vectors for dimension {d}, got {v.shape[1]}")
-    ops = np.empty((d * d, d, d), dtype=complex)
+    ops = np.zeros((d * d, d, d), dtype=complex)
     for k in range(d):
-        ops[k] = np.outer(v[:, k], v[:, k].conj())
+        ops[k, k, k] = 1.0
     idx = d
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for k in range(d):
         for l in range(k + 1, d):
-            ekl = np.outer(v[:, k], v[:, l].conj())
-            elk = np.outer(v[:, l], v[:, k].conj())
-            ops[idx] = (ekl + elk) * inv_sqrt2
-            ops[idx + 1] = 1j * (ekl - elk) * inv_sqrt2
+            ops[idx, k, l] = ops[idx, l, k] = inv_sqrt2
+            ops[idx + 1, k, l] = 1j * inv_sqrt2
+            ops[idx + 1, l, k] = -1j * inv_sqrt2
             idx += 2
     return ops
 

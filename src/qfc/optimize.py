@@ -3,7 +3,7 @@
 A basis (equivalently a rank-1 von Neumann measurement) is a unitary u whose
 columns are the basis vectors. The chart ``p -> exp(i A(p))`` maps d^2 real
 coefficients of a Hermitian generator A, in the canonical trace-orthonormal
-Hermitian basis, onto the whole unitary group.
+Hermitian basis ``linalg.hermitian_basis(d)``, onto the whole unitary group.
 
 An objective returns ``(value, G)``, the value and its Euclidean gradient,
 so that ``df = Re tr(G^dag du)``. Every objective here is invariant under
@@ -55,7 +55,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
             # restart k draws from np.random.default_rng(seed + k)
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -92,7 +92,7 @@ class OptimizerReport:
 
 @lru_cache(maxsize=None)
 def _generator_basis(dim: int) -> np.ndarray:
-    basis = linalg.hermitian_basis(np.eye(dim))
+    basis = linalg.hermitian_basis(dim)
     basis.flags.writeable = False
     return basis
 

@@ -63,8 +63,8 @@ class BipartiteState:
         return float(np.real(np.trace(self.rho @ self.rho)))
 
 
-def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity of a density matrix.
+def validate_density(m: np.ndarray) -> np.ndarray:
+    """Check finiteness, Hermiticity, unit trace, and positivity of a density matrix.
 
     Raises a distinct error for each violated invariant; returns the matrix
     as a complex array on success.
@@ -72,27 +72,26 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"density matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("density matrix has a non-finite entry")
     defect = linalg.hermiticity_defect(m)
-    if defect > tol:
+    if defect > DENSITY_TOL:
         raise HermiticityError(f"density matrix not Hermitian: defect {defect:.3e}")
     trace = complex(np.trace(m))
-    if abs(trace - 1.0) > tol:
+    if abs(trace - 1.0) > DENSITY_TOL:
         raise TraceError(f"density matrix trace is {trace:.12g}, expected 1")
     lowest = float(np.linalg.eigvalsh((m + linalg.dag(m)) / 2)[0])
-    if lowest < -tol:
+    if lowest < -DENSITY_TOL:
         raise PositivityError(f"density matrix has eigenvalue {lowest:.3e} < 0")
     return m
-
-
-def bipartite(m: np.ndarray, dims: tuple[int, int]) -> BipartiteState:
-    """Validate a raw matrix and tag it with subsystem dimensions."""
-    return BipartiteState(m, dims[0], dims[1])
 
 
 def _validate_probs(probs, count: int | None = None) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if count is not None and p.size != count:
         raise ShapeError(f"expected {count} probabilities, got {p.size}")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("probabilities must be finite")
     if p.size and p.min() < -1e-12:
         raise ValidationError(f"negative probability {p.min():.3e}")
     if abs(p.sum() - 1.0) > 1e-10:
@@ -119,16 +118,11 @@ def state_vector(state: BipartiteState) -> np.ndarray:
     return linalg.eigh(state.rho, "state").vectors[:, 0]
 
 
-def pure_from_schmidt(
-    coeffs,
-    dims: tuple[int, int],
-    a_basis: np.ndarray | None = None,
-    b_basis: np.ndarray | None = None,
-) -> BipartiteState:
-    """Pure state with prescribed Schmidt coefficients.
+def pure_from_schmidt(coeffs, dims: tuple[int, int]) -> BipartiteState:
+    """Pure state ``sum_i sqrt(c_i) |i>_a |i>_b`` with Schmidt coefficients ``c``.
 
     ``coeffs`` must be nonnegative and sum to one; at most min(M, N) of them.
-    Local vectors default to the computational bases.
+    The local vectors are the computational bases.
     """
     m, n = dims
     c = _validate_probs(coeffs)
@@ -136,15 +130,8 @@ def pure_from_schmidt(
         raise ShapeError(
             f"{c.size} Schmidt coefficients exceed min dimension {min(m, n)}"
         )
-    a = np.eye(m, dtype=complex) if a_basis is None else linalg.require_orthonormal_columns(a_basis, "a_basis")
-    b = np.eye(n, dtype=complex) if b_basis is None else linalg.require_orthonormal_columns(b_basis, "b_basis")
-    if a.shape[0] != m or a.shape[1] < c.size:
-        raise ShapeError("a_basis does not provide enough vectors in H^a")
-    if b.shape[0] != n or b.shape[1] < c.size:
-        raise ShapeError("b_basis does not provide enough vectors in H^b")
     psi = np.zeros(m * n, dtype=complex)
-    for i, ci in enumerate(c):
-        psi += np.sqrt(ci) * np.kron(a[:, i], b[:, i])
+    psi[np.arange(c.size) * (n + 1)] = np.sqrt(c)  # entry i * n + i is |i>_a |i>_b
     psi /= np.linalg.norm(psi)
     return pure_state(psi, dims)
 
@@ -261,17 +248,15 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_hermitian(dim: int, seed, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, seed) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries (GUE-type)."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + linalg.dag(g)) / 2
+    return (g + linalg.dag(g)) / 2
 
 
-def random_density(dim: int, rank: int | None = None, seed=0) -> np.ndarray:
+def random_density(dim: int, rank: int, seed) -> np.ndarray:
     """Random density matrix of the given rank via the Ginibre construction."""
-    if rank is None:
-        rank = dim
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank {rank} must lie in [1, {dim}]")
     rng = np.random.default_rng(seed)

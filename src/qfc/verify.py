@@ -9,7 +9,6 @@ checks back the ``qfc verify`` command and the pytest acceptance module.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -27,7 +26,7 @@ from .correlations import (
 )
 from .discord import entropic_discord, geometric_discord, measured_state, mutual_information
 from .fisher import classical_fi, qfi, sld, variance
-from .linalg import dag, eigh, hermitian_basis
+from .linalg import eigh, hermitian_basis
 from .optimize import OptimizerConfig
 from .states import (
     BipartiteState,
@@ -257,7 +256,7 @@ def check_basis_sum_invariance(cfg: OptimizerConfig) -> CriterionResult:
             random_density(dims[0] * dims[1], dims[0] * dims[1], seed), *dims
         )
         n = state.dim_b
-        canonical = hermitian_basis(np.eye(n))
+        canonical = hermitian_basis(n)
         rng = np.random.default_rng(seed + 1)
         mixes = [np.eye(n * n)] + [
             np.linalg.qr(rng.standard_normal((n * n, n * n)))[0] for _ in range(4)
@@ -351,10 +350,10 @@ def _bloch_measurement(theta: float, phi: float) -> np.ndarray:
     return np.array([[c, -np.conj(phase) * s], [phase * s, c]], dtype=complex)
 
 
-def _grid_entropic_discord(state: BipartiteState, n_theta: int = 31, n_phi: int = 61) -> float:
+def _grid_entropic_discord(state: BipartiteState) -> float:
     best = -np.inf
-    for theta in np.linspace(0.0, np.pi, n_theta):
-        for phi in np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False):
+    for theta in np.linspace(0.0, np.pi, 31):
+        for phi in np.linspace(0.0, 2 * np.pi, 61, endpoint=False):
             u = _bloch_measurement(theta, phi)
             best = max(best, mutual_information(measured_state(state, u)))
     return mutual_information(state) - best
@@ -396,14 +395,13 @@ ALL_CRITERIA = (
 )
 
 
-def run_verification(config: OptimizerConfig | None = None, stream=None) -> list[CriterionResult]:
+def run_verification(config: OptimizerConfig | None = None) -> list[CriterionResult]:
     """Run every acceptance criterion, printing one pass/fail line each.
 
     ``config`` (default :class:`OptimizerConfig`) sets the optimizer of every
     search and, through its seed, the seed of every state.
     """
     cfg = config if config is not None else OptimizerConfig()
-    out = stream if stream is not None else sys.stdout
     results = []
     for check in ALL_CRITERIA:
         result = check(cfg)
@@ -411,10 +409,9 @@ def run_verification(config: OptimizerConfig | None = None, stream=None) -> list
         status = "PASS" if result.passed else "FAIL"
         print(
             f"{status} {result.number:2d}. {result.name}: {result.detail} [{result.seconds:.1f}s]",
-            file=out,
             flush=True,
         )
     n_passed = sum(r.passed for r in results)
     total = sum(r.seconds for r in results)
-    print(f"{n_passed}/{len(results)} criteria passed in {total:.1f}s", file=out, flush=True)
+    print(f"{n_passed}/{len(results)} criteria passed in {total:.1f}s", flush=True)
     return results

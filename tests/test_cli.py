@@ -246,6 +246,30 @@ class TestExitCodes:
         assert code == 1
         assert "sum" in err
 
+    def test_non_finite_coefficient_exits_one(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "pure_schmidt", "coeffs": [float("nan"), 1.0],
+                                     "dims": [2, 2]})
+        code, _, err = run_cli(capsys, "qah", "--state", path)
+        assert code == 1
+        assert "probabilities must be finite" in err
+
+    def test_cq_sigma_larger_than_dims_exits_two(self, capsys, tmp_path):
+        # a 1x1 spec whose 40x40 sigma would build a 1x40 state past the guard
+        sigma = [[[1.0 / 40 if i == j else 0.0, 0.0] for j in range(40)] for i in range(40)]
+        path = write_spec(tmp_path, {"kind": "cq", "dims": [1, 1], "probs": [1.0],
+                                     "sigmas": [sigma]})
+        code, _, err = run_cli(capsys, "qah", "--state", path)
+        assert code == 2
+        assert "cq.sigmas[0]" in err
+
+    def test_cq_sigma_smaller_than_dims_exits_two(self, capsys, tmp_path):
+        half = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        path = write_spec(tmp_path, {"kind": "cq", "dims": [2, 3], "probs": [0.5, 0.5],
+                                     "sigmas": [half, half]})
+        code, _, err = run_cli(capsys, "qah", "--state", path)
+        assert code == 2
+        assert "cq.sigmas[0] must be 3x3" in err
+
     def test_dimension_guard_exits_one(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "random", "dims": [6, 7], "seed": 0})
         code, _, err = run_cli(capsys, "qah", "--state", path)

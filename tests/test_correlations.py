@@ -48,7 +48,7 @@ def random_mixed(dims, seed, rank=None):
 
 def rotated_bases(dim, seed, count):
     """The canonical observable basis of C^dim and ``count`` orthogonal mixings of it."""
-    canonical = hermitian_basis(np.eye(dim))
+    canonical = hermitian_basis(dim)
     rng = np.random.default_rng(seed)
     bases = [canonical]
     for _ in range(count):

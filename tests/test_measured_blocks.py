@@ -92,7 +92,7 @@ def cases():
 
 
 def explicit_total_mfi(state, u):
-    return sum(mfi(state, u, h) for h in hermitian_basis(np.eye(state.dim_b)))
+    return sum(mfi(state, u, h) for h in hermitian_basis(state.dim_b))
 
 
 def explicit_distance(state, u):

@@ -73,6 +73,13 @@ class TestBipartiteState:
         with pytest.raises(error):
             BipartiteState(rho, 2, 2)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_constructor_refuses_a_non_finite_entry(self, entry):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = rho[1, 0] = entry
+        with pytest.raises(ValidationError, match="non-finite"):
+            BipartiteState(rho, 2, 2)
+
     def test_marginals_and_purity(self):
         state = max_entangled(2)
         np.testing.assert_allclose(state.marginal("b"), np.eye(2) / 2, atol=1e-14)
