@@ -43,7 +43,6 @@ from .fisher import classical_fi, evolve, qfi, qfi_weight_matrix, sld, validate_
 from .linalg import (
     SchmidtDecomposition,
     Spectrum,
-    complete_basis,
     dag,
     eigh,
     hermitian_basis,

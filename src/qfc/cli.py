@@ -82,25 +82,30 @@ class StateSpec:
     data: dict
 
 
+def _is_int(x) -> bool:
+    # Python reads the JSON literals true and false as the ints 1 and 0
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def _require_dims(doc: dict, path: str) -> tuple[int, int]:
     dims = doc.get("dims")
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(_is_int(d) and d >= 1 for d in dims)
     ):
         raise SchemaError(f"{path}.dims must be a list of two positive integers")
     return (dims[0], dims[1])
 
 
 def _complex_scalar(x, path: str) -> complex:
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
+    if _is_number(x):
         return complex(x)
-    if (
-        isinstance(x, list)
-        and len(x) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
-    ):
+    if isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x):
         return complex(x[0], x[1])
     raise SchemaError(f"{path} must be a number or an [re, im] pair")
 
@@ -144,6 +149,13 @@ def parse_state_spec(text: str) -> StateSpec:
         raise SchemaError(f"unknown field '{kind}.{name}'")
     if "dims" in schema["required"] or "dims" in doc:
         _require_dims(doc, kind)
+    for name in ("coeffs", "probs"):
+        if name in doc and not (
+            isinstance(doc[name], list) and all(_is_number(x) for x in doc[name])
+        ):
+            raise SchemaError(f"{kind}.{name} must be a list of numbers")
+    if "sigmas" in doc and not isinstance(doc["sigmas"], list):
+        raise SchemaError(f"{kind}.sigmas must be a list of matrices")
     return StateSpec(kind, doc)
 
 
@@ -179,7 +191,7 @@ def build_state(spec: StateSpec, allow_large: bool = False) -> BipartiteState:
         if "dims" in doc and tuple(doc["dims"]) != (2, 2):
             raise SchemaError("werner.dims must be [2, 2]")
         w = doc["w"]
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
+        if not _is_number(w):
             raise SchemaError("werner.w must be a number")
         return werner(float(w))
     if kind == "example1":
@@ -200,7 +212,7 @@ def build_state(spec: StateSpec, allow_large: bool = False) -> BipartiteState:
     if kind == "random":
         seed, rank = doc["seed"], doc.get("rank", 0)
         for name, value in (("seed", seed), ("rank", rank)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if not _is_int(value) or value < 0:
                 raise SchemaError(f"random.{name} must be a nonnegative integer")
         if rank == 0:
             return random_pure(dims, seed)

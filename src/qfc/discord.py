@@ -13,13 +13,14 @@ from . import linalg
 from .errors import DimensionGuardError
 from .linalg import dag
 from .optimize import OptimizerConfig, optimize_basis
-from .states import PURITY_TOL, BipartiteState, state_vector
+from .states import PURITY_TOL, BipartiteState
 from .correlations import (
     QuantifierResult,
     _a_components,
     _measured_gradient,
     _start_basis,
     measure_a,
+    pure_state_correlation,
 )
 
 ENTROPY_CUTOFF = 1e-15
@@ -97,9 +98,10 @@ def geometric_discord(
 ) -> QuantifierResult:
     """Minimal squared Hilbert-Schmidt distance to a state measured on party a.
 
-    For pure inputs the closed form ``1 - sum_i s_i^2`` applies, attained by
-    measuring in the Schmidt basis. Mixed inputs run the gradient search of
-    :func:`optimize_basis` (``method="optimized"``): with ``rho = sum_k A_k
+    For pure inputs the closed form ``1 - sum_i s_i^2``
+    (:func:`pure_state_correlation`) applies, attained by measuring in the
+    eigenbasis of rho_a, a Schmidt basis. Mixed inputs run the gradient
+    search of :func:`optimize_basis` (``method="optimized"``): with ``rho = sum_k A_k
     (x) Y_k`` over a trace-orthonormal Hermitian basis ``Y_k`` of b, the
     distance in the basis u is the off-diagonal mass of the ``A_k`` in that
     basis (:func:`linalg.off_diagonal_mass_and_gradient`). Restart 0 starts
@@ -110,10 +112,8 @@ def geometric_discord(
     if method not in ("auto", "optimized"):
         raise ValueError(f"method must be 'auto' or 'optimized', got {method!r}")
     if method == "auto" and state.purity() >= 1.0 - PURITY_TOL:
-        sd = linalg.schmidt(state_vector(state), state.dims)
-        value = float(1.0 - np.sum(sd.coefficients**2))
-        argopt = linalg.complete_basis(sd.a_vectors, state.dim_a)
-        return QuantifierResult(value, argopt, "closed-form")
+        # every eigenbasis of rho_a is a Schmidt basis of a pure state
+        return QuantifierResult(pure_state_correlation(state), _start_basis(state), "closed-form")
 
     stack = _a_components(state.rho, state.dims)
     report = optimize_basis(

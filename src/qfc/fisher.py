@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegeneratePointError, PositivityError, ShapeError, ValidationError
-from .linalg import SUPPORT_CUTOFF, dag
+from .linalg import SUPPORT_CUTOFF, VALIDATION_TOL, dag
 
 #: Outcome probabilities below this floor are treated as vanishing.
 PROBABILITY_FLOOR = 1e-12
@@ -40,10 +40,10 @@ def validate_povm(elements, dim: int | None = None) -> list[np.ndarray]:
         raise ShapeError("POVM elements must share the state dimension")
     for e in mats:
         lowest = float(np.linalg.eigvalsh((e + dag(e)) / 2)[0])
-        if lowest < -1e-10:
+        if lowest < -VALIDATION_TOL:
             raise PositivityError(f"POVM element has eigenvalue {lowest:.3e} < 0")
     defect = np.linalg.norm(sum(mats) - np.eye(d))
-    if defect > 1e-10:
+    if defect > VALIDATION_TOL:
         raise ValidationError(f"POVM does not resolve the identity: defect {defect:.3e}")
     return mats
 

@@ -13,8 +13,9 @@ import numpy as np
 
 from .errors import HermiticityError, NormalizationError, OrthonormalityError, ShapeError
 
-HERMITICITY_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-10
+#: Tolerance of every input check: Hermiticity, orthonormality, unit norm,
+#: unit trace, positivity and completeness.
+VALIDATION_TOL = 1e-10
 #: Eigenvalue pairs whose sum falls below this cutoff are treated as lying
 #: outside the support and are excluded from spectral sums.
 SUPPORT_CUTOFF = 1e-12
@@ -36,9 +37,9 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {h.shape}")
     defect = hermiticity_defect(h)
-    if defect > HERMITICITY_TOL:
+    if defect > VALIDATION_TOL:
         raise HermiticityError(
-            f"{name} is not Hermitian: ||H - H^dag|| = {defect:.3e} > {HERMITICITY_TOL:.0e}"
+            f"{name} is not Hermitian: ||H - H^dag|| = {defect:.3e} > {VALIDATION_TOL:.0e}"
         )
     return h
 
@@ -50,7 +51,7 @@ def require_orthonormal_columns(v: np.ndarray, name: str = "basis") -> np.ndarra
         raise ShapeError(f"{name} must be a 2-d array of column vectors")
     gram = dag(v) @ v
     defect = np.linalg.norm(gram - np.eye(v.shape[1]))
-    if defect > ORTHONORMALITY_TOL:
+    if defect > VALIDATION_TOL:
         raise OrthonormalityError(
             f"{name} columns are not orthonormal: ||V^dag V - I|| = {defect:.3e}"
         )
@@ -131,7 +132,7 @@ def schmidt(psi: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     if psi.shape != (m * n,):
         raise ShapeError(f"state vector length {psi.size} does not match dims {m}x{n}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > VALIDATION_TOL:
         raise NormalizationError(f"state vector norm is {norm:.12f}, expected 1")
     u, s, vh = np.linalg.svd(psi.reshape(m, n), full_matrices=False)
     coeffs = s**2
@@ -175,12 +176,3 @@ def off_diagonal_mass_and_gradient(mats: np.ndarray, u: np.ndarray):
     diagonal = rotated.diagonal(axis1=1, axis2=2).real
     grad = -4.0 * np.einsum("kab,bn,kn->an", mats, u, diagonal)
     return float(np.vdot(off, off).real), grad
-
-
-def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis of C^dim."""
-    cols = require_orthonormal_columns(columns, "partial basis")
-    if cols.shape[0] != dim:
-        raise ShapeError(f"vectors live in dimension {cols.shape[0]}, expected {dim}")
-    q, _ = np.linalg.qr(np.column_stack([cols, np.eye(dim)]))
-    return q[:, :dim]

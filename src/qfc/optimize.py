@@ -54,6 +54,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .linalg import VALIDATION_TOL
 from .errors import (
     HermiticityError,
     NormalizationError,
@@ -22,7 +23,6 @@ from .errors import (
     ValidationError,
 )
 
-DENSITY_TOL = 1e-10
 PURITY_TOL = 1e-8
 
 
@@ -75,13 +75,13 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError("density matrix has a non-finite entry")
     defect = linalg.hermiticity_defect(m)
-    if defect > DENSITY_TOL:
+    if defect > VALIDATION_TOL:
         raise HermiticityError(f"density matrix not Hermitian: defect {defect:.3e}")
     trace = complex(np.trace(m))
-    if abs(trace - 1.0) > DENSITY_TOL:
+    if abs(trace - 1.0) > VALIDATION_TOL:
         raise TraceError(f"density matrix trace is {trace:.12g}, expected 1")
     lowest = float(np.linalg.eigvalsh((m + linalg.dag(m)) / 2)[0])
-    if lowest < -DENSITY_TOL:
+    if lowest < -VALIDATION_TOL:
         raise PositivityError(f"density matrix has eigenvalue {lowest:.3e} < 0")
     return m
 
@@ -94,7 +94,7 @@ def _validate_probs(probs, count: int | None = None) -> np.ndarray:
         raise ValidationError("probabilities must be finite")
     if p.size and p.min() < -1e-12:
         raise ValidationError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > 1e-10:
+    if abs(p.sum() - 1.0) > VALIDATION_TOL:
         raise NormalizationError(f"probabilities sum to {p.sum():.12f}, expected 1")
     return np.clip(p, 0.0, None)
 
@@ -106,7 +106,7 @@ def pure_state(psi: np.ndarray, dims: tuple[int, int]) -> BipartiteState:
     if psi.size != m * n:
         raise ShapeError(f"state vector length {psi.size} does not match dims {m}x{n}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > VALIDATION_TOL:
         raise NormalizationError(f"state vector norm is {norm:.12f}, expected 1")
     return BipartiteState(np.outer(psi, psi.conj()), m, n)
 
@@ -200,7 +200,7 @@ def make_witness_state(
         raise ShapeError("a and b must each hold two amplitudes")
     for name, vec in (("a", a), ("b", b)):
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > VALIDATION_TOL:
             raise NormalizationError(f"{name} has norm {norm:.12f}, expected 1")
     overlap = a[0] * b[0] + a[1] * b[1]
     if abs(overlap) <= 1e-12:
@@ -289,7 +289,7 @@ class KrausChannel:
             raise ShapeError("Kraus operators must be square with a common dimension")
         total = sum(linalg.dag(k) @ k for k in ops)
         defect = np.linalg.norm(total - np.eye(d))
-        if defect > 1e-10:
+        if defect > VALIDATION_TOL:
             raise ValidationError(
                 f"channel is not trace preserving: ||sum K^dag K - I|| = {defect:.3e}"
             )

@@ -253,6 +253,27 @@ class TestExitCodes:
         assert code == 1
         assert "probabilities must be finite" in err
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"kind": "pure_schmidt", "dims": [2, 2], "coeffs": "ab"}, "pure_schmidt.coeffs"),
+            ({"kind": "pure_schmidt", "dims": [2, 2], "coeffs": 0.5}, "pure_schmidt.coeffs"),
+            ({"kind": "cq", "dims": [2, 2], "probs": {"a": 1},
+              "sigmas": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}, "cq.probs"),
+            ({"kind": "cq", "dims": [2, 2], "probs": [1.0], "sigmas": 5}, "cq.sigmas"),
+            ({"kind": "cc", "dims": [2, 2], "probs": [True, False]}, "cc.probs"),
+            ({"kind": "example1", "dims": [3, 2], "probs": ["1/3", 0.5, 0.5]}, "example1.probs"),
+            ({"kind": "random", "dims": [True, 2], "seed": 0}, "random.dims"),
+        ],
+        ids=["coeffs-string", "coeffs-scalar", "cq-probs-object", "cq-sigmas-number",
+             "cc-probs-bools", "example1-probs-string", "dims-bool"],
+    )
+    def test_untyped_list_field_exits_two(self, capsys, tmp_path, doc, field):
+        path = write_spec(tmp_path, doc)
+        code, _, err = run_cli(capsys, "qah", "--state", path)
+        assert code == 2
+        assert field in err
+
     def test_cq_sigma_larger_than_dims_exits_two(self, capsys, tmp_path):
         # a 1x1 spec whose 40x40 sigma would build a 1x40 state past the guard
         sigma = [[[1.0 / 40 if i == j else 0.0, 0.0] for j in range(40)] for i in range(40)]

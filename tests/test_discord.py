@@ -123,6 +123,22 @@ class TestGeometricDiscord:
         distance = float(np.real(np.sum(diff * diff.conj())))
         assert abs(distance - result.value) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "state",
+        [max_entangled(3), pure_from_schmidt([0.5, 0.5], (3, 2)), random_pure((3, 2), 4),
+         random_pure((2, 4), 5), random_pure((3, 3), 6)],
+        ids=["max-3x3", "degenerate-3x2", "random-3x2", "random-2x4", "random-3x3"],
+    )
+    def test_closed_form_argopt_attains_the_value_with_degenerate_or_missing_schmidt_terms(
+        self, state
+    ):
+        # any eigenbasis of rho_a is a Schmidt basis, whatever its order or
+        # the rotation within a repeated eigenvalue
+        result = geometric_discord(state)
+        assert result.method == "closed-form"
+        diff = state.rho - measured_state(state, result.argopt).rho
+        assert abs(np.vdot(diff, diff).real - result.value) <= 1e-12
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             geometric_discord(max_entangled(2), CFG, method="grid")

@@ -1,9 +1,13 @@
 """Partial traces, eigendecomposition, Schmidt decomposition, Hermitian bases, unitary
 checks and the Jacobi joint-diagonalization oracle."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qfc
 from qfc import (
     BipartiteState,
     HermiticityError,
@@ -33,6 +37,19 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 def bell_vector():
     return np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+
+def test_validation_tolerance_is_written_once():
+    # verify.py is exempt: its acceptance bounds are separate numbers
+    literal = re.compile(r"(?<![\w.])1(\.0*)?[eE]-10(?!\d)")
+    hits = [
+        (path.name, line.strip())
+        for path in sorted(Path(qfc.__file__).parent.glob("*.py"))
+        if path.name != "verify.py"
+        for line in path.read_text().splitlines()
+        if literal.search(line)
+    ]
+    assert hits == [("linalg.py", "VALIDATION_TOL = 1e-10")]
 
 
 class TestPartialTrace:

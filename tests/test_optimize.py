@@ -385,6 +385,22 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="seed"):
             OptimizerConfig(seed=seed)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("restarts", 1.5), ("restarts", 2.0), ("restarts", True), ("restarts", "4"),
+         ("seed", 0.5), ("seed", 1.0), ("seed", False), ("seed", np.float64(3.0))],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        # a float or bool would fail later inside the search, or run one restart
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_accepts_numpy_integers(self, integer):
+        cfg = OptimizerConfig(restarts=integer(2), seed=integer(3))
+        report = optimize_basis(lambda u: (1.0, np.zeros_like(u)), np.eye(2), config=cfg)
+        assert report.restart_values.size == 2
+
     def test_has_three_settings(self):
         cfg = OptimizerConfig()
         assert (cfg.restarts, cfg.tolerance, cfg.seed) == (16, 1e-6, 0)
