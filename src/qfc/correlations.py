@@ -57,15 +57,16 @@ def measure_a(state: BipartiteState, u: np.ndarray) -> np.ndarray:
     ``u`` holds vectors of party a as columns. Only its shape is checked
     here, because optimizer objectives call this on every evaluation; for a
     measurement, validate ``u`` first with :func:`linalg.require_unitary`.
-    Returns a ``(k, dim_b, dim_b)`` stack for ``k`` columns; for a
-    measurement, ``tr B_n`` is the probability of outcome n and ``sum_n B_n``
-    is the b marginal.
+    Returns a ``(k, dim_b, dim_b)`` stack for ``k`` columns, and a ``(...,
+    k, dim_b, dim_b)`` stack for a ``(..., dim_a, k)`` stack of such
+    matrices; for a measurement, ``tr B_n`` is the probability of outcome n
+    and ``sum_n B_n`` is the b marginal.
     """
     m, n = state.dims
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != m:
+    if u.ndim < 2 or u.shape[-2] != m:
         raise ShapeError(f"vectors of shape {u.shape} do not match dim_a {m}")
-    return np.einsum("an,aibj,bn->nij", u.conj(), state.rho.reshape(m, n, m, n), u)
+    return np.einsum("...an,aibj,...bn->...nij", u.conj(), state.rho.reshape(m, n, m, n), u)
 
 
 def _a_components(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -120,19 +121,19 @@ def _measured_gradient(state: BipartiteState, u: np.ndarray, vecs, slopes) -> np
     # with D_n = V_n diag(dF/dl) V_n^dag, df = sum_n tr(D_n dB_n), so
     # G[a, n] = 2 sum_b tr(D_n rho_ab) u[b, n] for the blocks rho_ab of rho.
     m, n = state.dims
-    d = np.einsum("nik,nk,njk->nij", vecs, slopes, vecs.conj())
-    return 2.0 * np.einsum("nij,ajbi,bn->an", d, state.rho.reshape(m, n, m, n), u)
+    d = np.einsum("...nik,...nk,...njk->...nij", vecs, slopes, vecs.conj())
+    return 2.0 * np.einsum("...nij,ajbi,...bn->...an", d, state.rho.reshape(m, n, m, n), u)
 
 
 def _mfi_objective(state: BipartiteState):
-    """Closure returning ``(total_mfi, G)`` for a measurement on party a."""
+    """Closure returning ``(total_mfi, G)`` for measurements on party a."""
 
     def objective(u: np.ndarray):
         # The weights are homogeneous of degree one, so p_n w(spectrum of B_n /
         # p_n) is w(spectrum of B_n): no normalization and no 0/0 at a dark
         # outcome.
         vals, vecs = np.linalg.eigh(measure_a(state, u))
-        li, lj = vals[:, :, None], vals[:, None, :]
+        li, lj = vals[..., :, None], vals[..., None, :]
         sums = li + lj
         # d/dl_i of sum_ij (l_i - l_j)^2 / (2 (l_i + l_j)), pairs below the
         # support cutoff dropped
@@ -140,8 +141,8 @@ def _mfi_objective(state: BipartiteState):
         np.divide(
             (li - lj) * (li + 3.0 * lj), sums**2, out=slopes, where=sums > linalg.SUPPORT_CUTOFF
         )
-        value = float(np.sum(qfi_weight_matrix(vals)))
-        return value, _measured_gradient(state, u, vecs, slopes.sum(axis=2))
+        value = np.sum(qfi_weight_matrix(vals), axis=(-3, -2, -1))
+        return value, _measured_gradient(state, u, vecs, slopes.sum(axis=-1))
 
     return objective
 
@@ -157,18 +158,19 @@ def total_mfi(state: BipartiteState, measurement: np.ndarray) -> float:
     ``h`` of b and is nonnegative by construction.
     """
     u = linalg.require_unitary(measurement, state.dim_a, "measurement")
-    return _mfi_objective(state)(u)[0]
+    return float(_mfi_objective(state)(u)[0])
 
 
 def _basis_qfi_core(w: np.ndarray, v3: np.ndarray, u: np.ndarray):
-    # c[m, nb, k] = <u_m| Psi_k[:, nb]>, so e[m, i, j] = <psi_i| P_m (x) 1 |psi_j>
-    c = np.einsum("am,ank->mnk", u.conj(), v3)
-    e = np.einsum("mni,mnj->mij", c.conj(), c)
-    value = float(np.sum(w[None] * (e.real**2 + e.imag**2)))
+    # For each basis u of the (..., d_a, d_a) stack: c[m, nb, k] = <u_m|
+    # Psi_k[:, nb]>, so e[m, i, j] = <psi_i| P_m (x) 1 |psi_j>.
+    c = np.einsum("...am,ank->...mnk", u.conj(), v3)
+    e = np.einsum("...mni,...mnj->...mij", c.conj(), c)
+    value = np.sum(w * (e.real**2 + e.imag**2), axis=(-3, -2, -1))
     # The value is quartic in u: with W_m = w o e_m (Hermitian),
     # G[a, m] = 4 sum W_m[j, i] conj(c[m, b, i]) v3[a, b, j].
-    x = c.conj() @ (w[None] * e).transpose(0, 2, 1)
-    return value, 4.0 * np.einsum("mbj,abj->am", x, v3)
+    x = c.conj() @ np.swapaxes(w * e, -1, -2)
+    return value, 4.0 * np.einsum("...mbj,abj->...am", x, v3)
 
 
 def _basis_qfi_objective(state: BipartiteState):
@@ -187,7 +189,7 @@ def basis_qfi_sum(state: BipartiteState, basis_u: np.ndarray) -> float:
     This is the quantity :func:`observable_correlation` minimizes.
     """
     u = linalg.require_unitary(basis_u, state.dim_a, "basis")
-    return _basis_qfi_objective(state)(u)[0]
+    return float(_basis_qfi_objective(state)(u)[0])
 
 
 def observable_correlation(

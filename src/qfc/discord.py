@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import DimensionGuardError
 from .linalg import dag
 from .optimize import OptimizerConfig, optimize_basis
 from .states import PURITY_TOL, BipartiteState
@@ -24,20 +23,17 @@ from .correlations import (
 )
 
 ENTROPY_CUTOFF = 1e-15
-#: Entropic discord optimizes over a full basis of party a; cost grows
-#: steeply with dim_a, so larger parties are refused.
-MAX_DIM_A = 4
 
 
-def _spectral_entropy(values: np.ndarray) -> float:
-    vals = values[values > ENTROPY_CUTOFF]
-    return float(-np.sum(vals * np.log(vals)))
+def _spectral_entropy(values: np.ndarray) -> np.ndarray:
+    # -sum l ln l over the last axis, terms at or below the cutoff dropped
+    return -np.sum(values * np.log(np.where(values > ENTROPY_CUTOFF, values, 1.0)), axis=-1)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy ``-sum_i p_i ln p_i`` of a density matrix (0 ln 0 = 0)."""
     rho = np.asarray(rho, dtype=complex)
-    return _spectral_entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2))
+    return float(_spectral_entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2)))
 
 
 def mutual_information(state: BipartiteState) -> float:
@@ -67,10 +63,6 @@ def entropic_discord(
     rank-1 projective measurements. Zero exactly on CQ/CC states; equals the
     entanglement entropy on pure states.
     """
-    if state.dim_a > MAX_DIM_A:
-        raise DimensionGuardError(
-            f"entropic discord supports dim_a <= {MAX_DIM_A}, got {state.dim_a}"
-        )
     base = von_neumann_entropy(state.marginal("a")) - von_neumann_entropy(state.rho)
 
     def loss(u: np.ndarray):
@@ -80,11 +72,11 @@ def entropic_discord(
         # The slope of I(measured rho) in the eigenvalue l of block n is
         # ln l - ln p_n, with both logarithms clipped at the cutoff.
         spectra, vecs = np.linalg.eigh(measure_a(state, u))
-        probs = spectra.sum(axis=1)
-        value = base - _spectral_entropy(probs) + _spectral_entropy(spectra)
+        probs = spectra.sum(axis=-1)
+        value = base - _spectral_entropy(probs) + _spectral_entropy(spectra).sum(axis=-1)
         slopes = np.log(np.maximum(spectra, ENTROPY_CUTOFF)) - np.log(
             np.maximum(probs, ENTROPY_CUTOFF)
-        )[:, None]
+        )[..., None]
         return value, -_measured_gradient(state, u, vecs, slopes)
 
     report = optimize_basis(loss, _start_basis(state), config=config)

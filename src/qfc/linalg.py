@@ -22,8 +22,8 @@ SUPPORT_CUTOFF = 1e-12
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def hermiticity_defect(h: np.ndarray) -> float:
@@ -168,11 +168,15 @@ def off_diagonal_mass_and_gradient(mats: np.ndarray, u: np.ndarray):
     The mass of a ``(K, d, d)`` stack ``M`` is ``sum_k ||offdiag(U^dag M_k
     U)||_F^2``, a sum of squares, so ``>= 0``; ``df = Re tr(G^dag du)``. With
     ``d_kn = <u_n| M_k |u_n>`` the value is ``sum_k ||M_k||^2 - sum_kn
-    d_kn^2``, so ``G[:, n] = -4 sum_k d_kn M_k u_n``.
+    d_kn^2``, so ``G[:, n] = -4 sum_k d_kn M_k u_n``. A ``(..., d, d)``
+    stack of bases u gives values of shape ``(...)`` and a ``(..., d, d)``
+    stack of gradients.
     """
     m = np.asarray(mats).shape[-1]
-    rotated = np.einsum("ak,mab,bl->mkl", u.conj(), mats, u)
-    off = rotated[:, ~np.eye(m, dtype=bool)]
-    diagonal = rotated.diagonal(axis1=1, axis2=2).real
-    grad = -4.0 * np.einsum("kab,bn,kn->an", mats, u, diagonal)
-    return float(np.vdot(off, off).real), grad
+    rotated = np.einsum("...ak,mab,...bl->...mkl", u.conj(), mats, u)
+    # Boolean indexing leaves the batch axes inner in memory; each basis is
+    # summed as one C-ordered row, so no value depends on the stack size.
+    off = np.ascontiguousarray(rotated[..., ~np.eye(m, dtype=bool)])
+    diagonal = rotated.diagonal(axis1=-2, axis2=-1).real
+    grad = -4.0 * np.einsum("kab,...bn,...kn->...an", mats, u, diagonal)
+    return np.sum((off.real**2 + off.imag**2).reshape(*off.shape[:-2], -1), axis=-1), grad

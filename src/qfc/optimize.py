@@ -5,8 +5,10 @@ columns are the basis vectors. The chart ``p -> exp(i A(p))`` maps d^2 real
 coefficients of a Hermitian generator A, in the canonical trace-orthonormal
 Hermitian basis ``linalg.hermitian_basis(d)``, onto the whole unitary group.
 
-An objective returns ``(value, G)``, the value and its Euclidean gradient,
-so that ``df = Re tr(G^dag du)``. Every objective here is invariant under
+An objective takes a ``(..., d, d)`` stack of unitaries and returns
+``(values, G)``: the values, of shape ``(...)``, and their Euclidean
+gradients, of shape ``(..., d, d)``, so that ``df = Re tr(G^dag du)`` for
+each unitary of the stack. Every objective here is invariant under
 ``u -> u diag(e^{i phi})``, so the d diagonal generators leave it
 unchanged: restart k is a Riemannian BFGS search on U(d) (Edelman, Arias
 and Smith, SIAM J. Matrix Anal. Appl. 20, 303, 1998) in the d^2 - d
@@ -20,12 +22,14 @@ doublings rather than in many unit steps. Every search minimizes: each
 quantifier is a minimum over bases, and its objective returns the quantifier
 itself. Restart 0 starts at a given basis, which every solver of party a
 sets to the eigenbasis of rho_a; restart k >= 1 starts from random generator
-coefficients drawn from its own stream (seed = base seed + k). The restart
-loop and its report are :func:`multistart`'s.
+coefficients drawn from its own stream (seed = base seed + k). The restarts
+run in lockstep, one objective call per round on the stack of those still
+searching; :func:`multistart` reports them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,17 +75,21 @@ class OptimizerConfig:
 class OptimizerReport:
     """Outcome of a multistart search, built by :func:`multistart`.
 
-    ``restart_values`` holds each restart's final objective value;
-    ``best_value`` is the smallest of them and ``converged`` is the flag of
-    the restart that reached it. Ties between equally good restarts resolve
-    to the lowest restart index. ``best_unitary`` is the basis that attains
-    ``best_value``.
+    ``restart_values`` holds each restart's final objective value, and
+    ``restart_evaluations`` and ``restart_iterations`` its objective
+    evaluations and accepted steps; ``n_evaluations`` and ``n_iterations``
+    are their sums. ``best_value`` is the smallest value and ``converged``
+    is the flag of the restart that reached it. Ties between equally good
+    restarts resolve to the lowest restart index. ``best_unitary`` is the
+    basis that attains ``best_value``.
     """
 
     best_value: float
     best_unitary: np.ndarray
     restart_values: np.ndarray
     restart_converged: np.ndarray
+    restart_evaluations: np.ndarray
+    restart_iterations: np.ndarray
     converged: bool
     n_evaluations: int
     n_iterations: int
@@ -102,18 +110,24 @@ def _generator_basis(dim: int) -> np.ndarray:
 
 
 def hermitian_from_params(params: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitian generator with the given canonical-basis coefficients."""
-    p = np.asarray(params, dtype=float).reshape(-1)
-    if p.size != dim * dim:
-        raise ShapeError(f"need {dim * dim} parameters for dimension {dim}, got {p.size}")
-    return np.einsum("k,kij->ij", p, _generator_basis(dim))
+    """Hermitian generators with the given canonical-basis coefficients.
+
+    ``(..., d^2)`` coefficients give a ``(..., d, d)`` stack.
+    """
+    p = np.asarray(params, dtype=float)
+    if p.shape[-1:] != (dim * dim,):
+        raise ShapeError(f"need {dim * dim} parameters for dimension {dim}, got shape {p.shape}")
+    return np.einsum("...k,kij->...ij", p, _generator_basis(dim))
 
 
 def unitary_from_params(params: np.ndarray, dim: int) -> np.ndarray:
-    """Unitary ``exp(i A(params))``; surjective onto U(d) over the chart."""
+    """Unitaries ``exp(i A(params))``; surjective onto U(d) over the chart.
+
+    ``(..., d^2)`` coefficients give a ``(..., d, d)`` stack.
+    """
     a = hermitian_from_params(params, dim)
     vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.exp(1j * vals)) @ linalg.dag(vecs)
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ linalg.dag(vecs)
 
 
 def random_params(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,26 +135,28 @@ def random_params(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, START_SPREAD, size=dim * dim)
 
 
-def multistart(search, restarts: int) -> OptimizerReport:
-    """Run ``search(k)`` for restarts ``k = 0 .. restarts - 1`` and keep the best.
+def multistart(runs) -> OptimizerReport:
+    """Report the restarts of one search and keep the best.
 
-    ``search(k)`` returns ``(unitary, value, evaluations, iterations,
-    converged)`` for restart k. The best value is the smallest; ties resolve
-    to the lowest restart index. Evaluations and iterations are summed over
-    the restarts.
+    ``runs`` holds one ``(unitary, value, evaluations, iterations,
+    converged)`` run per restart, in restart order (see :func:`_bfgs`). The
+    best value is the smallest; ties resolve to the lowest restart index.
     """
-    runs = [search(k) for k in range(restarts)]
     values = np.array([run[1] for run in runs], dtype=float)
     flags = np.array([run[4] for run in runs], dtype=bool)
+    evaluations = np.array([run[2] for run in runs], dtype=int)
+    iterations = np.array([run[3] for run in runs], dtype=int)
     best = int(np.argmin(values))
     return OptimizerReport(
         best_value=float(values[best]),
         best_unitary=runs[best][0],
         restart_values=values,
         restart_converged=flags,
+        restart_evaluations=evaluations,
+        restart_iterations=iterations,
         converged=bool(flags[best]),
-        n_evaluations=sum(run[2] for run in runs),
-        n_iterations=sum(run[3] for run in runs),
+        n_evaluations=int(evaluations.sum()),
+        n_iterations=int(iterations.sum()),
     )
 
 
@@ -153,17 +169,86 @@ def _tangent_rows(dim: int) -> np.ndarray:
     return rows
 
 
-def _bfgs(objective, u: np.ndarray, tolerance: float):
-    """Minimize ``f`` from the unitary ``u`` by BFGS on U(d).
+def _evaluate(objective, v: np.ndarray):
+    # Values and tangent gradients of the (m, d, d) stack v, one call.
+    values, grads = objective(v)
+    values = np.asarray(values, dtype=float)
+    if values.shape != v.shape[:-2] or np.shape(grads) != v.shape:
+        raise ShapeError(
+            f"objective on a stack of shape {v.shape} returned values of shape "
+            f"{values.shape} and gradients of shape {np.shape(grads)}"
+        )
+    # d/dt f(v exp(i t Y_k)) = Re tr(G^dag v i Y_k), one matrix product per
+    # unitary so that no row depends on the size of the stack
+    m = linalg.dag(grads) @ v
+    g = -(m.reshape(len(v), 1, -1) @ _tangent_rows(v.shape[-1]).T)[:, 0].imag
+    if not (np.isfinite(values).all() and np.isfinite(g).all()):
+        raise OptimizationError("objective returned a non-finite value or gradient")
+    return values, g
 
-    Returns ``(unitary, value, evaluations, iterations, converged)``. Each
-    backtracking (Armijo) line search along ``p`` starts at ``t = 1`` once
-    the inverse Hessian H exists. Before that ``p = -g`` and the first trial
-    is a remembered step ``t_sd``: 1 at the start, doubled after a line
-    search that accepted its first trial, and otherwise the step the
-    backtrack accepted. Every trial is capped at ``|t p| <= pi``.
 
-    The search stops converged once the squared gradient norm is at most
+def _restart(u: np.ndarray, f: float, g: np.ndarray, tolerance: float):
+    # One restart of _bfgs from u, where the value is f and the tangent
+    # gradient g: a generator that yields (u, step) for each trial point
+    # u exp(i A(0, step)), is sent (trial, value, gradient) back, and returns
+    # the restart's run.
+    evaluations, iterations, decrease = 1, 0, 0.0
+    h = None  # inverse Hessian estimate; the identity until the first update
+    t_sd = 1.0  # first trial of a steepest-descent line search
+    while True:
+        gg = g @ g
+        p = -g if h is None else -(h @ g)
+        slope = g @ p
+        if slope >= 0.0:
+            p, slope = -g, -gg
+        if gg <= tolerance and (decrease <= tolerance or -slope <= tolerance):
+            return u, f, evaluations, iterations, True
+        if iterations == MAX_ITERATIONS:
+            return u, f, evaluations, iterations, False
+        # |t p| <= pi keeps the generator's eigenvalues from wrapping.
+        t = first = min(t_sd if h is None else 1.0, np.pi / math.sqrt(p @ p))
+        for _ in range(MAX_HALVINGS):
+            s = t * p
+            trial, f_new, g_new = yield u, s
+            evaluations += 1
+            if f_new <= f + ARMIJO * t * slope:
+                break
+            t /= 2.0
+        else:
+            # No step lowers the value: the decrease is 0, so this is a
+            # stationary point to working precision unless g is still large.
+            return u, f, evaluations, iterations, bool(gg <= tolerance)
+        y = g_new - g
+        sy = s @ y
+        if sy > 0.0:
+            if h is None:
+                h = (sy / (y @ y)) * np.eye(s.size)
+            hy = h @ y
+            hys = hy[:, None] * s
+            h += ((sy + y @ hy) * (s[:, None] * s) / sy - hys - hys.T) / sy
+        t_sd = 2.0 * t if t == first else t
+        iterations += 1
+        decrease = f - f_new
+        u, f, g = trial, f_new, g_new
+
+
+def _bfgs(objective, starts: np.ndarray, tolerance: float):
+    """Minimize ``f`` by BFGS on U(d) from each unitary of the ``(R, d, d)`` stack ``starts``.
+
+    Returns one ``(unitary, value, evaluations, iterations, converged)`` run
+    per restart. The R restarts run in lockstep: each round makes one chart
+    call and one objective call on the stack of the trial points of the
+    restarts still searching, and a restart that stops drops out of the
+    batch. Each restart keeps its own point, inverse Hessian H, step memory
+    and counters, so it follows the path it would follow alone.
+
+    Each backtracking (Armijo) line search along ``p`` starts at ``t = 1``
+    once H exists. Before that ``p = -g`` and the first trial is a
+    remembered step ``t_sd``: 1 at the start, doubled after a line search
+    that accepted its first trial, and otherwise the step the backtrack
+    accepted. Every trial is capped at ``|t p| <= pi``.
+
+    A restart stops converged once the squared gradient norm is at most
     ``tolerance`` and either the last step lowered the value by at most
     ``tolerance`` (the start counts as such a step) or the predicted decrease
     ``-g.p`` is at most ``tolerance``; the latter ends a search at roundoff
@@ -172,84 +257,53 @@ def _bfgs(objective, u: np.ndarray, tolerance: float):
     finds no step that lowers the value while the squared gradient norm is
     still above ``tolerance``.
     """
-    dim = u.shape[0]
-    rows = _tangent_rows(dim)
-    pad = np.zeros(dim)
-
-    def evaluate(v: np.ndarray):
-        value, grad = objective(v)
-        value = float(value)
-        # d/dt f(v exp(i t Y_k)) = Re tr(G^dag v i Y_k)
-        g = -(rows @ (linalg.dag(grad) @ v).ravel()).imag
-        if not (np.isfinite(value) and np.all(np.isfinite(g))):
-            raise OptimizationError(f"objective returned non-finite value {value} or gradient")
-        return value, g
-
-    f, g = evaluate(u)
-    evaluations, iterations, decrease = 1, 0, 0.0
-    h = None  # inverse Hessian estimate; the identity until the first update
-    t_sd = 1.0  # first trial of a steepest-descent line search
-    while decrease > tolerance or g @ g > tolerance:
-        p = -g if h is None else -h @ g
-        slope = g @ p
-        if slope >= 0.0:
-            p, slope = -g, -(g @ g)
-        if g @ g <= tolerance and -slope <= tolerance:
-            break  # the predicted decrease is within tolerance too
-        if iterations == MAX_ITERATIONS:
-            return u, f, evaluations, iterations, False
-        # |t p| <= pi keeps the generator's eigenvalues from wrapping.
-        t = first = min(t_sd if h is None else 1.0, np.pi / np.sqrt(p @ p))
-        for _ in range(MAX_HALVINGS):
-            trial = u @ unitary_from_params(np.concatenate([pad, t * p]), dim)
-            f_new, g_new = evaluate(trial)
-            evaluations += 1
-            if f_new <= f + ARMIJO * t * slope:
-                break
-            t /= 2.0
-        else:
-            # No step lowers the value: the decrease is 0, so this is a
-            # stationary point to working precision unless g is still large.
-            return u, f, evaluations, iterations, bool(g @ g <= tolerance)
-        s, y = t * p, g_new - g
-        sy = s @ y
-        if sy > 0.0:
-            if h is None:
-                h = (sy / (y @ y)) * np.eye(s.size)
-            hy = h @ y
-            h += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(hy, s) - np.outer(s, hy)) / sy
-        t_sd = 2.0 * t if t == first else t
-        iterations += 1
-        decrease = f - f_new
-        u, f, g = trial, f_new, g_new
-    return u, f, evaluations, iterations, True
+    count, dim = len(starts), starts.shape[-1]
+    values, grads = _evaluate(objective, starts)
+    searches = [_restart(*start, tolerance) for start in zip(starts, values.tolist(), grads)]
+    runs = [None] * count
+    active, replies = range(count), [None] * count  # None starts a generator
+    while True:
+        requests = []
+        for k, reply in zip(active, replies):
+            try:
+                requests.append((k, *searches[k].send(reply)))
+            except StopIteration as stop:
+                runs[k] = stop.value
+        if not requests:
+            return runs
+        active, bases, steps = zip(*requests)
+        params = np.concatenate([np.zeros((len(steps), dim)), steps], axis=1)
+        trials = np.array(bases) @ unitary_from_params(params, dim)
+        values, grads = _evaluate(objective, trials)
+        replies = list(zip(trials, values.tolist(), grads))
 
 
 def optimize_basis(objective, start, *, config=None):
     """Minimize a function of an orthonormal basis (measurement) of C^d.
 
-    ``objective`` receives a unitary matrix u whose columns are the basis
-    vectors (the measurement of party a) and returns ``(value, G)``: a finite
-    float and its Euclidean gradient, ``df = Re tr(G^dag du)``. It must be
-    invariant under ``u -> u diag(e^{i phi})``. ``start`` is a d x d unitary,
-    the start of restart 0; every solver of party a passes the eigenbasis of
-    rho_a. Restart k >= 1 starts from the unitary of random generator
-    coefficients drawn from its own stream (seed ``config.seed + k``). Each
-    restart is a BFGS search (see :func:`_bfgs`); ``config`` (an
-    :class:`OptimizerConfig`, the default one if None) sets the restarts and
-    the tolerance, which bounds both the last decrease and the squared
-    gradient norm. Returns the :class:`OptimizerReport` of the restarts.
-    Deterministic for a fixed config and start.
+    ``objective`` receives a ``(..., d, d)`` stack of unitary matrices u,
+    each with the basis vectors (the measurement of party a) as columns, and
+    returns ``(values, G)``: finite values of shape ``(...)`` and their
+    Euclidean gradients of shape ``(..., d, d)``, ``df = Re tr(G^dag du)``
+    for each unitary. It must be invariant under ``u -> u diag(e^{i phi})``.
+    ``start`` is a d x d unitary, the start of restart 0; every solver of
+    party a passes the eigenbasis of rho_a. Restart k >= 1 starts from the
+    unitary of random generator coefficients drawn from its own stream (seed
+    ``config.seed + k``). The restarts are BFGS searches run in lockstep, one
+    objective call per round on the stack of those still searching (see
+    :func:`_bfgs`); ``config`` (an :class:`OptimizerConfig`, the default one
+    if None) sets the restarts and the tolerance, which bounds both the last
+    decrease and the squared gradient norm. Returns the
+    :class:`OptimizerReport` of the restarts. Deterministic for a fixed
+    config and start. A restart's result does not depend on how many others
+    run beside it as long as the objective's value and gradient at a unitary
+    do not depend on the stack it comes in, which holds for every objective
+    of the library.
     """
     dim = np.shape(start)[0] if np.ndim(start) else 0
     start = linalg.require_unitary(start, dim, "start")
     cfg = config if config is not None else OptimizerConfig()
-
-    def search(k: int):
-        if k == 0:
-            u = start
-        else:
-            u = unitary_from_params(random_params(dim, np.random.default_rng(cfg.seed + k)), dim)
-        return _bfgs(objective, u, cfg.tolerance)
-
-    return multistart(search, cfg.restarts)
+    params = [random_params(dim, np.random.default_rng(cfg.seed + k))
+              for k in range(1, cfg.restarts)]
+    randoms = unitary_from_params(np.reshape(params, (-1, dim * dim)), dim)
+    return multistart(_bfgs(objective, np.concatenate([start[None], randoms]), cfg.tolerance))

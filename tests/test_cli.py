@@ -297,6 +297,13 @@ class TestExitCodes:
         assert code == 1
         assert "allow-large" in err
 
+    def test_discord_is_refused_above_the_total_dimension_guard(self, capsys, tmp_path):
+        # entropic discord has no guard on dim_a; the total-dimension guard still holds
+        path = write_spec(tmp_path, {"kind": "random", "dims": [5, 8], "seed": 0})
+        code, out, err = run_cli(capsys, "discord", "--state", path)
+        assert code == 1 and not out
+        assert "exceeds 36" in err and "allow-large" in err
+
     def test_missing_state_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "qah", "--state", "/nonexistent/state.json")
         assert code == 2

@@ -5,7 +5,6 @@ import pytest
 
 from qfc import (
     BipartiteState,
-    DimensionGuardError,
     OptimizerConfig,
     OptimizerReport,
     QuantifierResult,
@@ -88,10 +87,12 @@ class TestEntropicDiscord:
         expected = von_neumann_entropy(state.marginal("a"))
         assert abs(entropic_discord(state, CFG).value - expected) <= 1e-4
 
-    def test_dimension_guard(self):
-        state = BipartiteState(np.eye(10) / 10, 5, 2)
-        with pytest.raises(DimensionGuardError):
-            entropic_discord(state, CFG)
+    @pytest.mark.parametrize("dims", [(5, 2), (6, 2)])
+    def test_larger_party_a_lies_between_zero_and_its_entropy(self, dims):
+        # party a beyond 4, once refused
+        state = BipartiteState(random_density(dims[0] * dims[1], dims[0] * dims[1], 70), *dims)
+        value = entropic_discord(state, CFG).value
+        assert -1e-9 <= value <= von_neumann_entropy(state.marginal("a")) + 1e-9
 
 
 class TestGeometricDiscord:
@@ -304,5 +305,5 @@ class TestQuantifierResult:
         assert result.converged is True
 
     def test_converged_is_the_flag_of_the_best_restart(self):
-        report = multistart(lambda k: (np.eye(2), float(k), 1, 1, k != 0), 2)
+        report = multistart([(np.eye(2), float(k), 1, 1, k != 0) for k in range(2)])
         assert not QuantifierResult(0.0, np.eye(2), "optimized", report).converged

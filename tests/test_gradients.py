@@ -80,3 +80,23 @@ def test_tangent_gradient_matches_central_difference(name, state, u):
         central = (along(STEP) - along(-STEP)) / (2 * STEP)
         analytic = float(np.real(np.trace(grad.conj().T @ u @ (1j * a))))
         assert abs(central - analytic) <= 1e-6 * max(abs(analytic), 1e-3), (central, analytic)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)], ids=lambda d: f"{d[0]}x{d[1]}")
+@pytest.mark.parametrize("rank", ["full", 2])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+def test_stack_matches_single_calls(name, count, rank, dims):
+    # the search evaluates its restarts as one (R, d_a, d_a) stack
+    m, n = dims
+    d = m * n
+    state = BipartiteState(random_density(d, d if rank == "full" else 2, 200 + d), m, n)
+    stack = np.array([haar_unitary(m, 300 + k) for k in range(count)])
+    objective = OBJECTIVES[name](state)
+    values, grads = objective(stack)
+    assert values.shape == (count,) and grads.shape == (count, m, m)
+    for u, value, grad in zip(stack, values, grads):
+        single_value, single_grad = objective(u)
+        assert np.ndim(single_value) == 0 and single_grad.shape == (m, m)
+        assert abs(value - single_value) <= 1e-13 * abs(single_value)
+        assert np.max(np.abs(grad - single_grad)) <= 1e-13 * np.max(np.abs(single_grad))

@@ -1,8 +1,9 @@
 """Unitary parameterization and the multistart gradient search on U(d).
 
-Objectives return ``(value, G)`` with ``df = Re tr(G^dag du)`` and are
-invariant under ``u -> u diag(e^{i phi})``, like every objective of the
-library.
+Objectives take a ``(..., d, d)`` stack of unitaries and return ``(values,
+G)`` of shapes ``(...)`` and ``(..., d, d)``, with ``df = Re tr(G^dag du)``
+for each unitary, and are invariant under ``u -> u diag(e^{i phi})``, like
+every objective of the library.
 """
 
 import dataclasses
@@ -25,7 +26,16 @@ from qfc import (
     optimize_basis,
     unitary_from_params,
 )
-from qfc import entropic_discord, measurement_correlation, optimize, verify
+from qfc import (
+    correlations,
+    discord,
+    entropic_discord,
+    geometric_discord,
+    measurement_correlation,
+    observable_correlation,
+    optimize,
+    verify,
+)
 from qfc.correlations import _mfi_objective, total_local_qfi_b
 from qfc.linalg import off_diagonal_mass_and_gradient
 from qfc.optimize import multistart
@@ -36,15 +46,21 @@ from oracles import random_start
 
 def misalignment(u):
     """``d - sum_n |u_nn|^2``: zero exactly when every column is a phase times e_n."""
-    diagonal = np.diagonal(u)
-    return float(u.shape[0] - np.sum(np.abs(diagonal) ** 2)), -2.0 * np.diag(diagonal)
+    d = u.shape[-1]
+    diagonal = np.diagonal(u, axis1=-2, axis2=-1)
+    return d - np.sum(np.abs(diagonal) ** 2, axis=-1), -2.0 * diagonal[..., None] * np.eye(d)
 
 
 def overlap(u):
     """``|u_00|^2``, largest (1) when the first column is e_0 up to a phase."""
     grad = np.zeros_like(u)
-    grad[0, 0] = 2.0 * u[0, 0]
-    return float(abs(u[0, 0]) ** 2), grad
+    grad[..., 0, 0] = 2.0 * u[..., 0, 0]
+    return np.abs(u[..., 0, 0]) ** 2, grad
+
+
+def constant(value, grad=None):
+    """An objective of the given value everywhere; its gradient ``grad(u)`` defaults to 0."""
+    return lambda u: (np.full(u.shape[:-2], value), np.zeros_like(u) if grad is None else grad(u))
 
 
 def qapi_gap(state):
@@ -119,15 +135,14 @@ class TestGradientSearch:
     def test_failed_line_search_with_a_large_gradient_is_unconverged(self):
         # a constant value with a nonzero gradient: no step passes the Armijo test
         grad = np.diag([1.0, -1.0]).astype(complex) @ np.array([[0, 1], [1, 0]])
-        report = optimize_basis(
-            lambda u: (1.0, u @ grad), random_start(2, 0), config=OptimizerConfig(restarts=1)
-        )
+        objective = constant(1.0, lambda u: u @ grad)
+        report = optimize_basis(objective, random_start(2, 0), config=OptimizerConfig(restarts=1))
         assert not report.converged
         assert report.n_evaluations == 1 + optimize.MAX_HALVINGS
         assert report.n_iterations == 0
 
     def test_non_finite_gradient_aborts(self):
-        objective = lambda u: (0.0, np.full((2, 2), np.nan))
+        objective = constant(0.0, lambda u: np.full(u.shape, np.nan))
         with pytest.raises(OptimizationError):
             optimize_basis(objective, np.eye(2), config=OptimizerConfig(restarts=1))
 
@@ -144,12 +159,12 @@ class TestStepRule:
         chart = optimize.unitary_from_params
 
         def recording(params, dim):
-            lengths.append(np.linalg.norm(params))
+            lengths.extend(np.linalg.norm(params, axis=-1))
             return chart(params, dim)
 
         objective = qapi_gap(self.STATE)
         with mock.patch.object(optimize, "unitary_from_params", recording):
-            *_, converged = optimize._bfgs(objective, haar_unitary(3, 1), 1e-6)
+            ((*_, converged),) = optimize._bfgs(objective, haar_unitary(3, 1)[None], 1e-6)
         assert converged
         assert max(lengths) <= np.pi * (1 + 1e-12)
         assert max(lengths) >= np.pi * (1 - 1e-12)  # this search reaches the cap
@@ -180,8 +195,8 @@ class TestStepRule:
         bfgs = optimize._bfgs
 
         def recording(*args):
-            runs.append(bfgs(*args))
-            return runs[-1]
+            runs.extend(bfgs(*args))
+            return runs[-len(args[1]):]
 
         with mock.patch.object(optimize, "_bfgs", recording):
             measurement_correlation(
@@ -211,58 +226,131 @@ def test_noisy_qapi_and_entropic_discord_evaluation_budget():
     assert total <= 2_800
 
 
+SOLVERS = pytest.mark.parametrize(
+    "solver",
+    [observable_correlation, measurement_correlation, entropic_discord, geometric_discord],
+    ids=["qah", "qapi", "dq", "dg"],
+)
+PER_RESTART = ("restart_values", "restart_converged", "restart_evaluations", "restart_iterations")
+
+
+class TestLockstep:
+    """The restarts of a search share each objective call but nothing else."""
+
+    # criterion 3's noisy 3x3 state
+    STATE = verify._noisy_entangled((3, 3), verify.state_seed(0, 3, 103))
+
+    @SOLVERS
+    def test_restarts_do_not_couple(self, solver):
+        small = solver(self.STATE, OptimizerConfig(restarts=2, seed=9)).report
+        large = solver(self.STATE, OptimizerConfig(restarts=5, seed=9)).report
+        for field in PER_RESTART:
+            np.testing.assert_array_equal(getattr(large, field)[:2], getattr(small, field))
+
+    @SOLVERS
+    def test_repeated_runs_are_bit_identical(self, solver):
+        cfg = OptimizerConfig(restarts=5, seed=9)
+        a, b = solver(self.STATE, cfg).report, solver(self.STATE, cfg).report
+        for field in PER_RESTART + ("best_unitary",):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert a.best_value == b.best_value
+
+
+def test_one_objective_call_per_round():
+    """Objective calls of criterion 3's 20 noisy states at 4 restarts (optimizer
+    seed 4 x state seed), all four solvers.
+
+    Deterministic. One call per evaluation would give a ratio of 1; with the
+    restarts in lockstep a call serves every restart still searching.
+    """
+    calls = evaluations = 0
+
+    def counting(optimize_basis):
+        def wrapped(objective, *args, **kwargs):
+            def counted(u):
+                nonlocal calls
+                calls += 1
+                return objective(u)
+
+            return optimize_basis(counted, *args, **kwargs)
+
+        return wrapped
+
+    dims = verify._MIXED_DIMS
+    with mock.patch.object(correlations, "optimize_basis", counting(optimize_basis)), \
+            mock.patch.object(discord, "optimize_basis", counting(optimize_basis)):
+        for i in range(20):
+            seed = verify.state_seed(0, 3, 100 + i)
+            state = verify._noisy_entangled(dims[i % len(dims)], seed)
+            cfg = OptimizerConfig(restarts=4, seed=4 * seed)
+            for solver in (observable_correlation, measurement_correlation,
+                           entropic_discord, geometric_discord):
+                evaluations += solver(state, cfg).report.n_evaluations
+    assert calls <= 0.6 * evaluations
+
+
 class TestMultistart:
     @staticmethod
-    def search_over(values, flags=None):
-        """A search whose restart k ends at ``values[k]`` after k + 1 evaluations."""
-
-        def search(k):
-            converged = True if flags is None else flags[k]
-            return np.full((2, 2), k), values[k], k + 1, 2 * k, converged
-
-        return search
+    def runs_over(values, flags=None):
+        """Runs where restart k ends at ``values[k]`` after k + 1 evaluations."""
+        return [
+            (np.full((2, 2), k), value, k + 1, 2 * k, True if flags is None else flags[k])
+            for k, value in enumerate(values)
+        ]
 
     def test_ties_resolve_to_the_lowest_index(self):
         values = [3.0, 1.0, 3.0, 1.0]
-        report = multistart(self.search_over(values), 4)
+        report = multistart(self.runs_over(values))
         assert report.best_value == values[1]
         assert np.array_equal(report.best_unitary, np.full((2, 2), 1))
 
     def test_counts_are_summed_over_restarts(self):
-        report = multistart(self.search_over([2.0, 1.0, 4.0]), 3)
+        report = multistart(self.runs_over([2.0, 1.0, 4.0]))
         assert report.n_evaluations == 1 + 2 + 3
         assert report.n_iterations == 0 + 2 + 4
         assert type(report.n_evaluations) is int and type(report.n_iterations) is int
         np.testing.assert_array_equal(report.restart_values, [2.0, 1.0, 4.0])
+        np.testing.assert_array_equal(report.restart_evaluations, [1, 2, 3])
+        np.testing.assert_array_equal(report.restart_iterations, [0, 2, 4])
+        assert report.restart_evaluations.dtype.kind == report.restart_iterations.dtype.kind == "i"
 
     def test_converged_flags_are_per_restart(self):
         flags = [True, False, True]
-        report = multistart(self.search_over([2.0, 1.0, 4.0], flags), 3)
+        report = multistart(self.runs_over([2.0, 1.0, 4.0], flags))
         np.testing.assert_array_equal(report.restart_converged, flags)
         assert report.restart_converged.dtype == bool
         assert not report.converged  # the best restart, index 1, did not converge
-        report = multistart(self.search_over([2.0, 4.0, 1.0], flags), 3)
+        report = multistart(self.runs_over([2.0, 4.0, 1.0], flags))
         assert report.converged
 
     def test_runs_each_restart_once_in_order(self):
+        # one stack of starts: restart 0 at the given start, restart k from seed + k
         seen = []
+        bfgs = optimize._bfgs
 
-        def search(k):
-            seen.append(k)
-            return np.eye(2), float(k), 1, 1, True
+        def recording(objective, starts, tolerance):
+            seen.append(starts.copy())
+            return bfgs(objective, starts, tolerance)
 
-        multistart(search, 5)
-        assert seen == [0, 1, 2, 3, 4]
+        start, cfg = haar_unitary(2, 1), OptimizerConfig(restarts=5, seed=3)
+        with mock.patch.object(optimize, "_bfgs", recording):
+            report = optimize_basis(stack_objective(2), start, config=cfg)
+        assert len(seen) == 1 and seen[0].shape == (5, 2, 2)
+        assert np.array_equal(seen[0][0], start)
+        for k in range(1, 5):
+            params = optimize.random_params(2, np.random.default_rng(3 + k))
+            assert np.array_equal(seen[0][k], unitary_from_params(params, 2))
+        assert report.restart_values.size == 5
 
 
 class TestOptimizeBasis:
     def test_constant_objective_converges_immediately(self):
-        objective = lambda u: (4.25, np.zeros((2, 2)))
-        report = optimize_basis(objective, np.eye(2), config=OptimizerConfig(restarts=2))
+        report = optimize_basis(constant(4.25), np.eye(2), config=OptimizerConfig(restarts=2))
         assert report.converged
         assert report.best_value == 4.25
         assert np.all(report.restart_values == 4.25)
         assert report.n_evaluations == 2 and report.n_iterations == 0
+        np.testing.assert_array_equal(report.restart_evaluations, [1, 1])
 
     def test_column_alignment_objective_reaches_zero(self):
         cfg = OptimizerConfig(restarts=16, seed=1)
@@ -302,9 +390,13 @@ class TestOptimizeBasis:
         np.testing.assert_array_equal(large.restart_values[:3], small.restart_values)
 
     def test_non_finite_objective_aborts(self):
-        objective = lambda u: (float("nan"), np.zeros((2, 2)))
         with pytest.raises(OptimizationError):
-            optimize_basis(objective, np.eye(2), config=OptimizerConfig(restarts=1))
+            optimize_basis(constant(float("nan")), np.eye(2), config=OptimizerConfig(restarts=1))
+
+    def test_objective_must_return_one_value_per_unitary(self):
+        objective = lambda u: (1.0, np.zeros((2, 2)))
+        with pytest.raises(ShapeError):
+            optimize_basis(objective, np.eye(2), config=OptimizerConfig(restarts=2))
 
     def test_second_best_value(self):
         objective = stack_objective(2)
@@ -326,7 +418,7 @@ class TestWarmStart:
             return self.OBJECTIVE(u)
 
         optimize_basis(objective, start, config=self.CFG)
-        assert np.array_equal(seen[0], start)
+        assert np.array_equal(seen[0][0], start)
 
     def test_other_restarts_keep_their_streams(self):
         one = optimize_basis(self.OBJECTIVE, random_start(3, 7), config=self.CFG)
@@ -398,7 +490,7 @@ class TestOptimizerConfig:
     @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
     def test_accepts_numpy_integers(self, integer):
         cfg = OptimizerConfig(restarts=integer(2), seed=integer(3))
-        report = optimize_basis(lambda u: (1.0, np.zeros_like(u)), np.eye(2), config=cfg)
+        report = optimize_basis(constant(1.0), np.eye(2), config=cfg)
         assert report.restart_values.size == 2
 
     def test_has_three_settings(self):
