@@ -14,7 +14,8 @@ matrix entries are nested ``[re, im]`` pairs in row-major order, and a
 spec's ``dims`` bind every matrix in it (each ``cq`` sigma is ``dims[1]`` x
 ``dims[1]``). ``--seed``, ``--restarts`` and ``--tol`` accept exactly what
 ``OptimizerConfig`` accepts. Exit codes: 0 success, 1 physics/verification
-failure or non-convergence, 2 usage error.
+failure or non-convergence, 2 usage error (a schema violation, a missing
+file, or a state above the dimension guard without ``--allow-large``).
 """
 
 from __future__ import annotations
@@ -253,6 +254,8 @@ def _emit(report: dict, fmt: str) -> None:
         return
     for key, value in report["values"].items():
         print(f"{key}: {_fmt(value) if isinstance(value, float) else value}")
+    if "method" in report:
+        print(f"method: {report['method']}")
     for section in ("optimizer", "optimizer_dq", "optimizer_dg"):
         if section in report:
             parts = ", ".join(f"{k}={v}" for k, v in report[section].items())
@@ -326,7 +329,9 @@ def _cmd_quantifier(args, command: str) -> int:
     result = SOLVERS[command](state, _config(args))
     report = _base_report(command, spec, args)
     report["values"] = {command: result.value}
-    report["optimizer"] = _optimizer_summary(result.report)
+    report["method"] = result.method
+    if result.report is not None:
+        report["optimizer"] = _optimizer_summary(result.report)
     report["wall_time_s"] = time.perf_counter() - start
     _emit(report, args.format)
     return 0 if result.converged else 1
@@ -482,10 +487,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_verify(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SchemaError, FileNotFoundError, DimensionGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

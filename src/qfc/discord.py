@@ -14,8 +14,11 @@ from .linalg import dag
 from .optimize import OptimizerConfig, optimize_basis
 from .states import PURITY_TOL, BipartiteState
 from .correlations import (
+    _PAULIS,
     QuantifierResult,
     _a_components,
+    _bloch_extremum,
+    _closed_form_applies,
     _measured_gradient,
     _start_basis,
     measure_a,
@@ -92,22 +95,32 @@ def geometric_discord(
 
     For pure inputs the closed form ``1 - sum_i s_i^2``
     (:func:`pure_state_correlation`) applies, attained by measuring in the
-    eigenbasis of rho_a, a Schmidt basis. Mixed inputs run the gradient
-    search of :func:`optimize_basis` (``method="optimized"``): with ``rho = sum_k A_k
-    (x) Y_k`` over a trace-orthonormal Hermitian basis ``Y_k`` of b, the
-    distance in the basis u is the off-diagonal mass of the ``A_k`` in that
-    basis (:func:`linalg.off_diagonal_mass_and_gradient`). Restart 0 starts
-    at the eigenbasis of rho_a, as in every other basis search. Pass
-    ``method="optimized"`` to run the search on pure inputs too (used to
-    cross-check the closed form).
+    eigenbasis of rho_a, a Schmidt basis. With ``rho = sum_k A_k (x) Y_k``
+    over a trace-orthonormal Hermitian basis ``Y_k`` of b, the distance in
+    the basis u is the off-diagonal mass of the ``A_k`` in that basis
+    (:func:`linalg.off_diagonal_mass_and_gradient`). For a mixed input with
+    a qubit party a, write ``A_k = (c_0k 1 + sum_l C'_lk sigma_l) / sqrt(2)``:
+    the mass in the basis ``(1 +- n.sigma)/2`` is ``||C'||^2 - n^T C'C'^T n``,
+    so the minimum is ``||C||^2 - ||c_0||^2 - lambda_max(C'C'^T)`` (Luo and
+    Fu, PRA 82, 034302, 2010), the sum of the two smaller eigenvalues of
+    ``C'C'^T``, attained by the eigenbasis of ``n.sigma`` for the top
+    eigenvector n. Both closed forms give ``method="closed-form"`` and no
+    report. Other mixed inputs run the gradient search of
+    :func:`optimize_basis` (``method="optimized"``) from the eigenbasis of
+    rho_a, as every other basis search does. Pass ``method="optimized"`` to
+    run the search on pure inputs and on a qubit party a too (used to
+    cross-check the closed forms).
     """
-    if method not in ("auto", "optimized"):
-        raise ValueError(f"method must be 'auto' or 'optimized', got {method!r}")
+    qubit_a = _closed_form_applies(state, method)  # raises on an unknown method
     if method == "auto" and state.purity() >= 1.0 - PURITY_TOL:
         # every eigenbasis of rho_a is a Schmidt basis of a pure state
         return QuantifierResult(pure_state_correlation(state), _start_basis(state), "closed-form")
 
     stack = _a_components(state.rho, state.dims)
+    if qubit_a:
+        c = np.einsum("lab,kba->lk", _PAULIS, stack).real / np.sqrt(2.0)
+        vals, basis = _bloch_extremum(c @ c.T, -1)
+        return QuantifierResult(float(vals[0] + vals[1]), basis, "closed-form")
     report = optimize_basis(
         lambda u: linalg.off_diagonal_mass_and_gradient(stack, u),
         _start_basis(state),

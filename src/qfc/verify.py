@@ -363,6 +363,24 @@ def check_discord_baselines(cfg: OptimizerConfig) -> CriterionResult:
     return _done(11, "discord baselines cross-check", margins, start)
 
 
+def check_qubit_a_search(cfg: OptimizerConfig) -> CriterionResult:
+    """The basis search meets the qubit-a closed forms of qah and geometric discord."""
+    start = time.perf_counter()
+    qah, dg = [], []
+    for i in range(20):
+        n = 2 + i % 3
+        seed = state_seed(cfg.seed, 12, i)
+        state = BipartiteState(random_density(2 * n, 2 * n if i % 2 == 0 else 2, seed), 2, n)
+        for solve, gaps in ((observable_correlation, qah), (geometric_discord, dg)):
+            searched = solve(state, cfg, method="optimized").value
+            gaps.append(abs(searched - solve(state).value))
+    margins = [
+        ("20 mixed states 2x2 to 2x4: max |searched - closed form| qah", np.max(qah), "<=", 1e-6),
+        ("geometric discord", np.max(dg), "<=", 1e-6),
+    ]
+    return _done(12, "basis search against the qubit-a closed forms", margins, start)
+
+
 ALL_CRITERIA = (
     check_pure_coincidence,
     check_maximal_values,
@@ -375,6 +393,7 @@ ALL_CRITERIA = (
     check_measurement_achievability,
     check_channel_contractivity,
     check_discord_baselines,
+    check_qubit_a_search,
 )
 
 

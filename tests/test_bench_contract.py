@@ -66,11 +66,28 @@ def test_optimize_basis_takes_config_by_keyword_only():
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
 def test_solver_reports_integer_counts(solver):
-    state = BipartiteState(random_density(4, 4, 5), 2, 2)
+    # a qutrit party a, where every solver searches
+    state = BipartiteState(random_density(6, 6, 5), 3, 2)
     report = solver(state, CFG).report
     assert isinstance(report, OptimizerReport)
     assert type(report.n_evaluations) is int and report.n_evaluations > 0
     assert type(report.n_iterations) is int
+
+
+def run_cli_json(tmp_path, command, dims):
+    """The JSON document of ``qfc <command>`` on a full-rank random state."""
+    spec = tmp_path / "state.json"
+    rank = dims[0] * dims[1]
+    spec.write_text(json.dumps({"kind": "random", "dims": list(dims), "seed": 3, "rank": rank}))
+    src = str(Path(qfc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfc.cli", command, "--state", str(spec),
+         "--restarts", "2", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize(
@@ -82,19 +99,25 @@ def test_solver_reports_integer_counts(solver):
     ],
 )
 def test_cli_json_report(tmp_path, command, sections):
-    spec = tmp_path / "state.json"
-    spec.write_text(json.dumps({"kind": "random", "dims": [2, 2], "seed": 3, "rank": 4}))
-    src = str(Path(qfc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qfc.cli", command, "--state", str(spec),
-         "--restarts", "2", "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
+    # a qutrit party a, where every solver searches
+    doc = run_cli_json(tmp_path, command, (3, 2))
     assert doc["values"] and all(isinstance(v, float) for v in doc["values"].values())
     assert isinstance(doc["wall_time_s"], float)
+    assert doc.get("method", "optimized") == "optimized"
     for section in sections:
         assert type(doc[section]["evaluations"]) is int
         assert type(doc[section]["iterations"]) is int
+
+
+def test_closed_form_result_has_no_report(tmp_path):
+    # a qubit party a: qah and geometric discord take their closed forms, so
+    # the worker counts no evaluations for them
+    state = BipartiteState(random_density(4, 4, 5), 2, 2)
+    for solver in (qfc.observable_correlation, qfc.geometric_discord):
+        result = solver(state, CFG)
+        assert result.method == "closed-form" and result.report is None
+    doc = run_cli_json(tmp_path, "qah", (2, 2))
+    assert doc["method"] == "closed-form" and "optimizer" not in doc
+    doc = run_cli_json(tmp_path, "discord", (2, 2))
+    assert doc["geometric_method"] == "closed-form" and "optimizer_dg" not in doc
+    assert type(doc["optimizer_dq"]["evaluations"]) is int

@@ -110,15 +110,26 @@ class TestParseStateSpec:
 
 class TestCommands:
     def test_qah_on_bell(self, capsys, tmp_path):
-        path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
-        code, out, _ = run_cli(
-            capsys, "qah", "--state", path, "--restarts", "6", "--format", "json"
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert abs(report["values"]["qah"] - 0.5) <= 1e-4
-        assert report["spec"] == {"kind": "max_entangled", "dims": [2, 2]}
+        # the qubit-a closed form on the Bell state, the search one dimension up
+        for m, method in ((2, "closed-form"), (3, "optimized")):
+            path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [m, m]})
+            code, out, _ = run_cli(
+                capsys, "qah", "--state", path, "--restarts", "6", "--format", "json"
+            )
+            assert code == 0
+            report = json.loads(out)
+            assert abs(report["values"]["qah"] - (1.0 - 1.0 / m)) <= 1e-4
+            assert report["spec"] == {"kind": "max_entangled", "dims": [m, m]}
+            assert report["method"] == method
+            assert ("optimizer" in report) is (method == "optimized")
         assert report["optimizer"]["converged"] is True
+
+    def test_table_output_names_the_method(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
+        code, out, _ = run_cli(capsys, "qah", "--state", path)
+        assert code == 0
+        assert "method: closed-form" in out.splitlines()
+        assert not any(line.startswith("optimizer") for line in out.splitlines())
 
     def test_qapi_on_cc_state_is_zero(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "cc", "dims": [2, 2], "probs": [0.5, 0.5]})
@@ -155,7 +166,7 @@ class TestCommands:
         assert abs(values["geometric_discord"] - 0.5) <= 1e-6
 
     def test_discord_reports_geometric_method(self, capsys, tmp_path):
-        mixed = write_spec(tmp_path, {"kind": "random", "dims": [2, 3], "seed": 1, "rank": 6})
+        mixed = write_spec(tmp_path, {"kind": "random", "dims": [3, 2], "seed": 1, "rank": 6})
         code, out, _ = run_cli(
             capsys, "discord", "--state", mixed, "--restarts", "3", "--format", "json"
         )
@@ -213,7 +224,7 @@ class TestCommands:
         assert abs(float(list(csv.reader(io.StringIO(out)))[2][3]) - 1.0) <= 1e-4
 
     def test_reproducible_output(self, capsys, tmp_path):
-        path = write_spec(tmp_path, {"kind": "random", "dims": [2, 2], "seed": 3, "rank": 4})
+        path = write_spec(tmp_path, {"kind": "random", "dims": [3, 2], "seed": 3, "rank": 6})
         argv = ["qah", "--state", path, "--restarts", "4", "--seed", "9", "--format", "json"]
         code_a, out_a, _ = run_cli(capsys, *argv)
         code_b, out_b, _ = run_cli(capsys, *argv)
@@ -223,7 +234,7 @@ class TestCommands:
         assert a["optimizer"] == b["optimizer"]
 
     def test_report_spec_echo_reparses_identically(self, capsys, tmp_path):
-        doc = {"kind": "pure_schmidt", "coeffs": [0.7, 0.3], "dims": [2, 2]}
+        doc = {"kind": "pure_schmidt", "coeffs": [0.7, 0.3], "dims": [3, 2]}
         path = write_spec(tmp_path, doc)
         code, out, _ = run_cli(
             capsys, "qah", "--state", path, "--restarts", "4", "--format", "json"
@@ -291,17 +302,18 @@ class TestExitCodes:
         assert code == 2
         assert "cq.sigmas[0] must be 3x3" in err
 
-    def test_dimension_guard_exits_one(self, capsys, tmp_path):
+    def test_dimension_guard_exits_two(self, capsys, tmp_path):
+        # a usage error: --allow-large lifts it
         path = write_spec(tmp_path, {"kind": "random", "dims": [6, 7], "seed": 0})
         code, _, err = run_cli(capsys, "qah", "--state", path)
-        assert code == 1
+        assert code == 2
         assert "allow-large" in err
 
     def test_discord_is_refused_above_the_total_dimension_guard(self, capsys, tmp_path):
         # entropic discord has no guard on dim_a; the total-dimension guard still holds
         path = write_spec(tmp_path, {"kind": "random", "dims": [5, 8], "seed": 0})
         code, out, err = run_cli(capsys, "discord", "--state", path)
-        assert code == 1 and not out
+        assert code == 2 and not out
         assert "exceeds 36" in err and "allow-large" in err
 
     def test_missing_state_file_exits_two(self, capsys):

@@ -30,6 +30,7 @@ from qfc import (
     total_mfi,
     unitary_from_params,
     variance,
+    werner,
 )
 from qfc.linalg import eigh, partial_trace
 from qfc.states import haar_unitary, random_density, random_hermitian
@@ -346,8 +347,14 @@ def qubit_a_closed_form(state):
     return 0.5 * float(np.linalg.eigvalsh(k)[0])
 
 
+#: Mixed qubit-a states (dims, seed, rank): 2 x n, full rank and rank 2, four seeds each.
+QUBIT_A_STATES = [
+    ((2, n), 300 + 10 * n + k, rank) for n in (2, 3, 4) for rank in (2 * n, 2) for k in range(4)
+]
+
+
 class TestQubitClosedForm:
-    """The search against the qubit-a closed form on mixed 2 x n states."""
+    """The library's qubit-a closed form and the search against the Kronecker oracle."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("full_rank", [True, False], ids=["full", "rank2"])
@@ -356,7 +363,8 @@ class TestQubitClosedForm:
             rank = 2 * n if full_rank else 2
             state = random_mixed((2, n), 300 + 10 * n + k, rank)
             cfg = OptimizerConfig(restarts=4, tolerance=1e-10, seed=k)
-            result = observable_correlation(state, cfg)
+            result = observable_correlation(state, cfg, method="optimized")
+            assert result.method == "optimized" and result.report is not None
             assert result.converged
             assert abs(result.value - qubit_a_closed_form(state)) <= 1e-9
 
@@ -364,6 +372,43 @@ class TestQubitClosedForm:
         for dims in ((2, 2), (2, 3)):
             state = random_pure(dims, 11)
             assert abs(qubit_a_closed_form(state) - pure_state_correlation(state)) <= 1e-12
+
+    @pytest.mark.parametrize("dims, seed, rank", QUBIT_A_STATES)
+    def test_library_closed_form_matches_the_oracle_and_its_basis(self, dims, seed, rank):
+        state = random_mixed(dims, seed, rank)
+        result = observable_correlation(state)
+        assert result.method == "closed-form" and result.report is None
+        assert abs(result.value - qubit_a_closed_form(state)) <= 1e-12
+        assert abs(basis_qfi_sum(state, result.argopt) - result.value) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "state",
+        [BipartiteState(np.eye(4) / 4, 2, 2), BipartiteState(np.eye(6) / 6, 2, 3),
+         werner(0.3), werner(0.7)],
+        ids=["I/4", "I/6", "werner-0.3", "werner-0.7"],
+    )
+    def test_degenerate_k(self, state):
+        # K = 0 for the maximally mixed states and a multiple of the identity
+        # for Werner states: every basis is optimal
+        result = observable_correlation(state)
+        assert abs(result.value - qubit_a_closed_form(state)) <= 1e-12
+        assert abs(basis_qfi_sum(state, result.argopt) - result.value) <= 1e-12
+        for seed in range(3):
+            assert abs(basis_qfi_sum(state, haar_unitary(2, seed)) - result.value) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
+    def test_pure_states_equal_the_pure_closed_form(self, dims):
+        for seed in range(3):
+            state = random_pure(dims, 40 + seed)
+            result = observable_correlation(state)
+            assert result.method == "closed-form"
+            assert abs(result.value - pure_state_correlation(state)) <= 1e-12
+        state = pure_from_schmidt([1.0], dims)
+        assert abs(observable_correlation(state).value) <= 1e-12
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="method"):
+            observable_correlation(max_entangled(2), CFG, method="closed-form")
 
 
 class TestMeasurementCorrelation:

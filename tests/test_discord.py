@@ -32,7 +32,7 @@ from qfc.linalg import SUPPORT_CUTOFF
 from qfc.optimize import multistart
 from qfc.states import haar_unitary, random_density
 
-from oracles import jacobi_basis, joint_diagonalize
+from oracles import jacobi_basis, joint_diagonalize, off_diagonal_mass
 
 CFG = OptimizerConfig(restarts=8, seed=0)
 
@@ -146,7 +146,7 @@ class TestGeometricDiscord:
 
     def test_mixed_state_report(self):
         state = BipartiteState(random_density(6, 6, 3), 2, 3)
-        result = geometric_discord(state, CFG)
+        result = geometric_discord(state, CFG, method="optimized")
         assert result.method == "optimized"
         report = result.report
         assert report.converged and report.restart_values.size == CFG.restarts
@@ -154,6 +154,38 @@ class TestGeometricDiscord:
         assert np.array_equal(report.best_unitary, result.argopt)
         diff = state.rho - measured_state(state, result.argopt).rho
         assert abs(float(np.sum(np.abs(diff) ** 2)) - result.value) <= 1e-12
+
+
+class TestQubitAClosedForm:
+    """Geometric discord of mixed qubit-a states, against the Jacobi oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("rank", ["full", 2])
+    def test_matches_the_jacobi_oracle_and_its_basis(self, n, rank):
+        for k in range(4):
+            d = 2 * n
+            rho = random_density(d, d if rank == "full" else 2, 500 + 10 * n + k)
+            state = BipartiteState(rho, 2, n)
+            result = geometric_discord(state)
+            assert result.method == "closed-form" and result.report is None
+            _, jacobi = jacobi_basis(state, 4)
+            assert abs(result.value - jacobi) <= 1e-12
+            mass = off_diagonal_mass(_a_components(state.rho, state.dims), result.argopt)
+            assert abs(mass - result.value) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "state",
+        [BipartiteState(np.eye(4) / 4, 2, 2), werner(0.3), werner(0.7)],
+        ids=["I/4", "werner-0.3", "werner-0.7"],
+    )
+    def test_degenerate_correlation_matrix(self, state):
+        # C'C'^T is 0 for I/4 and a multiple of the identity for Werner
+        # states: every basis is optimal
+        result = geometric_discord(state)
+        stack = _a_components(state.rho, state.dims)
+        assert abs(result.value - jacobi_basis(state, 1)[1]) <= 1e-12
+        for u in (result.argopt, haar_unitary(2, 1), haar_unitary(2, 2)):
+            assert abs(off_diagonal_mass(stack, u) - result.value) <= 1e-12
 
 
 #: (dims, states per rank): 64 states, half full rank and half rank 2.
@@ -173,7 +205,7 @@ class TestJacobiOracles:
         for k in range(count):
             for rank in (d, 2):
                 state = BipartiteState(random_density(d, rank, 700 + 10 * d + k), *dims)
-                searched = geometric_discord(state, ORACLE_CFG).value
+                searched = geometric_discord(state, ORACLE_CFG, method="optimized").value
                 _, jacobi = jacobi_basis(state, ORACLE_CFG.restarts, ORACLE_CFG.seed)
                 assert searched <= jacobi + 1e-9
 
@@ -283,7 +315,8 @@ class TestQuantifierResult:
         ids=["qah", "qapi", "dq", "dg"],
     )
     def test_searched_result_carries_its_report(self, solver, method):
-        state = BipartiteState(random_density(4, 4, 5), 2, 2)
+        # a qutrit party a, where every solver searches
+        state = BipartiteState(random_density(6, 6, 5), 3, 2)
         result = solver(state, OptimizerConfig(restarts=2, seed=0))
         assert isinstance(result, QuantifierResult)
         assert result.method == method
