@@ -235,7 +235,8 @@ def _optimizer_summary(report) -> dict:
     return {
         "restarts": int(report.restart_values.size),
         "best": report.best_value,
-        "second_best": report.second_best_value,
+        # None (JSON null) for a single restart: strict JSON has no NaN
+        "second_best": None if report.restart_values.size < 2 else report.second_best_value,
         "converged": bool(report.converged),
         "evaluations": int(report.n_evaluations),
         "iterations": int(report.n_iterations),
@@ -287,12 +288,15 @@ def _cmd_qfi(args) -> int:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) - {"party", "matrix"}:
+    if not isinstance(doc, dict) or set(doc) != {"party", "matrix"}:
         raise SchemaError("observable spec must hold exactly 'party' and 'matrix'")
-    party = doc.get("party")
+    party = doc["party"]
     if party not in ("a", "b", "ab"):
         raise SchemaError("observable.party must be 'a', 'b', or 'ab'")
     h = _complex_matrix(doc["matrix"], "observable.matrix")
+    n = {"a": state.dim_a, "b": state.dim_b, "ab": state.dim}[party]
+    if h.shape != (n, n):
+        raise SchemaError(f"observable.matrix must be {n}x{n} (party {party}), got {h.shape}")
     if party == "a":
         h = lift_a(h, state.dim_b)
     elif party == "b":
@@ -355,6 +359,9 @@ def _cmd_discord(args) -> int:
     return 0 if dq.converged and dg.converged else 1
 
 
+#: Smallest sweep step; sweep points are rounded to 12 decimals.
+SWEEP_MIN_STEP = 1e-12
+
 #: Parameters sweepable per state kind, with the field they rewrite.
 SWEEP_PARAMS = {
     "pure_schmidt": "s",
@@ -384,24 +391,26 @@ def _cmd_sweep(args) -> int:
     for q in quantities:
         if q not in QUANTITIES:
             raise SchemaError(f"unknown quantity {q!r}; expected one of {QUANTITIES}")
-    if args.step <= 0:
-        raise SchemaError("sweep step must be positive")
-    grid = []
-    v = args.start
-    while v <= args.stop + 1e-12:
-        grid.append(round(v, 12))
-        v += args.step
+    if not SWEEP_MIN_STEP <= args.step < np.inf:
+        # points are rounded to 12 decimals, so a smaller step repeats them
+        raise SchemaError(f"sweep step must be finite and at least {SWEEP_MIN_STEP:g}")
     cfg = _config(args)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow([args.param] + quantities)
-    for value in grid:
+    converged = True
+    i = 0
+    while (point := args.start + i * args.step) <= args.stop + SWEEP_MIN_STEP:
+        value = round(point, 12)
         state = _sweep_state(spec, value, args.allow_large)
         row = [_fmt(value)]
         for q in quantities:
-            x = SOLVERS[q](state, cfg).value
-            row.append(_fmt(x / LN2 if q == "dq" and args.log_base == "2" else x))
+            result = SOLVERS[q](state, cfg)
+            converged = converged and result.converged
+            x = result.value / LN2 if q == "dq" and args.log_base == "2" else result.value
+            row.append(_fmt(x))
         writer.writerow(row)
-    return 0
+        i += 1
+    return 0 if converged else 1
 
 
 def _cmd_verify(args) -> int:

@@ -106,11 +106,18 @@ def _bloch_extremum(k: np.ndarray, index: int):
 
 
 def _start_basis(state: BipartiteState) -> np.ndarray:
-    # Restart 0 of every basis search: the eigenbasis of rho_a, for one
-    # d_a x d_a eigh. It is the optimum on pure states (the Schmidt basis)
-    # and on CQ/CC states whose rho_a has no repeated eigenvalue (it is then
-    # the classical basis).
+    # The eigenbasis of rho_a, for one d_a x d_a eigh. It is the optimum on
+    # pure states (the Schmidt basis) and on CQ/CC states whose rho_a has no
+    # repeated eigenvalue (it is then the classical basis).
     return np.linalg.eigh(state.marginal("a"))[1]
+
+
+def _search(state: BipartiteState, objective, config: OptimizerConfig | None) -> QuantifierResult:
+    # Every basis search of party a enters here, with restart 0 at the
+    # eigenbasis of rho_a. optimize_basis is looked up as a module global on
+    # each call, so a rebound one (bench/tracing.py) is the one that runs.
+    report = optimize_basis(objective, _start_basis(state), config=config)
+    return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
 
 def lift_a(h: np.ndarray, dim_b: int) -> np.ndarray:
@@ -125,6 +132,13 @@ def lift_b(h: np.ndarray, dim_a: int) -> np.ndarray:
     return np.kron(np.eye(dim_a, dtype=complex), h)
 
 
+def _qfi_spectrum(state: BipartiteState):
+    # QFI weights w of rho's spectrum and its eigenvectors as v3[a, b, i].
+    m, n = state.dims
+    spectrum = linalg.eigh(state.rho, "state")
+    return qfi_weight_matrix(spectrum.values), spectrum.vectors.reshape(m, n, m * n)
+
+
 def total_local_qfi_b(state: BipartiteState) -> float:
     """Summed QFI of the drivings ``1 (x) h`` over a trace-orthonormal basis of b.
 
@@ -133,44 +147,40 @@ def total_local_qfi_b(state: BipartiteState) -> float:
     and criterion 7 check it against explicit sums over canonical and
     randomly rotated bases.
     """
-    m, n = state.dims
-    spectrum = linalg.eigh(state.rho, "state")
-    v3 = spectrum.vectors.reshape(m, n, m * n)
+    w, v3 = _qfi_spectrum(state)
     reduced = np.einsum("abj,aci->jibc", v3, v3.conj())
-    w = qfi_weight_matrix(spectrum.values)
     return float(np.sum(w[:, :, None, None] * (reduced.real**2 + reduced.imag**2)))
 
 
-def _measured_gradient(state: BipartiteState, u: np.ndarray, vecs, slopes) -> np.ndarray:
-    # Gradient of f(u) = sum_n F(B_n) for spectral functions F of the measured
-    # blocks, given the eigenvectors of each block and dF/dl at its eigenvalues:
-    # with D_n = V_n diag(dF/dl) V_n^dag, df = sum_n tr(D_n dB_n), so
-    # G[a, n] = 2 sum_b tr(D_n rho_ab) u[b, n] for the blocks rho_ab of rho.
+def _measured_objective(state: BipartiteState, spectral):
+    # The objective u -> (sum_n F(B_n), G) for a spectral function F of the
+    # measured blocks; spectral(l) returns the values and dF/dl at the block
+    # eigenvalues l. With D_n = V_n diag(dF/dl) V_n^dag, df = sum_n tr(D_n
+    # dB_n), so G[a, n] = 2 sum_b tr(D_n rho_ab) u[b, n] for the blocks rho_ab.
     m, n = state.dims
-    d = np.einsum("...nik,...nk,...njk->...nij", vecs, slopes, vecs.conj())
-    return 2.0 * np.einsum("...nij,ajbi,...bn->...an", d, state.rho.reshape(m, n, m, n), u)
-
-
-def _mfi_objective(state: BipartiteState):
-    """Closure returning ``(total_mfi, G)`` for measurements on party a."""
+    rho_ab = state.rho.reshape(m, n, m, n)
 
     def objective(u: np.ndarray):
-        # The weights are homogeneous of degree one, so p_n w(spectrum of B_n /
-        # p_n) is w(spectrum of B_n): no normalization and no 0/0 at a dark
-        # outcome.
         vals, vecs = np.linalg.eigh(measure_a(state, u))
-        li, lj = vals[..., :, None], vals[..., None, :]
-        sums = li + lj
-        # d/dl_i of sum_ij (l_i - l_j)^2 / (2 (l_i + l_j)), pairs below the
-        # support cutoff dropped
-        slopes = np.zeros_like(sums)
-        np.divide(
-            (li - lj) * (li + 3.0 * lj), sums**2, out=slopes, where=sums > linalg.SUPPORT_CUTOFF
-        )
-        value = np.sum(qfi_weight_matrix(vals), axis=(-3, -2, -1))
-        return value, _measured_gradient(state, u, vecs, slopes.sum(axis=-1))
+        value, slopes = spectral(vals)
+        d = np.einsum("...nik,...nk,...njk->...nij", vecs, slopes, vecs.conj())
+        return value, 2.0 * np.einsum("...nij,ajbi,...bn->...an", d, rho_ab, u)
 
     return objective
+
+
+def _mfi_spectral(vals: np.ndarray):
+    # sum_n sum_ij (l_i - l_j)^2 / (2 (l_i + l_j)) and its slopes in l_i,
+    # pairs below the support cutoff dropped. The weights are homogeneous of
+    # degree one, so p_n w(spectrum of B_n / p_n) is w(spectrum of B_n): no
+    # normalization and no 0/0 at a dark outcome.
+    li, lj = vals[..., :, None], vals[..., None, :]
+    sums = li + lj
+    slopes = np.zeros_like(sums)
+    np.divide(
+        (li - lj) * (li + 3.0 * lj), sums**2, out=slopes, where=sums > linalg.SUPPORT_CUTOFF
+    )
+    return np.sum(qfi_weight_matrix(vals), axis=(-3, -2, -1)), slopes.sum(axis=-1)
 
 
 def total_mfi(state: BipartiteState, measurement: np.ndarray) -> float:
@@ -184,7 +194,7 @@ def total_mfi(state: BipartiteState, measurement: np.ndarray) -> float:
     ``h`` of b and is nonnegative by construction.
     """
     u = linalg.require_unitary(measurement, state.dim_a, "measurement")
-    return float(_mfi_objective(state)(u)[0])
+    return float(_measured_objective(state, _mfi_spectral)(u)[0])
 
 
 def _basis_qfi_core(w: np.ndarray, v3: np.ndarray, u: np.ndarray):
@@ -199,19 +209,6 @@ def _basis_qfi_core(w: np.ndarray, v3: np.ndarray, u: np.ndarray):
     return value, 4.0 * np.einsum("...mbj,abj->...am", x, v3)
 
 
-def _qfi_spectrum(state: BipartiteState):
-    # QFI weights w of rho's spectrum and its eigenvectors as v3[a, b, i].
-    m, n = state.dims
-    spectrum = linalg.eigh(state.rho, "state")
-    return qfi_weight_matrix(spectrum.values), spectrum.vectors.reshape(m, n, m * n)
-
-
-def _basis_qfi_objective(state: BipartiteState):
-    """Closure returning the summed per-projector QFI and its gradient ``G``."""
-    w, v3 = _qfi_spectrum(state)
-    return lambda u: _basis_qfi_core(w, v3, u)
-
-
 def basis_qfi_sum(state: BipartiteState, basis_u: np.ndarray) -> float:
     """Summed QFI of the rank-1 drivings ``|phi_n><phi_n| (x) 1`` for one basis.
 
@@ -219,7 +216,7 @@ def basis_qfi_sum(state: BipartiteState, basis_u: np.ndarray) -> float:
     This is the quantity :func:`observable_correlation` minimizes.
     """
     u = linalg.require_unitary(basis_u, state.dim_a, "basis")
-    return float(_basis_qfi_objective(state)(u)[0])
+    return float(_basis_qfi_core(*_qfi_spectrum(state), u)[0])
 
 
 def observable_correlation(
@@ -249,10 +246,7 @@ def observable_correlation(
         s = np.einsum("ani,kab,bnj->kij", v3.conj(), _PAULIS, v3)
         vals, basis = _bloch_extremum(np.einsum("ij,kij,lij->kl", w, s, s.conj()).real, 0)
         return QuantifierResult(0.5 * float(vals[0]), basis, "closed-form")
-    report = optimize_basis(
-        lambda u: _basis_qfi_core(w, v3, u), _start_basis(state), config=config
-    )
-    return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
+    return _search(state, lambda u: _basis_qfi_core(w, v3, u), config)
 
 
 def measurement_correlation(
@@ -266,14 +260,12 @@ def measurement_correlation(
     ``1 - sum_i s_i^2`` on pure states.
     """
     total = total_local_qfi_b(state)
-    mfi = _mfi_objective(state)
 
-    def gap(u: np.ndarray):
-        value, grad = mfi(u)
-        return total - value, -grad
+    def gap(vals: np.ndarray):
+        value, slopes = _mfi_spectral(vals)
+        return total - value, -slopes
 
-    report = optimize_basis(gap, _start_basis(state), config=config)
-    return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
+    return _search(state, _measured_objective(state, gap), config)
 
 
 def pure_state_correlation(state: BipartiteState) -> float:

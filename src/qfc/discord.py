@@ -11,7 +11,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import dag
-from .optimize import OptimizerConfig, optimize_basis
+from .optimize import OptimizerConfig
 from .states import PURITY_TOL, BipartiteState
 from .correlations import (
     _PAULIS,
@@ -19,7 +19,8 @@ from .correlations import (
     _a_components,
     _bloch_extremum,
     _closed_form_applies,
-    _measured_gradient,
+    _measured_objective,
+    _search,
     _start_basis,
     measure_a,
     pure_state_correlation,
@@ -68,22 +69,21 @@ def entropic_discord(
     """
     base = von_neumann_entropy(state.marginal("a")) - von_neumann_entropy(state.rho)
 
-    def loss(u: np.ndarray):
+    def loss(spectra: np.ndarray):
         # I(measured rho) = S(rho_b) + H(p) - S(measured rho): measuring a
         # leaves rho_b alone (so S(rho_b) cancels from the loss), dephases
         # rho_a to p_n = tr B_n and makes rho block diagonal in the basis u.
         # The slope of I(measured rho) in the eigenvalue l of block n is
-        # ln l - ln p_n, with both logarithms clipped at the cutoff.
-        spectra, vecs = np.linalg.eigh(measure_a(state, u))
+        # ln l - ln p_n, with both logarithms clipped at the cutoff; the
+        # loss has the opposite slope.
         probs = spectra.sum(axis=-1)
         value = base - _spectral_entropy(probs) + _spectral_entropy(spectra).sum(axis=-1)
         slopes = np.log(np.maximum(spectra, ENTROPY_CUTOFF)) - np.log(
             np.maximum(probs, ENTROPY_CUTOFF)
         )[..., None]
-        return value, -_measured_gradient(state, u, vecs, slopes)
+        return value, -slopes
 
-    report = optimize_basis(loss, _start_basis(state), config=config)
-    return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
+    return _search(state, _measured_objective(state, loss), config)
 
 
 def geometric_discord(
@@ -121,9 +121,4 @@ def geometric_discord(
         c = np.einsum("lab,kba->lk", _PAULIS, stack).real / np.sqrt(2.0)
         vals, basis = _bloch_extremum(c @ c.T, -1)
         return QuantifierResult(float(vals[0] + vals[1]), basis, "closed-form")
-    report = optimize_basis(
-        lambda u: linalg.off_diagonal_mass_and_gradient(stack, u),
-        _start_basis(state),
-        config=config,
-    )
-    return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
+    return _search(state, lambda u: linalg.off_diagonal_mass_and_gradient(stack, u), config)

@@ -21,15 +21,17 @@ restart that starts where the minimized value curves down leaves in a few
 doublings rather than in many unit steps. Every search minimizes: each
 quantifier is a minimum over bases, and its objective returns the quantifier
 itself. Restart 0 starts at a given basis, which every solver of party a
-sets to the eigenbasis of rho_a; restart k >= 1 starts from random generator
-coefficients drawn from its own stream (seed = base seed + k). The restarts
-run in lockstep, one objective call per round on the stack of those still
-searching; :func:`multistart` reports them.
+sets to the eigenbasis of rho_a in one place, ``correlations._search``;
+restart k >= 1 starts from random generator coefficients drawn from its own
+stream (seed = base seed + k). The restarts run in lockstep, one objective
+call per round on the stack of those still searching; :func:`multistart`
+reports them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,8 +69,9 @@ class OptimizerConfig:
         if self.seed < 0:
             # restart k draws from np.random.default_rng(seed + k)
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
+            raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -109,24 +112,17 @@ def _generator_basis(dim: int) -> np.ndarray:
     return basis
 
 
-def hermitian_from_params(params: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitian generators with the given canonical-basis coefficients.
+def unitary_from_params(params: np.ndarray, dim: int) -> np.ndarray:
+    """Unitaries ``exp(i A(params))``; surjective onto U(d) over the chart.
 
-    ``(..., d^2)`` coefficients give a ``(..., d, d)`` stack.
+    ``A(params)`` is the Hermitian generator with the given coefficients in
+    the canonical basis. ``(..., d^2)`` coefficients give a ``(..., d, d)``
+    stack.
     """
     p = np.asarray(params, dtype=float)
     if p.shape[-1:] != (dim * dim,):
         raise ShapeError(f"need {dim * dim} parameters for dimension {dim}, got shape {p.shape}")
-    return np.einsum("...k,kij->...ij", p, _generator_basis(dim))
-
-
-def unitary_from_params(params: np.ndarray, dim: int) -> np.ndarray:
-    """Unitaries ``exp(i A(params))``; surjective onto U(d) over the chart.
-
-    ``(..., d^2)`` coefficients give a ``(..., d, d)`` stack.
-    """
-    a = hermitian_from_params(params, dim)
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = np.linalg.eigh(np.einsum("...k,kij->...ij", p, _generator_basis(dim)))
     return (vecs * np.exp(1j * vals)[..., None, :]) @ linalg.dag(vecs)
 
 
@@ -287,10 +283,11 @@ def optimize_basis(objective, start, *, config=None):
     Euclidean gradients of shape ``(..., d, d)``, ``df = Re tr(G^dag du)``
     for each unitary. It must be invariant under ``u -> u diag(e^{i phi})``.
     ``start`` is a d x d unitary, the start of restart 0; every solver of
-    party a passes the eigenbasis of rho_a. Restart k >= 1 starts from the
-    unitary of random generator coefficients drawn from its own stream (seed
-    ``config.seed + k``). The restarts are BFGS searches run in lockstep, one
-    objective call per round on the stack of those still searching (see
+    party a calls this through ``correlations._search``, which passes the
+    eigenbasis of rho_a. Restart k >= 1 starts from the unitary of random
+    generator coefficients drawn from its own stream (seed
+    ``config.seed + k``). The restarts are BFGS searches run in lockstep,
+    one objective call per round on the stack of those still searching (see
     :func:`_bfgs`); ``config`` (an :class:`OptimizerConfig`, the default one
     if None) sets the restarts and the tolerance, which bounds both the last
     decrease and the squared gradient norm. Returns the

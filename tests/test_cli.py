@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +227,19 @@ class TestCommands:
         assert code == 0
         assert abs(float(list(csv.reader(io.StringIO(out)))[2][3]) - 1.0) <= 1e-4
 
+    def test_json_with_one_restart_is_strict_json(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        code, out, _ = run_cli(
+            capsys, "qapi", "--state", path, "--restarts", "1", "--format", "json"
+        )
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert report["optimizer"]["second_best"] is None
+
     def test_reproducible_output(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "random", "dims": [3, 2], "seed": 3, "rank": 6})
         argv = ["qah", "--state", path, "--restarts", "4", "--seed", "9", "--format", "json"]
@@ -333,6 +350,53 @@ class TestExitCodes:
             "--start", "0", "--stop", "1", "--step", "0.5",
         )
         assert code == 2
+
+    def test_sweep_exits_one_after_every_row_when_a_solve_is_unconverged(self, capsys, tmp_path):
+        # at tolerance 1e-300 no restart can meet the stop rule, as for `qfc qapi`
+        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--state", path, "--param", "w",
+            "--start", "0.4", "--stop", "0.5", "--step", "0.1",
+            "--quantities", "qapi", "--tol", "1e-300", "--restarts", "2",
+        )
+        assert code == 1
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[0] for row in rows] == ["w", "0.4", "0.5"]
+
+    def test_sweep_step_below_the_grid_resolution_exits_two(self, tmp_path):
+        # 0.5 + 1e-17 == 0.5: a grid built by repeated addition never advances.
+        # Run apart, under a 2 GiB address-space cap and a timeout, so such a
+        # loop fails this test instead of running without bound.
+        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        capped_cli = ("import resource, runpy; "
+                      "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                      "runpy.run_module('qfc.cli', run_name='__main__')")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", capped_cli, "sweep", "--state", path, "--param", "w",
+             "--start", "0.5", "--stop", "0.5", "--step", "1e-17"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2 and not proc.stdout
+        assert "sweep step" in proc.stderr
+
+    def test_observable_without_matrix_exits_two(self, capsys, tmp_path):
+        state = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        observable = write_spec(tmp_path, {"party": "a"}, "observable.json")
+        code, out, err = run_cli(capsys, "qfi", "--state", state, "--observable", observable)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "matrix" in err
+
+    def test_observable_of_the_wrong_size_exits_two(self, capsys, tmp_path):
+        state = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        three = [[[1.0 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+        observable = write_spec(tmp_path, {"party": "a", "matrix": three}, "observable.json")
+        code, out, err = run_cli(capsys, "qfi", "--state", state, "--observable", observable)
+        assert code == 2 and not out
+        assert "observable.matrix must be 2x2" in err
 
     @pytest.mark.parametrize("value", ["0", "-2", "1.5", "many"])
     def test_bad_restarts_exit_two(self, capsys, tmp_path, value):

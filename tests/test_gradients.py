@@ -20,11 +20,13 @@ DIRECTIONS = 5
 
 
 def qah_objective(state):
-    return correlations._basis_qfi_objective(state)
+    return captured_objective(
+        lambda s: correlations.observable_correlation(s, method="optimized"), state
+    )
 
 
 def qapi_objective(state):
-    return correlations._mfi_objective(state)
+    return captured_objective(correlations.measurement_correlation, state)
 
 
 def entropic_objective(state):

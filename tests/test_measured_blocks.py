@@ -23,7 +23,7 @@ from qfc import (
     mutual_information,
     total_mfi,
 )
-from qfc import discord
+from qfc import correlations, discord
 from qfc.states import haar_unitary, random_density
 
 from oracles import mfi
@@ -46,7 +46,7 @@ def captured_objective(solver, state):
         holder.append(objective)
         raise _Captured
 
-    with mock.patch.object(discord, "optimize_basis", grab):
+    with mock.patch.object(correlations, "optimize_basis", grab):
         with pytest.raises(_Captured):
             solver(state)
     return holder[0]

@@ -6,6 +6,7 @@ for each unitary, and are invariant under ``u -> u diag(e^{i phi})``, like
 every objective of the library.
 """
 
+import ast
 import dataclasses
 import json
 import os
@@ -29,7 +30,6 @@ from qfc import (
 )
 from qfc import (
     correlations,
-    discord,
     entropic_discord,
     geometric_discord,
     measurement_correlation,
@@ -37,12 +37,12 @@ from qfc import (
     optimize,
     verify,
 )
-from qfc.correlations import _mfi_objective, total_local_qfi_b
 from qfc.linalg import off_diagonal_mass_and_gradient
 from qfc.optimize import multistart
 from qfc.states import haar_unitary, random_hermitian
 
 from oracles import random_start
+from test_measured_blocks import captured_objective
 
 
 def misalignment(u):
@@ -66,13 +66,7 @@ def constant(value, grad=None):
 
 def qapi_gap(state):
     """The qapi objective: the local QFI on b less the measured information."""
-    total, mfi = total_local_qfi_b(state), _mfi_objective(state)
-
-    def gap(u):
-        value, grad = mfi(u)
-        return total - value, -grad
-
-    return gap
+    return captured_objective(measurement_correlation, state)
 
 
 def stack_objective(dim):
@@ -278,8 +272,7 @@ def test_one_objective_call_per_round():
         return wrapped
 
     dims = verify._MIXED_DIMS
-    with mock.patch.object(correlations, "optimize_basis", counting(optimize_basis)), \
-            mock.patch.object(discord, "optimize_basis", counting(optimize_basis)):
+    with mock.patch.object(correlations, "optimize_basis", counting(optimize_basis)):
         for i in range(20):
             seed = verify.state_seed(0, 3, 100 + i)
             state = verify._noisy_entangled(dims[i % len(dims)], seed)
@@ -290,6 +283,20 @@ def test_one_objective_call_per_round():
                            partial(geometric_discord, method="optimized")):
                 evaluations += solver(state, cfg).report.n_evaluations
     assert calls <= 0.6 * evaluations
+
+
+def test_every_solver_enters_the_search_in_one_place():
+    # restart 0 and the QuantifierResult of every search are set in one function
+    callers = []
+    for path in sorted(Path(qfc.__file__).parent.glob("*.py")):
+        if path.name == "optimize.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and ast.unparse(node.func).split(".")[-1] == "optimize_basis"]
+    assert callers == [("correlations.py", "_search")]
 
 
 class TestMultistart:
@@ -490,6 +497,16 @@ class TestOptimizerConfig:
         # a float or bool would fail later inside the search, or run one restart
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, False, "1e-6", None, 1e-6 + 0j, np.bool_(True)])
+    def test_rejects_non_real_tolerance(self, value):
+        # a bool would count as 1.0 or 0.0, and a string cannot be compared
+        with pytest.raises(ValueError, match="tolerance"):
+            OptimizerConfig(tolerance=value)
+
+    @pytest.mark.parametrize("real", [np.float64, np.float32, int])
+    def test_accepts_real_tolerance(self, real):
+        assert OptimizerConfig(tolerance=real(1)).tolerance == 1.0
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
     def test_accepts_numpy_integers(self, integer):
