@@ -255,8 +255,9 @@ def _emit(report: dict, fmt: str) -> None:
         return
     for key, value in report["values"].items():
         print(f"{key}: {_fmt(value) if isinstance(value, float) else value}")
-    if "method" in report:
-        print(f"method: {report['method']}")
+    for key in ("method", "entropic_method", "geometric_method"):
+        if key in report:
+            print(f"{key}: {report[key]}")
     for section in ("optimizer", "optimizer_dq", "optimizer_dg"):
         if section in report:
             parts = ", ".join(f"{k}={v}" for k, v in report[section].items())
@@ -350,10 +351,11 @@ def _cmd_discord(args) -> int:
     report = _base_report("discord", spec, args)
     report["log_base"] = args.log_base
     report["values"] = {"entropic_discord": dq_value, "geometric_discord": dg.value}
+    report["entropic_method"] = dq.method
     report["geometric_method"] = dg.method
-    report["optimizer_dq"] = _optimizer_summary(dq.report)
-    if dg.report is not None:
-        report["optimizer_dg"] = _optimizer_summary(dg.report)
+    for section, result in (("optimizer_dq", dq), ("optimizer_dg", dg)):
+        if result.report is not None:
+            report[section] = _optimizer_summary(result.report)
     report["wall_time_s"] = time.perf_counter() - start
     _emit(report, args.format)
     return 0 if dq.converged and dg.converged else 1
@@ -391,6 +393,8 @@ def _cmd_sweep(args) -> int:
     for q in quantities:
         if q not in QUANTITIES:
             raise SchemaError(f"unknown quantity {q!r}; expected one of {QUANTITIES}")
+    if not (np.isfinite(args.start) and np.isfinite(args.stop)):
+        raise SchemaError("sweep start and stop must be finite")
     if not SWEEP_MIN_STEP <= args.step < np.inf:
         # points are rounded to 12 decimals, so a smaller step repeats them
         raise SchemaError(f"sweep step must be finite and at least {SWEEP_MIN_STEP:g}")

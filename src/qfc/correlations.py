@@ -15,6 +15,7 @@ discord on pure states:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,18 +23,25 @@ from . import linalg
 from .errors import ShapeError
 from .fisher import qfi_weight_matrix
 from .optimize import OptimizerConfig, OptimizerReport, optimize_basis
-from .states import BipartiteState, state_vector
+from .states import BipartiteState, random_hermitian, state_vector
 
 @dataclass(frozen=True)
 class QuantifierResult:
     """A correlation value, the basis that attains it and how it was reached.
 
     ``argopt`` is the unitary whose columns realize the optimum (the
-    minimizing basis or measurement). ``method`` is ``"optimized"`` (the
-    gradient search of :func:`optimize_basis`, whose ``report.best_value``
-    is ``value``) or ``"closed-form"`` (no search and no ``report``: pure
-    states in geometric discord, and a qubit party a in
-    :func:`observable_correlation` and geometric discord).
+    minimizing basis or measurement). ``method`` is one of:
+
+    * ``"optimized"``: the gradient search of :func:`optimize_basis`, whose
+      ``report.best_value`` is ``value``;
+    * ``"closed-form"``: no search and no ``report`` (pure states in
+      geometric discord, and a qubit party a in
+      :func:`observable_correlation` and geometric discord);
+    * ``"certified-zero"``: no search and no ``report``, because the
+      objective at one candidate basis was already within the tolerance of
+      zero, the lower bound of every quantifier (see ``_search``). It means
+      "within tolerance of zero", not "classical": a state a little off the
+      classical ones can be certified too.
     """
 
     value: float
@@ -84,11 +92,12 @@ def _a_components(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _closed_form_applies(state: BipartiteState, method: str) -> bool:
-    # Whether a solver with a qubit-a closed form skips its search.
+def _may_skip_search(method: str) -> bool:
+    # Whether a solver may return without a search (method="auto"): through
+    # a closed form or a certified zero. Every solver validates its method here.
     if method not in ("auto", "optimized"):
         raise ValueError(f"method must be 'auto' or 'optimized', got {method!r}")
-    return method == "auto" and state.dim_a == 2
+    return method == "auto"
 
 
 def _bloch_extremum(k: np.ndarray, index: int):
@@ -112,10 +121,47 @@ def _start_basis(state: BipartiteState) -> np.ndarray:
     return np.linalg.eigh(state.marginal("a"))[1]
 
 
-def _search(state: BipartiteState, objective, config: OptimizerConfig | None) -> QuantifierResult:
-    # Every basis search of party a enters here, with restart 0 at the
-    # eigenbasis of rho_a. optimize_basis is looked up as a module global on
-    # each call, so a rebound one (bench/tracing.py) is the one that runs.
+@lru_cache(maxsize=None)
+def _probe_observable(dim_b: int) -> np.ndarray:
+    # The generic Hermitian Y on b of the certificate in _search.
+    y = random_hermitian(dim_b, 0)
+    y.flags.writeable = False
+    return y
+
+
+def _search(
+    state: BipartiteState, objective, config: OptimizerConfig | None, certify: bool
+) -> QuantifierResult:
+    """Minimize ``objective`` over bases of party a; every solver's search enters here.
+
+    With ``certify`` (``method="auto"``) a certificate comes first. Write
+    ``rho = sum_k A_k (x) Y_k`` over a trace-orthonormal Hermitian basis
+    ``Y_k`` of b. rho is classical on a exactly when the ``A_k`` commute
+    pairwise (Dakic, Vedral and Brukner, PRL 105, 190502, 2010), and the
+    eigenbasis of a generic combination of them is then a classical basis.
+    The combination is ``S = tr_b[(1 (x) Y) rho] = sum_k tr(Y Y_k) A_k``
+    for a fixed generic Hermitian ``Y`` on b, ``random_hermitian(dim_b,
+    0)``: Gaussian entries from ``np.random.default_rng(0)``, never numpy's
+    global generator, cached per ``dim_b``. The objective is evaluated once
+    at the eigenbasis of S. Every quantifier is >= 0 in every basis, so a
+    value at most ``config.tolerance`` is within tolerance of the minimum:
+    it is returned with ``method="certified-zero"``, that basis and no
+    report. That is "within tolerance of zero", not "classical" (a state
+    mixed with a little entanglement can pass).
+
+    Otherwise, or without ``certify``, :func:`optimize_basis` searches with
+    restart 0 at the eigenbasis of rho_a. It is looked up as a module global
+    on each call, so a rebound one (``bench/tracing.py``) is the one that
+    runs.
+    """
+    if certify:
+        m, n = state.dims
+        s = np.einsum("ji,aibj->ab", _probe_observable(n), state.rho.reshape(m, n, m, n))
+        basis = np.linalg.eigh(s)[1]
+        value = float(objective(basis)[0])
+        tolerance = (config if config is not None else OptimizerConfig()).tolerance
+        if value <= tolerance:
+            return QuantifierResult(value, basis, "certified-zero")
     report = optimize_basis(objective, _start_basis(state), config=config)
     return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
@@ -237,35 +283,41 @@ def observable_correlation(
     by the eigenbasis of ``n.sigma`` for the bottom eigenvector n, and the
     result has ``method="closed-form"`` and no report. Other party-a
     dimensions run the gradient search of :func:`optimize_basis` from the
-    eigenbasis of rho_a (``method="optimized"``). Pass ``method="optimized"``
-    to run the search on a qubit party a too (used to cross-check the closed
-    form).
+    eigenbasis of rho_a (``method="optimized"``), unless the value is
+    certified within tolerance of zero first (``method="certified-zero"``,
+    see ``_search``). Pass ``method="optimized"`` to run the search on a
+    qubit party a and on a certifiable state too (used to cross-check the
+    closed form and the certificate).
     """
+    auto = _may_skip_search(method)
     w, v3 = _qfi_spectrum(state)
-    if _closed_form_applies(state, method):
+    if auto and state.dim_a == 2:
         s = np.einsum("ani,kab,bnj->kij", v3.conj(), _PAULIS, v3)
         vals, basis = _bloch_extremum(np.einsum("ij,kij,lij->kl", w, s, s.conj()).real, 0)
         return QuantifierResult(0.5 * float(vals[0]), basis, "closed-form")
-    return _search(state, lambda u: _basis_qfi_core(w, v3, u), config)
+    return _search(state, lambda u: _basis_qfi_core(w, v3, u), config, auto)
 
 
 def measurement_correlation(
-    state: BipartiteState, config: OptimizerConfig | None = None
+    state: BipartiteState, config: OptimizerConfig | None = None, method: str = "auto"
 ) -> QuantifierResult:
     """Quantum correlation as the Fisher gap of hierarchical measurements.
 
     Minimizes, over rank-1 von Neumann measurements on party a, the gap
     between the basis-summed local QFI on party b and its measurement-induced
     counterpart :func:`total_mfi`. Zero exactly on CQ/CC states; equal to
-    ``1 - sum_i s_i^2`` on pure states.
+    ``1 - sum_i s_i^2`` on pure states. A value certified within tolerance
+    of zero skips the search (``method="certified-zero"``, see ``_search``);
+    ``method="optimized"`` always searches.
     """
+    auto = _may_skip_search(method)
     total = total_local_qfi_b(state)
 
     def gap(vals: np.ndarray):
         value, slopes = _mfi_spectral(vals)
         return total - value, -slopes
 
-    return _search(state, _measured_objective(state, gap), config)
+    return _search(state, _measured_objective(state, gap), config, auto)
 
 
 def pure_state_correlation(state: BipartiteState) -> float:

@@ -18,7 +18,7 @@ from .correlations import (
     QuantifierResult,
     _a_components,
     _bloch_extremum,
-    _closed_form_applies,
+    _may_skip_search,
     _measured_objective,
     _search,
     _start_basis,
@@ -59,14 +59,17 @@ def measured_state(state: BipartiteState, measurement: np.ndarray) -> BipartiteS
 
 
 def entropic_discord(
-    state: BipartiteState, config: OptimizerConfig | None = None
+    state: BipartiteState, config: OptimizerConfig | None = None, method: str = "auto"
 ) -> QuantifierResult:
     """Minimal loss of mutual information under measurement on party a.
 
     ``min over measurements of I(rho) - I(measured rho)``, restricted to
     rank-1 projective measurements. Zero exactly on CQ/CC states; equals the
-    entanglement entropy on pure states.
+    entanglement entropy on pure states. A value certified within tolerance
+    of zero skips the search (``method="certified-zero"``, see
+    ``correlations._search``); ``method="optimized"`` always searches.
     """
+    auto = _may_skip_search(method)
     base = von_neumann_entropy(state.marginal("a")) - von_neumann_entropy(state.rho)
 
     def loss(spectra: np.ndarray):
@@ -83,7 +86,7 @@ def entropic_discord(
         )[..., None]
         return value, -slopes
 
-    return _search(state, _measured_objective(state, loss), config)
+    return _search(state, _measured_objective(state, loss), config, auto)
 
 
 def geometric_discord(
@@ -107,18 +110,22 @@ def geometric_discord(
     eigenvector n. Both closed forms give ``method="closed-form"`` and no
     report. Other mixed inputs run the gradient search of
     :func:`optimize_basis` (``method="optimized"``) from the eigenbasis of
-    rho_a, as every other basis search does. Pass ``method="optimized"`` to
-    run the search on pure inputs and on a qubit party a too (used to
-    cross-check the closed forms).
+    rho_a, as every other basis search does, unless the value is certified
+    within tolerance of zero first (``method="certified-zero"``, see
+    ``correlations._search``). Pass ``method="optimized"`` to run the search
+    on pure inputs, on a qubit party a and on a certifiable state too (used
+    to cross-check the closed forms and the certificate).
     """
-    qubit_a = _closed_form_applies(state, method)  # raises on an unknown method
-    if method == "auto" and state.purity() >= 1.0 - PURITY_TOL:
+    auto = _may_skip_search(method)
+    if auto and state.purity() >= 1.0 - PURITY_TOL:
         # every eigenbasis of rho_a is a Schmidt basis of a pure state
         return QuantifierResult(pure_state_correlation(state), _start_basis(state), "closed-form")
 
     stack = _a_components(state.rho, state.dims)
-    if qubit_a:
+    if auto and state.dim_a == 2:
         c = np.einsum("lab,kba->lk", _PAULIS, stack).real / np.sqrt(2.0)
         vals, basis = _bloch_extremum(c @ c.T, -1)
         return QuantifierResult(float(vals[0] + vals[1]), basis, "closed-form")
-    return _search(state, lambda u: linalg.off_diagonal_mass_and_gradient(stack, u), config)
+    return _search(
+        state, lambda u: linalg.off_diagonal_mass_and_gradient(stack, u), config, auto
+    )

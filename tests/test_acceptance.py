@@ -84,8 +84,10 @@ def test_nan_on_every_noisy_state_fails_criterion_3(monkeypatch):
     for name in ("observable_correlation", "measurement_correlation"):
         solve = getattr(verify, name)
 
-        def patched(state, cfg, solve=solve):
-            return nan_result(state) if any(state is s for s in noisy) else solve(state, cfg)
+        def patched(state, cfg, solve=solve, **kwargs):
+            if any(state is s for s in noisy):
+                return nan_result(state)
+            return solve(state, cfg, **kwargs)
 
         monkeypatch.setattr(verify, name, patched)
     result = verify.check_zero_discord_detection(CONFIG)

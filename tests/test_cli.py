@@ -186,6 +186,28 @@ class TestCommands:
         assert doc["geometric_method"] == "closed-form"
         assert "optimizer_dg" not in doc
 
+    @pytest.mark.parametrize("command", ["qah", "qapi", "discord"])
+    def test_certified_zero_on_a_qutrit_cq_spec(self, capsys, tmp_path, command):
+        # d_a = 3, so no qubit-a closed form applies: every solve is certified
+        diag = [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]]
+        flip = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+        path = write_spec(tmp_path, {"kind": "cq", "dims": [3, 2], "probs": [0.5, 0.5],
+                                     "sigmas": [diag, flip]})
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code, out, _ = run_cli(capsys, command, "--state", path, "--format", "json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=refuse)
+        methods = [doc[k] for k in ("method", "entropic_method", "geometric_method") if k in doc]
+        assert methods and set(methods) == {"certified-zero"}
+        assert not [key for key in doc if key.startswith("optimizer")]
+        assert all(abs(v) <= 1e-6 for v in doc["values"].values())
+        code, out, _ = run_cli(capsys, command, "--state", path)
+        assert code == 0
+        assert out.count(": certified-zero\n") == len(methods)
+
     def test_discord_log_base_two(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
         code, out, _ = run_cli(
@@ -350,6 +372,18 @@ class TestExitCodes:
             "--start", "0", "--stop", "1", "--step", "0.5",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("start, stop", [("nan", "0.5"), ("0.1", "nan"), ("-inf", "0.5"),
+                                             ("0.1", "inf")])
+    def test_non_finite_sweep_bounds_exit_two(self, capsys, tmp_path, start, stop):
+        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--state", path, "--param", "w",
+            f"--start={start}", f"--stop={stop}", "--step", "0.1",
+        )
+        assert code == 2 and not out
+        assert err.startswith("error:") and "finite" in err
 
     def test_sweep_exits_one_after_every_row_when_a_solve_is_unconverged(self, capsys, tmp_path):
         # at tolerance 1e-300 no restart can meet the stop rule, as for `qfc qapi`
