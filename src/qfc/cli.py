@@ -335,7 +335,7 @@ def _cmd_quantifier(args, command: str) -> int:
     report = _base_report(command, spec, args)
     report["values"] = {command: result.value}
     report["method"] = result.method
-    if result.report is not None:
+    if result.method == "optimized":
         report["optimizer"] = _optimizer_summary(result.report)
     report["wall_time_s"] = time.perf_counter() - start
     _emit(report, args.format)
@@ -354,7 +354,7 @@ def _cmd_discord(args) -> int:
     report["entropic_method"] = dq.method
     report["geometric_method"] = dg.method
     for section, result in (("optimizer_dq", dq), ("optimizer_dg", dg)):
-        if result.report is not None:
+        if result.method == "optimized":  # a certified zero's report is not a search
             report[section] = _optimizer_summary(result.report)
     report["wall_time_s"] = time.perf_counter() - start
     _emit(report, args.format)

@@ -127,5 +127,8 @@ def geometric_discord(
         vals, basis = _bloch_extremum(c @ c.T, -1)
         return QuantifierResult(float(vals[0] + vals[1]), basis, "closed-form")
     return _search(
-        state, lambda u: linalg.off_diagonal_mass_and_gradient(stack, u), config, auto
+        state,
+        lambda u, gradient=True: linalg.off_diagonal_mass_and_gradient(stack, u, gradient),
+        config,
+        auto,
     )

@@ -162,7 +162,7 @@ def hermitian_basis(d: int) -> np.ndarray:
     return ops
 
 
-def off_diagonal_mass_and_gradient(mats: np.ndarray, u: np.ndarray):
+def off_diagonal_mass_and_gradient(mats: np.ndarray, u: np.ndarray, gradient: bool = True):
     """Off-diagonal mass of a stack in the basis u, and its gradient ``G``.
 
     The mass of a ``(K, d, d)`` stack ``M`` is ``sum_k ||offdiag(U^dag M_k
@@ -170,13 +170,15 @@ def off_diagonal_mass_and_gradient(mats: np.ndarray, u: np.ndarray):
     ``d_kn = <u_n| M_k |u_n>`` the value is ``sum_k ||M_k||^2 - sum_kn
     d_kn^2``, so ``G[:, n] = -4 sum_k d_kn M_k u_n``. A ``(..., d, d)``
     stack of bases u gives values of shape ``(...)`` and a ``(..., d, d)``
-    stack of gradients.
+    stack of gradients; with ``gradient=False`` the gradient is ``None``.
     """
     m = np.asarray(mats).shape[-1]
     rotated = np.einsum("...ak,mab,...bl->...mkl", u.conj(), mats, u)
     # Boolean indexing leaves the batch axes inner in memory; each basis is
     # summed as one C-ordered row, so no value depends on the stack size.
     off = np.ascontiguousarray(rotated[..., ~np.eye(m, dtype=bool)])
+    value = np.sum((off.real**2 + off.imag**2).reshape(*off.shape[:-2], -1), axis=-1)
+    if not gradient:
+        return value, None
     diagonal = rotated.diagonal(axis1=-2, axis2=-1).real
-    grad = -4.0 * np.einsum("kab,...bn,...kn->...an", mats, u, diagonal)
-    return np.sum((off.real**2 + off.imag**2).reshape(*off.shape[:-2], -1), axis=-1), grad
+    return value, -4.0 * np.einsum("kab,...bn,...kn->...an", mats, u, diagonal)

@@ -1,8 +1,9 @@
 """Certified zeros: one check at the eigenbasis of S = tr_b[(1 (x) Y) rho] before any search.
 
 A solve with ``method="auto"`` that reaches ``correlations._search`` first
-evaluates its objective at the eigenbasis of ``S``; a value within the
-tolerance is returned as ``"certified-zero"`` without a search or a report.
+evaluates its objective's value at the eigenbasis of ``S``; a value within
+the tolerance is returned as ``"certified-zero"`` without a search, with a
+report of that one evaluation.
 """
 
 import numpy as np
@@ -59,14 +60,28 @@ def expected_method(kind, state):
     return "closed-form" if kind in QUBIT_CLOSED_FORMS and state.dim_a == 2 else "certified-zero"
 
 
+def assert_certified(result, tolerance):
+    assert result.method == "certified-zero" and result.converged
+    assert abs(result.value) <= tolerance
+    report = result.report  # one restart: the single evaluation at the certified basis
+    assert report.best_value == result.value and report.best_unitary is result.argopt
+    np.testing.assert_array_equal(report.restart_values, [result.value])
+    np.testing.assert_array_equal(report.restart_evaluations, [1])
+    np.testing.assert_array_equal(report.restart_iterations, [0])
+    np.testing.assert_array_equal(report.restart_converged, [True])
+    assert (report.n_evaluations, report.n_iterations) == (1, 0)
+
+
 @pytest.mark.parametrize("i", range(20))
 def test_criterion_3_classical_states_are_certified(i):
     state = criterion_3_classical(i)
     for kind, solve in SOLVERS.items():
         result = solve(state, TIGHT)
         assert result.method == expected_method(kind, state), kind
-        assert result.report is None and result.converged
-        assert abs(result.value) <= TIGHT.tolerance
+        if result.method == "certified-zero":
+            assert_certified(result, TIGHT.tolerance)
+        else:
+            assert result.report is None and abs(result.value) <= TIGHT.tolerance
         np.testing.assert_allclose(result.argopt.conj().T @ result.argopt,
                                    np.eye(state.dim_a), atol=1e-12)
 
@@ -77,9 +92,7 @@ def test_degenerate_cq_states_are_certified_by_every_solver(i):
     np.testing.assert_allclose(state.marginal("a"), np.eye(state.dim_a) / state.dim_a,
                                atol=1e-12)
     for solve in SOLVERS.values():
-        result = solve(state, CFG)
-        assert result.method == "certified-zero" and result.report is None
-        assert abs(result.value) <= CFG.tolerance
+        assert_certified(solve(state, CFG), CFG.tolerance)
     # the certified basis realizes the value the result reports
     qah = observable_correlation(state, CFG)
     assert abs(basis_qfi_sum(state, qah.argopt) - qah.value) <= 1e-12
@@ -170,6 +183,16 @@ def test_results_do_not_depend_on_the_global_rng():
     for (m1, v1, u1), (m2, v2, u2) in zip(first, solve_all()):
         assert m1 == m2 and v1 == v2
         np.testing.assert_array_equal(u1, u2)
+
+
+@pytest.mark.parametrize("kind", ["qapi", "qah"])
+def test_default_solves_of_a_certified_state_report_their_evaluations(kind):
+    # criterion-3 state 3 (a 3x3 CC state) with criterion 3's optimizer; a
+    # caller that reads report.n_evaluations from a default solve keeps working
+    state = criterion_3_classical(3)
+    result = SOLVERS[kind](state, OptimizerConfig(restarts=16, tolerance=1e-8, seed=0))
+    assert result.report.n_evaluations == 1
+    assert_certified(result, 1e-8)
 
 
 @pytest.mark.parametrize("kind", SOLVERS)

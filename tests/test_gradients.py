@@ -9,7 +9,7 @@ factor error in G would otherwise only slow the search down, not fail it.
 import numpy as np
 import pytest
 
-from qfc import BipartiteState, correlations, discord, linalg, random_pure
+from qfc import BipartiteState, correlations, discord, random_pure
 from qfc.optimize import _generator_basis
 from qfc.states import haar_unitary, random_density
 
@@ -34,8 +34,9 @@ def entropic_objective(state):
 
 
 def geometric_objective(state):
-    stack = correlations._a_components(state.rho, state.dims)
-    return lambda u: linalg.off_diagonal_mass_and_gradient(stack, u)
+    return captured_objective(
+        lambda s: discord.geometric_discord(s, method="optimized"), state
+    )
 
 
 OBJECTIVES = {
@@ -102,3 +103,13 @@ def test_stack_matches_single_calls(name, count, rank, dims):
         assert np.ndim(single_value) == 0 and single_grad.shape == (m, m)
         assert abs(value - single_value) <= 1e-13 * abs(single_value)
         assert np.max(np.abs(grad - single_grad)) <= 1e-13 * np.max(np.abs(single_grad))
+
+
+@pytest.mark.parametrize("state, u", cases())
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+def test_value_without_the_gradient_matches_the_full_value(name, state, u):
+    # the zero certificate, total_mfi and basis_qfi_sum ask for the value alone
+    objective = OBJECTIVES[name](state)
+    value, grad = objective(u, gradient=False)
+    assert grad is None
+    assert abs(value - objective(u)[0]) <= 1e-12
