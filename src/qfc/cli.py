@@ -1,6 +1,6 @@
 """Command-line front end.
 
-``qfc <command> [--state file.json] [flags]`` with commands:
+``qfc <command> [flags]`` with commands:
 
 * ``qfi``     - QFI, variance, and SLD residual of a state/observable pair
 * ``qah``     - correlation via minimized local-driving QFI on party a
@@ -12,9 +12,10 @@
 States are described by JSON documents (see ``KIND_SCHEMAS``); complex
 matrix entries are nested ``[re, im]`` pairs in row-major order, and a
 spec's ``dims`` bind every matrix in it (each ``cq`` sigma is ``dims[1]`` x
-``dims[1]``). ``--seed``, ``--restarts`` and ``--tol`` accept exactly what
-``OptimizerConfig`` accepts. Exit codes: 0 success, 1 physics/verification
-failure or non-convergence, 2 usage error (a schema violation, a missing
+``dims[1]``). Each command takes only the flags it reads; ``--seed``,
+``--restarts`` and ``--tol`` accept exactly what ``OptimizerConfig`` accepts.
+Exit codes: 0 success, 1 physics/verification failure or non-convergence, 2
+usage error (a flag the command does not take, a schema violation, a missing
 file, or a state above the dimension guard without ``--allow-large``).
 """
 
@@ -210,15 +211,14 @@ def build_state(spec: StateSpec, allow_large: bool = False) -> BipartiteState:
         return make_witness_state(**kwargs)
     if kind == "raw_matrix":
         return BipartiteState(_complex_matrix(doc["matrix"], "raw_matrix.matrix"), *dims)
-    if kind == "random":
-        seed, rank = doc["seed"], doc.get("rank", 0)
-        for name, value in (("seed", seed), ("rank", rank)):
-            if not _is_int(value) or value < 0:
-                raise SchemaError(f"random.{name} must be a nonnegative integer")
-        if rank == 0:
-            return random_pure(dims, seed)
-        return BipartiteState(random_density(dims[0] * dims[1], rank, seed), *dims)
-    raise SchemaError(f"unknown kind {kind!r}")  # unreachable after parse
+    # "random", the last kind parse_state_spec admits
+    seed, rank = doc["seed"], doc.get("rank", 0)
+    for name, value in (("seed", seed), ("rank", rank)):
+        if not _is_int(value) or value < 0:
+            raise SchemaError(f"random.{name} must be a nonnegative integer")
+    if rank == 0:
+        return random_pure(dims, seed)
+    return BipartiteState(random_density(dims[0] * dims[1], rank, seed), *dims)
 
 
 def _read_spec(path: str, allow_large: bool) -> tuple[StateSpec, BipartiteState]:
@@ -449,47 +449,49 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quantum Fisher information and QFI-based correlation quantifiers.",
     )
     parser.add_argument("--version", action="version", version=f"qfc {__version__}")
+    # Flag groups; each command takes only the groups it reads.
     defaults = OptimizerConfig()
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--state", help="path to a JSON state specification")
-    common.add_argument("--seed", type=_config_value("seed", int), default=defaults.seed,
-                        help=f"base seed for optimizer restarts (>= 0, default {defaults.seed})")
-    common.add_argument("--restarts", type=_config_value("restarts", int),
-                        default=defaults.restarts,
-                        help=f"optimizer restarts (>= 1, default {defaults.restarts})")
-    common.add_argument("--tol", type=_config_value("tolerance", float),
-                        default=defaults.tolerance,
-                        help=f"optimizer objective tolerance (finite, > 0, "
-                             f"default {defaults.tolerance:g})")
-    common.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    common.add_argument("--log-base", choices=("e", "2"), default="e",
-                        help="display base for entropic quantities")
-    common.add_argument("--allow-large", action="store_true",
-                        help=f"lift the total-dimension guard ({DIMENSION_GUARD})")
+    optimizer = argparse.ArgumentParser(add_help=False)
+    optimizer.add_argument("--seed", type=_config_value("seed", int), default=defaults.seed,
+                           help=f"base seed for optimizer restarts (>= 0, default {defaults.seed})")
+    optimizer.add_argument("--restarts", type=_config_value("restarts", int),
+                           default=defaults.restarts,
+                           help=f"optimizer restarts (>= 1, default {defaults.restarts})")
+    optimizer.add_argument("--tol", type=_config_value("tolerance", float),
+                           default=defaults.tolerance,
+                           help=f"optimizer objective tolerance (finite, > 0, "
+                                f"default {defaults.tolerance:g})")
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", required=True, help="path to a JSON state specification")
+    state.add_argument("--allow-large", action="store_true",
+                       help=f"lift the total-dimension guard ({DIMENSION_GUARD})")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    log_base = argparse.ArgumentParser(add_help=False)
+    log_base.add_argument("--log-base", choices=("e", "2"), default="e",
+                          help="display base for entropic quantities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("qfi", parents=[common], help="QFI, variance, SLD residual")
+    report = [state, optimizer, fmt]
+    p = sub.add_parser("qfi", parents=report, help="QFI, variance, SLD residual")
     p.add_argument("--observable", required=True, help="path to an observable JSON spec")
-    sub.add_parser("qah", parents=[common], help="correlation via minimized local-driving QFI")
-    sub.add_parser("qapi", parents=[common], help="correlation via the measured-Fisher gap")
-    sub.add_parser("discord", parents=[common], help="entropic and geometric discord")
-    p = sub.add_parser("sweep", parents=[common], help="grid scan of one state parameter")
+    sub.add_parser("qah", parents=report, help="correlation via minimized local-driving QFI")
+    sub.add_parser("qapi", parents=report, help="correlation via the measured-Fisher gap")
+    sub.add_parser("discord", parents=report + [log_base], help="entropic and geometric discord")
+    p = sub.add_parser("sweep", parents=[state, optimizer, log_base],
+                       help="grid scan of one state parameter (CSV)")
     p.add_argument("--param", required=True, help="parameter name (pure_schmidt: s, werner: w)")
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--quantities", default="qah,qapi",
                    help="comma-separated subset of qah,qapi,dq,dg")
-    sub.add_parser("verify", parents=[common], help="run the acceptance suite")
+    sub.add_parser("verify", parents=[optimizer], help="run the acceptance suite")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    needs_state = args.command in ("qfi", "qah", "qapi", "discord", "sweep")
-    if needs_state and not args.state:
-        parser.error(f"command '{args.command}' requires --state")
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "qfi":
             return _cmd_qfi(args)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import DegeneratePointError, PositivityError, ShapeError, ValidationError
-from .linalg import SUPPORT_CUTOFF, VALIDATION_TOL, dag
+from .errors import DegeneratePointError, ShapeError, ValidationError
+from .linalg import SUPPORT_CUTOFF, dag
 
 #: Outcome probabilities below this floor are treated as vanishing.
 PROBABILITY_FLOOR = 1e-12
@@ -24,7 +24,7 @@ DERIVATIVE_FLOOR = 1e-8
 def _operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The state and the Hermitian observable as complex arrays of one shape."""
     h = linalg.require_hermitian(h, "observable")
-    rho = np.asarray(rho, dtype=complex)
+    rho = linalg.require_hermitian(rho, "state")
     if rho.shape != h.shape:
         raise ShapeError(f"state shape {rho.shape} does not match observable {h.shape}")
     return rho, h
@@ -39,12 +39,9 @@ def validate_povm(elements, dim: int | None = None) -> list[np.ndarray]:
     if any(e.shape != (d, d) for e in mats):
         raise ShapeError("POVM elements must share the state dimension")
     for e in mats:
-        lowest = float(np.linalg.eigvalsh((e + dag(e)) / 2)[0])
-        if lowest < -VALIDATION_TOL:
-            raise PositivityError(f"POVM element has eigenvalue {lowest:.3e} < 0")
-    defect = np.linalg.norm(sum(mats) - np.eye(d))
-    if defect > VALIDATION_TOL:
-        raise ValidationError(f"POVM does not resolve the identity: defect {defect:.3e}")
+        linalg.require_positive(e, "POVM element")
+    linalg.require_close(sum(mats), np.eye(d), ValidationError,
+                         "POVM does not resolve the identity: ||sum E - I||")
     return mats
 
 
@@ -123,8 +120,8 @@ def classical_fi(rho: np.ndarray, h: np.ndarray, povm) -> float:
     undefined 0/0 point and raises. Another point of the orbit is the state
     ``evolve(rho, h, theta)``.
     """
-    mats = validate_povm(povm, np.asarray(rho).shape[0])
     rho, h = _operands(rho, h)
+    mats = validate_povm(povm, rho.shape[0])
     drho = 1j * (rho @ h - h @ rho)
     total = 0.0
     for x, m in enumerate(mats):

@@ -11,10 +11,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HermiticityError, NormalizationError, OrthonormalityError, ShapeError
+from .errors import (HermiticityError, NormalizationError, OrthonormalityError,
+                     PositivityError, ShapeError, ValidationError)
 
-#: Tolerance of every input check: Hermiticity, orthonormality, unit norm,
-#: unit trace, positivity and completeness.
+#: Tolerance of every input check (Hermiticity, orthonormality, unit norm, unit
+#: trace, positivity, completeness); only the ``require_*`` functions read it.
 VALIDATION_TOL = 1e-10
 #: Eigenvalue pairs whose sum falls below this cutoff are treated as lying
 #: outside the support and are excluded from spectral sums.
@@ -26,22 +27,37 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def hermiticity_defect(h: np.ndarray) -> float:
-    """Frobenius norm of ``H - H^dagger``."""
-    return float(np.linalg.norm(h - dag(h)))
+def require_close(value, target, error: type[ValidationError], what: str) -> None:
+    """Raise ``error``, naming the defect ``what``, unless ``||value - target|| <= VALIDATION_TOL``.
+
+    Written so that a NaN defect fails.
+    """
+    defect = float(np.linalg.norm(np.subtract(value, target)))
+    if not defect <= VALIDATION_TOL:
+        raise error(f"{what} = {defect:.3e} > {VALIDATION_TOL:.0e}")
+
+
+def require_finite(x, name: str) -> None:
+    """Raise unless every entry of ``x`` is finite (no NaN, no infinity)."""
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{name} must be finite; found a non-finite entry")
 
 
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return ``h`` as a complex array, raising if it is not Hermitian."""
+    """Return ``h`` as a complex array, raising unless it is square, finite and Hermitian."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {h.shape}")
-    defect = hermiticity_defect(h)
-    if defect > VALIDATION_TOL:
-        raise HermiticityError(
-            f"{name} is not Hermitian: ||H - H^dag|| = {defect:.3e} > {VALIDATION_TOL:.0e}"
-        )
+    require_finite(h, name)
+    require_close(h, dag(h), HermiticityError, f"{name} is not Hermitian: ||H - H^dag||")
     return h
+
+
+def require_positive(h: np.ndarray, name: str) -> None:
+    """Raise unless the Hermitian ``h`` has no eigenvalue below ``-VALIDATION_TOL``."""
+    lowest = float(np.linalg.eigvalsh((h + dag(h)) / 2)[0])
+    if not lowest >= -VALIDATION_TOL:
+        raise PositivityError(f"{name} has eigenvalue {lowest:.3e} < 0")
 
 
 def require_orthonormal_columns(v: np.ndarray, name: str = "basis") -> np.ndarray:
@@ -49,12 +65,9 @@ def require_orthonormal_columns(v: np.ndarray, name: str = "basis") -> np.ndarra
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2:
         raise ShapeError(f"{name} must be a 2-d array of column vectors")
-    gram = dag(v) @ v
-    defect = np.linalg.norm(gram - np.eye(v.shape[1]))
-    if defect > VALIDATION_TOL:
-        raise OrthonormalityError(
-            f"{name} columns are not orthonormal: ||V^dag V - I|| = {defect:.3e}"
-        )
+    require_finite(v, name)
+    require_close(dag(v) @ v, np.eye(v.shape[1]), OrthonormalityError,
+                  f"{name} columns are not orthonormal: ||V^dag V - I||")
     return v
 
 
@@ -63,6 +76,17 @@ def require_unitary(u: np.ndarray, dim: int, name: str = "unitary") -> np.ndarra
     if np.shape(u) != (dim, dim):
         raise ShapeError(f"{name} of shape {np.shape(u)} does not match dimension {dim}")
     return require_orthonormal_columns(u, name)
+
+
+def require_state_vector(psi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Return ``psi`` as a flat complex array, raising unless it is a unit vector on ``dims``."""
+    m, n = dims
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.size != m * n:
+        raise ShapeError(f"state vector length {psi.size} does not match dims {m}x{n}")
+    require_close(np.linalg.norm(psi), 1.0, NormalizationError,
+                  "state vector is not normalized: | ||psi|| - 1 |")
+    return psi
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -128,12 +152,7 @@ def schmidt(psi: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     local vectors.
     """
     m, n = dims
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (m * n,):
-        raise ShapeError(f"state vector length {psi.size} does not match dims {m}x{n}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > VALIDATION_TOL:
-        raise NormalizationError(f"state vector norm is {norm:.12f}, expected 1")
+    psi = require_state_vector(psi, dims)
     u, s, vh = np.linalg.svd(psi.reshape(m, n), full_matrices=False)
     coeffs = s**2
     kept = coeffs > SUPPORT_CUTOFF

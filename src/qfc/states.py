@@ -12,11 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import VALIDATION_TOL
 from .errors import (
-    HermiticityError,
     NormalizationError,
-    PositivityError,
     PurityError,
     ShapeError,
     TraceError,
@@ -69,20 +66,9 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     Raises a distinct error for each violated invariant; returns the matrix
     as a complex array on success.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"density matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("density matrix has a non-finite entry")
-    defect = linalg.hermiticity_defect(m)
-    if defect > VALIDATION_TOL:
-        raise HermiticityError(f"density matrix not Hermitian: defect {defect:.3e}")
-    trace = complex(np.trace(m))
-    if abs(trace - 1.0) > VALIDATION_TOL:
-        raise TraceError(f"density matrix trace is {trace:.12g}, expected 1")
-    lowest = float(np.linalg.eigvalsh((m + linalg.dag(m)) / 2)[0])
-    if lowest < -VALIDATION_TOL:
-        raise PositivityError(f"density matrix has eigenvalue {lowest:.3e} < 0")
+    m = linalg.require_hermitian(m, "density matrix")
+    linalg.require_close(np.trace(m), 1.0, TraceError, "density matrix trace is not 1: |tr - 1|")
+    linalg.require_positive(m, "density matrix")
     return m
 
 
@@ -90,25 +76,18 @@ def _validate_probs(probs, count: int | None = None) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if count is not None and p.size != count:
         raise ShapeError(f"expected {count} probabilities, got {p.size}")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("probabilities must be finite")
+    linalg.require_finite(p, "probabilities")
     if p.size and p.min() < -1e-12:
         raise ValidationError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > VALIDATION_TOL:
-        raise NormalizationError(f"probabilities sum to {p.sum():.12f}, expected 1")
+    linalg.require_close(p.sum(), 1.0, NormalizationError,
+                         "probabilities do not sum to 1: |sum - 1|")
     return np.clip(p, 0.0, None)
 
 
 def pure_state(psi: np.ndarray, dims: tuple[int, int]) -> BipartiteState:
     """Wrap a normalized state vector as a bipartite density matrix."""
-    m, n = dims
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != m * n:
-        raise ShapeError(f"state vector length {psi.size} does not match dims {m}x{n}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > VALIDATION_TOL:
-        raise NormalizationError(f"state vector norm is {norm:.12f}, expected 1")
-    return BipartiteState(np.outer(psi, psi.conj()), m, n)
+    psi = linalg.require_state_vector(psi, dims)
+    return BipartiteState(np.outer(psi, psi.conj()), *dims)
 
 
 def state_vector(state: BipartiteState) -> np.ndarray:
@@ -199,9 +178,8 @@ def make_witness_state(
     if a.size != 2 or b.size != 2:
         raise ShapeError("a and b must each hold two amplitudes")
     for name, vec in (("a", a), ("b", b)):
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > VALIDATION_TOL:
-            raise NormalizationError(f"{name} has norm {norm:.12f}, expected 1")
+        linalg.require_close(np.linalg.norm(vec), 1.0, NormalizationError,
+                             f"{name} is not normalized: | ||{name}|| - 1 |")
     overlap = a[0] * b[0] + a[1] * b[1]
     if abs(overlap) <= 1e-12:
         raise ValidationError(
@@ -287,12 +265,9 @@ class KrausChannel:
         d = ops[0].shape[0]
         if any(k.shape != (d, d) for k in ops):
             raise ShapeError("Kraus operators must be square with a common dimension")
-        total = sum(linalg.dag(k) @ k for k in ops)
-        defect = np.linalg.norm(total - np.eye(d))
-        if defect > VALIDATION_TOL:
-            raise ValidationError(
-                f"channel is not trace preserving: ||sum K^dag K - I|| = {defect:.3e}"
-            )
+        linalg.require_finite(ops, "Kraus operators")
+        linalg.require_close(sum(linalg.dag(k) @ k for k in ops), np.eye(d), ValidationError,
+                             "channel is not trace preserving: ||sum K^dag K - I||")
 
     @property
     def dim(self) -> int:

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import qfc
+import qfc.cli
 from qfc import OptimizerConfig, OptimizerReport, random_density
 from qfc.states import BipartiteState
 
@@ -121,3 +122,15 @@ def test_closed_form_result_has_no_report(tmp_path):
     doc = run_cli_json(tmp_path, "discord", (2, 2))
     assert doc["geometric_method"] == "closed-form" and "optimizer_dg" not in doc
     assert type(doc["optimizer_dq"]["evaluations"]) is int
+
+
+@pytest.mark.parametrize("command", ["qah", "qapi", "discord", "qfi"])
+def test_cli_parses_the_benchmark_argv(command):
+    # the flags bench/worker.py (build_inputs) passes each cli-cold invocation
+    argv = [command, "--state", "state.json", "--format", "json", "--restarts", "4",
+            "--seed", "8"]
+    if command == "qfi":
+        argv += ["--observable", "observable.json"]
+    args = qfc.cli._build_parser().parse_args(argv)
+    assert (args.command, args.state, args.format, args.restarts, args.seed) == (
+        command, "state.json", "json", 4, 8)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qfc
+from qfc import verify
 from qfc.cli import SchemaError, build_state, main, parse_state_spec
 
 
@@ -103,6 +104,13 @@ class TestParseStateSpec:
         state = build_state(parse_state_spec('{"kind": "example1", "dims": [3, 2]}'))
         np.testing.assert_allclose(state.rho, qfc.make_witness_state().rho, atol=1e-14)
 
+    def test_example1_with_every_optional_field(self):
+        doc = {"kind": "example1", "dims": [3, 2], "a": [0.6, [0.0, 0.8]], "b": [[0.0, 1.0], 0.0],
+               "probs": [0.5, 0.25, 0.25]}
+        state = build_state(parse_state_spec(json.dumps(doc)))
+        expected = qfc.make_witness_state(a=(0.6, 0.8j), b=(1j, 0.0), probs=(0.5, 0.25, 0.25))
+        np.testing.assert_array_equal(state.rho, expected.rho)
+
     def test_cq_and_cc_kinds(self):
         proj0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         half = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
@@ -135,6 +143,24 @@ class TestCommands:
         assert "method: closed-form" in out.splitlines()
         assert not any(line.startswith("optimizer") for line in out.splitlines())
 
+    def test_table_output_has_the_optimizer_line_of_a_search(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "random", "dims": [3, 2], "seed": 3, "rank": 6})
+        code, out, _ = run_cli(capsys, "qah", "--state", path, "--restarts", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert "method: optimized" in lines
+        [line] = [line for line in lines if line.startswith("optimizer:")]
+        assert line.startswith("optimizer: restarts=2, best=")
+        assert "converged=True" in line and "evaluations=" in line and "iterations=" in line
+
+    def test_csv_output(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
+        code, out, _ = run_cli(capsys, "qah", "--state", path, "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert header == ["qah"]
+        assert abs(float(row[0]) - 0.5) <= 1e-10
+
     def test_qapi_on_cc_state_is_zero(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "cc", "dims": [2, 2], "probs": [0.5, 0.5]})
         code, out, _ = run_cli(
@@ -158,6 +184,18 @@ class TestCommands:
         assert abs(values["qfi"] - 1.0) <= 1e-10  # pure state: QFI = variance = 1
         assert abs(values["variance"] - 1.0) <= 1e-10
         assert values["sld_residual"] <= 1e-9
+
+    def test_qfi_of_an_observable_of_party_a(self, capsys, tmp_path):
+        state_path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
+        sigma_x = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        obs_path = write_spec(tmp_path, {"party": "a", "matrix": sigma_x}, name="obs.json")
+        code, out, _ = run_cli(
+            capsys, "qfi", "--state", state_path, "--observable", obs_path, "--format", "json"
+        )
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert abs(values["qfi"] - 1.0) <= 1e-10  # pure state: QFI = variance = 1
+        assert abs(values["variance"] - 1.0) <= 1e-10
 
     def test_discord_command(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
@@ -364,6 +402,16 @@ class TestExitCodes:
             main(["qah"])  # missing --state
         assert exc.value.code == 2
 
+    def test_unknown_sweep_quantity_exits_two(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--state", path, "--param", "w",
+            "--start", "0", "--stop", "1", "--step", "0.5", "--quantities", "qah,qfi",
+        )
+        assert code == 2 and not out
+        assert "unknown quantity 'qfi'" in err
+
     def test_unknown_sweep_param_exits_two(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
         code, _, err = run_cli(
@@ -462,3 +510,62 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "qah", "--state", path, "--restarts", "2")
         assert code == 2
         assert "random.seed" in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("qfi", ["--log-base", "2"]), ("qah", ["--log-base", "2"]),
+         ("qapi", ["--log-base", "2"]), ("sweep", ["--format", "json"]),
+         ("verify", ["--format", "json"]), ("verify", ["--log-base", "2"]),
+         ("verify", ["--allow-large"]), ("verify", ["--state", "state.json"])],
+        ids=lambda x: x if isinstance(x, str) else x[0],
+    )
+    def test_a_flag_the_command_does_not_read_exits_two(self, capsys, tmp_path, command, flag):
+        state = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        observable = write_spec(tmp_path, {"party": "a", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                                "observable.json")
+        required = {
+            "qfi": ["--state", state, "--observable", observable],
+            "qah": ["--state", state],
+            "qapi": ["--state", state],
+            "sweep": ["--state", state, "--param", "w", "--start", "0", "--stop", "1",
+                      "--step", "0.5"],
+            "verify": [],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def synthetic_criterion(number, value, seen):
+    """A criterion that records its config and reports one margin ``value <= 1e-2``."""
+
+    def check(cfg):
+        seen.append(cfg)
+        return verify.CriterionResult(number, f"synthetic {number}",
+                                      (("gap", value, "<=", 1e-2),), 0.0)
+
+    return check
+
+
+class TestVerifyCommand:
+    def test_prints_each_margin_and_exits_one_on_a_failure(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (synthetic_criterion(1, 1e-3, seen),
+                                                     synthetic_criterion(2, 0.5, seen)))
+        code, out, _ = run_cli(capsys, "verify", "--seed", "3", "--restarts", "2")
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS  1. synthetic 1: gap 1.00e-03 (<= 1e-02) [0.0s]",
+            "FAIL  2. synthetic 2: gap 5.00e-01 (<= 1e-02) [0.0s]",
+            "1/2 criteria passed in 0.0s",
+        ]
+        assert [(cfg.seed, cfg.restarts) for cfg in seen] == [(3, 2), (3, 2)]
+
+    def test_exits_zero_when_every_criterion_passes(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (synthetic_criterion(1, 1e-3, seen),
+                                                     synthetic_criterion(2, 0.0, seen)))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS", "PASS", "2/2"]

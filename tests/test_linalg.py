@@ -15,6 +15,7 @@ from qfc import (
     OptimizerConfig,
     OrthonormalityError,
     ShapeError,
+    ValidationError,
     dag,
     eigh,
     hermitian_basis,
@@ -50,6 +51,54 @@ def test_validation_tolerance_is_written_once():
         if literal.search(line)
     ]
     assert hits == [("linalg.py", "VALIDATION_TOL = 1e-10")]
+    # and only linalg's checks compare with it
+    readers = [path.name for path in sorted(Path(qfc.__file__).parent.glob("*.py"))
+               if "VALIDATION_TOL" in path.read_text()]
+    assert readers == ["linalg.py"]
+
+
+def spoil(x, bad):
+    """A complex copy of ``x`` whose first entry is ``bad``."""
+    x = np.array(x, dtype=complex)
+    x.flat[0] = bad
+    return x
+
+
+RHO = np.diag([0.75, 0.25]).astype(complex)
+POVM = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+FISHER = {
+    "qfi": qfc.qfi,
+    "variance": qfc.variance,
+    "sld": qfc.sld,
+    "evolve": lambda rho, h: qfc.evolve(rho, h, 0.3),
+    "classical_fi": lambda rho, h: qfc.classical_fi(rho, h, POVM),
+}
+# Each entry point with one input spoiled by the non-finite value ``bad``.
+NON_FINITE_INPUTS = {
+    **{f"{name}-rho": lambda bad, f=f: f(spoil(RHO, bad), SX) for name, f in FISHER.items()},
+    **{f"{name}-h": lambda bad, f=f: f(RHO, spoil(SX, bad)) for name, f in FISHER.items()},
+    "lift_a": lambda bad: qfc.lift_a(spoil(SX, bad), 2),
+    "lift_b": lambda bad: qfc.lift_b(spoil(SX, bad), 2),
+    "total_mfi": lambda bad: total_mfi(qfc.max_entangled(2), spoil(np.eye(2), bad)),
+    "basis_qfi_sum": lambda bad: qfc.basis_qfi_sum(qfc.max_entangled(2), spoil(np.eye(2), bad)),
+    "measured_state": lambda bad: measured_state(qfc.max_entangled(2), spoil(np.eye(2), bad)),
+    "optimize_basis": lambda bad: optimize_basis(
+        lambda u, gradient=True: (np.zeros(u.shape[:-2]), np.zeros_like(u)),
+        spoil(np.eye(2), bad), config=OptimizerConfig(restarts=1),
+    ),
+    "KrausChannel": lambda bad: qfc.KrausChannel((spoil(np.eye(2), bad),)),
+    "validate_povm": lambda bad: qfc.validate_povm([spoil(POVM[0], bad), POVM[1]]),
+    "schmidt": lambda bad: schmidt(spoil(bell_vector(), bad), (2, 2)),
+    "pure_state": lambda bad: qfc.pure_state(spoil(bell_vector(), bad), (2, 2)),
+    "make_witness_state": lambda bad: qfc.make_witness_state(a=(bad, 0.0)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", NON_FINITE_INPUTS)
+def test_non_finite_input_raises_a_validation_error(entry, bad):
+    with pytest.raises(ValidationError):
+        NON_FINITE_INPUTS[entry](bad)
 
 
 class TestPartialTrace:
