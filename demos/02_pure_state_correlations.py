@@ -1,8 +1,9 @@
 """Both correlation quantifiers coincide with the geometric discord on pure states.
 
-For a pure bipartite state with Schmidt coefficients s_i, the observable
-quantifier, the measurement quantifier, and the geometric discord all equal
-1 - sum_i s_i^2, peaking at 1 - 1/M for maximally entangled MxM states.
+For a pure bipartite state, the observable quantifier, the measurement
+quantifier, and the geometric discord all equal 1 - tr rho_a^2, the linear
+entropy of the reduced state, peaking at 1 - 1/M for maximally entangled MxM
+states.
 """
 
 import numpy as np

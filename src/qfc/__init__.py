@@ -8,7 +8,6 @@ their optimizer, and entropic/geometric discord baselines.
 
 from .correlations import (
     QuantifierResult,
-    basis_qfi_sum,
     lift_a,
     lift_b,
     measure_a,
@@ -41,13 +40,11 @@ from .errors import (
 )
 from .fisher import classical_fi, evolve, qfi, qfi_weight_matrix, sld, validate_povm, variance
 from .linalg import (
-    SchmidtDecomposition,
     Spectrum,
     dag,
     eigh,
     hermitian_basis,
     partial_trace,
-    schmidt,
 )
 from .optimize import (
     OptimizerConfig,
@@ -70,7 +67,6 @@ from .states import (
     random_hermitian,
     random_kraus_channel,
     random_pure,
-    state_vector,
     validate_density,
     werner,
 )

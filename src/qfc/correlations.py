@@ -20,10 +20,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import ShapeError
+from .errors import PurityError, ShapeError
 from .fisher import qfi_weight_matrix
 from .optimize import OptimizerConfig, OptimizerReport, multistart, optimize_basis
-from .states import BipartiteState, random_hermitian, state_vector
+from .states import PURITY_TOL, BipartiteState, random_hermitian
 
 @dataclass(frozen=True)
 class QuantifierResult:
@@ -267,24 +267,15 @@ def _basis_qfi_core(w: np.ndarray, v3: np.ndarray, u: np.ndarray, gradient: bool
     return value, 4.0 * np.einsum("...mbj,abj->...am", x, v3)
 
 
-def basis_qfi_sum(state: BipartiteState, basis_u: np.ndarray) -> float:
-    """Summed QFI of the rank-1 drivings ``|phi_n><phi_n| (x) 1`` for one basis.
-
-    ``basis_u`` is a unitary whose columns are the basis vectors on party a.
-    This is the quantity :func:`observable_correlation` minimizes.
-    """
-    u = linalg.require_unitary(basis_u, state.dim_a, "basis")
-    return float(_basis_qfi_core(*_qfi_spectrum(state), u, gradient=False)[0])
-
-
 def observable_correlation(
     state: BipartiteState, config: OptimizerConfig | None = None, method: str = "auto"
 ) -> QuantifierResult:
     """Quantum correlation as minimal summed local-driving QFI on party a.
 
-    Minimizes :func:`basis_qfi_sum` over all orthonormal bases of H^a. Zero
-    exactly on CQ/CC states; equal to ``1 - sum_i s_i^2`` on pure states with
-    Schmidt coefficients ``s_i``.
+    Minimizes, over all orthonormal bases {phi_n} of H^a, the summed QFI of
+    the rank-1 drivings ``|phi_n><phi_n| (x) 1``. Zero exactly on CQ/CC
+    states; equal to ``1 - tr rho_a^2`` on pure states
+    (:func:`pure_state_correlation`).
 
     For a qubit party a the minimum has a closed form, the structure of the
     local quantum uncertainty (Girolami, Tufarelli and Adesso, PRL 110,
@@ -320,7 +311,7 @@ def measurement_correlation(
     Minimizes, over rank-1 von Neumann measurements on party a, the gap
     between the basis-summed local QFI on party b and its measurement-induced
     counterpart :func:`total_mfi`. Zero exactly on CQ/CC states; equal to
-    ``1 - sum_i s_i^2`` on pure states. A value certified within tolerance
+    ``1 - tr rho_a^2`` on pure states. A value certified within tolerance
     of zero skips the search (``method="certified-zero"``, see ``_search``);
     ``method="optimized"`` always searches.
     """
@@ -335,10 +326,16 @@ def measurement_correlation(
 
 
 def pure_state_correlation(state: BipartiteState) -> float:
-    """Closed-form correlation ``1 - sum_i s_i^2`` of a pure state.
+    """Closed-form correlation ``1 - tr rho_a^2`` of a pure state.
 
     Both quantifiers take this value on pure states, where it also equals
-    the geometric discord. Raises on mixed input.
+    the geometric discord: the linear entropy of the reduced state (Luo and
+    Fu, PRA 82, 034302, 2010), ``1 - sum_i c_i^2`` over the Schmidt
+    coefficients ``c_i`` (the eigenvalues of rho_a). Raises
+    :class:`PurityError` on mixed input.
     """
-    sd = linalg.schmidt(state_vector(state), state.dims)
-    return float(1.0 - np.sum(sd.coefficients**2))
+    purity = state.purity()
+    if purity < 1.0 - PURITY_TOL:
+        raise PurityError(f"state has purity {purity:.9f}, expected 1")
+    rho_a = state.marginal("a")
+    return float(1.0 - np.sum(rho_a.real**2 + rho_a.imag**2))

@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .linalg import dag
 from .optimize import OptimizerConfig
-from .states import PURITY_TOL, BipartiteState
+from .states import PURITY_TOL, BipartiteState, validate_density
 from .correlations import (
     _PAULIS,
     QuantifierResult,
@@ -35,8 +35,8 @@ def _spectral_entropy(values: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy ``-sum_i p_i ln p_i`` of a density matrix (0 ln 0 = 0)."""
-    rho = np.asarray(rho, dtype=complex)
+    """Entropy ``-sum_i p_i ln p_i`` of a valid density matrix (0 ln 0 = 0)."""
+    rho = validate_density(rho)
     return float(_spectral_entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2)))
 
 
@@ -96,7 +96,7 @@ def geometric_discord(
 ) -> QuantifierResult:
     """Minimal squared Hilbert-Schmidt distance to a state measured on party a.
 
-    For pure inputs the closed form ``1 - sum_i s_i^2``
+    For pure inputs the closed form ``1 - tr rho_a^2``
     (:func:`pure_state_correlation`) applies, attained by measuring in the
     eigenbasis of rho_a, a Schmidt basis. With ``rho = sum_k A_k (x) Y_k``
     over a trace-orthonormal Hermitian basis ``Y_k`` of b, the distance in

@@ -30,6 +30,16 @@ def _operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho, h
 
 
+def _spectral_operands(rho: np.ndarray, h: np.ndarray):
+    # rho's spectrum and h in its eigenbasis, checked as _operands checks them
+    h = linalg.require_hermitian(h, "observable")
+    spectrum = linalg.eigh(rho, "state")  # the one check of rho
+    shape = spectrum.vectors.shape
+    if shape != h.shape:
+        raise ShapeError(f"state shape {shape} does not match observable {h.shape}")
+    return spectrum, dag(spectrum.vectors) @ h @ spectrum.vectors
+
+
 def validate_povm(elements, dim: int | None = None) -> list[np.ndarray]:
     """Validate a POVM: Hermitian positive elements resolving the identity."""
     mats = [linalg.require_hermitian(e, "POVM element") for e in elements]
@@ -64,7 +74,8 @@ def qfi_weight_matrix(values: np.ndarray) -> np.ndarray:
     sums = p[..., :, None] + p[..., None, :]
     diffs = p[..., :, None] - p[..., None, :]
     w = np.zeros_like(sums)
-    np.divide(diffs**2, 2.0 * sums, out=w, where=sums > SUPPORT_CUTOFF)
+    # ~(sums <= cutoff), not sums > cutoff, so that a NaN value propagates
+    np.divide(diffs**2, 2.0 * sums, out=w, where=~(sums <= SUPPORT_CUTOFF))
     return w
 
 
@@ -74,9 +85,7 @@ def qfi(rho: np.ndarray, h: np.ndarray) -> float:
     Evaluated spectrally: ``sum_ij (p_i - p_j)^2 / (2(p_i + p_j))
     |<psi_i|H|psi_j>|^2`` over eigenpairs inside the support.
     """
-    rho, h = _operands(rho, h)
-    spectrum = linalg.eigh(rho, "state")
-    elems = dag(spectrum.vectors) @ h @ spectrum.vectors
+    spectrum, elems = _spectral_operands(rho, h)
     w = qfi_weight_matrix(spectrum.values)
     return float(np.sum(w * (elems.real**2 + elems.imag**2)))
 
@@ -96,10 +105,8 @@ def sld(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     |psi_y> / (p_x + p_y)``; eigenvalue pairs outside the support contribute
     zero.
     """
-    rho, h = _operands(rho, h)
-    spectrum = linalg.eigh(rho, "state")
+    spectrum, elems = _spectral_operands(rho, h)
     p = spectrum.values
-    elems = dag(spectrum.vectors) @ h @ spectrum.vectors
     # <psi_x| i[rho,H] |psi_y> = i (p_x - p_y) <psi_x|H|psi_y>
     drho = 1j * (p[:, None] - p[None, :]) * elems
     sums = p[:, None] + p[None, :]

@@ -131,34 +131,6 @@ def eigh(h: np.ndarray, name: str = "matrix") -> Spectrum:
     return Spectrum(vals[order], vecs[:, order])
 
 
-class SchmidtDecomposition(NamedTuple):
-    """Schmidt data of a bipartite pure state.
-
-    ``coefficients`` are the squared singular values of the reshaped
-    amplitude matrix, descending, summing to one. ``a_vectors`` and
-    ``b_vectors`` hold the local orthonormal vectors as columns, so the
-    state is ``sum_i sqrt(c_i) a_i (x) b_i``.
-    """
-
-    coefficients: np.ndarray
-    a_vectors: np.ndarray
-    b_vectors: np.ndarray
-
-
-def schmidt(psi: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
-    """Schmidt decomposition of a normalized bipartite pure state vector.
-
-    Coefficients below the support cutoff are dropped together with their
-    local vectors.
-    """
-    m, n = dims
-    psi = require_state_vector(psi, dims)
-    u, s, vh = np.linalg.svd(psi.reshape(m, n), full_matrices=False)
-    coeffs = s**2
-    kept = coeffs > SUPPORT_CUTOFF
-    return SchmidtDecomposition(coeffs[kept], u[:, kept], vh[kept].T)
-
-
 def hermitian_basis(d: int) -> np.ndarray:
     """Complete trace-orthonormal set of d^2 Hermitian d x d operators.
 

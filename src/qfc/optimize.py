@@ -126,11 +126,6 @@ def unitary_from_params(params: np.ndarray, dim: int) -> np.ndarray:
     return (vecs * np.exp(1j * vals)[..., None, :]) @ linalg.dag(vecs)
 
 
-def random_params(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random generator coefficients for one restart."""
-    return rng.normal(0.0, START_SPREAD, size=dim * dim)
-
-
 def multistart(runs) -> OptimizerReport:
     """Report the restarts of one search and keep the best.
 
@@ -300,7 +295,7 @@ def optimize_basis(objective, start, *, config=None):
     dim = np.shape(start)[0] if np.ndim(start) else 0
     start = linalg.require_unitary(start, dim, "start")
     cfg = config if config is not None else OptimizerConfig()
-    params = [random_params(dim, np.random.default_rng(cfg.seed + k))
+    params = [np.random.default_rng(cfg.seed + k).normal(0.0, START_SPREAD, dim * dim)
               for k in range(1, cfg.restarts)]
     randoms = unitary_from_params(np.reshape(params, (-1, dim * dim)), dim)
     return multistart(_bfgs(objective, np.concatenate([start[None], randoms]), cfg.tolerance))

@@ -14,7 +14,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     NormalizationError,
-    PurityError,
     ShapeError,
     TraceError,
     ValidationError,
@@ -88,13 +87,6 @@ def pure_state(psi: np.ndarray, dims: tuple[int, int]) -> BipartiteState:
     """Wrap a normalized state vector as a bipartite density matrix."""
     psi = linalg.require_state_vector(psi, dims)
     return BipartiteState(np.outer(psi, psi.conj()), *dims)
-
-
-def state_vector(state: BipartiteState) -> np.ndarray:
-    """Extract the state vector of a pure bipartite state."""
-    if state.purity() < 1.0 - PURITY_TOL:
-        raise PurityError(f"state has purity {state.purity():.9f}, expected 1")
-    return linalg.eigh(state.rho, "state").vectors[:, 0]
 
 
 def pure_from_schmidt(coeffs, dims: tuple[int, int]) -> BipartiteState:

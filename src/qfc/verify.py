@@ -83,7 +83,7 @@ _MIXED_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 def check_pure_coincidence(cfg: OptimizerConfig) -> CriterionResult:
-    """Both quantifiers match 1 - sum(s^2) on seeded random pure states."""
+    """Both quantifiers match 1 - tr rho_a^2 on seeded random pure states."""
     start = time.perf_counter()
     obs, meas = [], []
     for i, dims in enumerate(_PURE_DIMS):

@@ -3,7 +3,11 @@
 The library's objectives are spectral functions of the measured blocks and
 never normalize them. The per-outcome oracles take the long way: normalized
 conditional states of party b and the measurement-induced Fisher
-information of one observable at a time.
+information of one observable at a time. :func:`basis_qfi_sum` sums one QFI
+per basis vector, where the library evaluates qah's objective as one
+polynomial in the basis, and :func:`schmidt` reaches the Schmidt
+coefficients of a pure state by an SVD, where the library's closed form
+reads ``1 - tr rho_a^2`` off the reduced state.
 
 The library finds every optimal basis of party a with one gradient search.
 :func:`joint_diagonalize` reaches the optimum of the off-diagonal mass by
@@ -14,11 +18,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qfc import ShapeError, linalg, measure_a, qfi
+from qfc import PurityError, ShapeError, lift_a, linalg, measure_a, qfi
 from qfc.correlations import _a_components
-from qfc.linalg import off_diagonal_mass_and_gradient, require_unitary
-from qfc.optimize import random_params, unitary_from_params
-from qfc.states import haar_unitary
+from qfc.linalg import (SUPPORT_CUTOFF, off_diagonal_mass_and_gradient, require_state_vector,
+                        require_unitary)
+from qfc.optimize import START_SPREAD, unitary_from_params
+from qfc.states import PURITY_TOL, haar_unitary
 
 #: Measurement outcomes with probability below this cutoff are dropped.
 OUTCOME_CUTOFF = 1e-12
@@ -58,6 +63,51 @@ def mfi(state, measurement, h_b) -> float:
     h_b = linalg.require_hermitian(h_b, "observable")
     ensemble = conditional_states(state, measurement)
     return float(sum(p * qfi(sigma, h_b) for p, sigma in zip(ensemble.probs, ensemble.states)))
+
+
+class SchmidtDecomposition(NamedTuple):
+    """Schmidt data of a bipartite pure state.
+
+    ``coefficients`` are the squared singular values of the reshaped
+    amplitude matrix, descending, summing to one. ``a_vectors`` and
+    ``b_vectors`` hold the local orthonormal vectors as columns, so the
+    state is ``sum_i sqrt(c_i) a_i (x) b_i``.
+    """
+
+    coefficients: np.ndarray
+    a_vectors: np.ndarray
+    b_vectors: np.ndarray
+
+
+def schmidt(psi: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
+    """Schmidt decomposition of a normalized bipartite pure state vector, by an SVD.
+
+    Coefficients below the support cutoff are dropped together with their
+    local vectors.
+    """
+    m, n = dims
+    psi = require_state_vector(psi, dims)
+    u, s, vh = np.linalg.svd(psi.reshape(m, n), full_matrices=False)
+    coeffs = s**2
+    kept = coeffs > SUPPORT_CUTOFF
+    return SchmidtDecomposition(coeffs[kept], u[:, kept], vh[kept].T)
+
+
+def state_vector(state) -> np.ndarray:
+    """The state vector of a pure bipartite state: rho's top eigenvector."""
+    if state.purity() < 1.0 - PURITY_TOL:
+        raise PurityError(f"state has purity {state.purity():.9f}, expected 1")
+    return linalg.eigh(state.rho, "state").vectors[:, 0]
+
+
+def basis_qfi_sum(state, basis_u) -> float:
+    """``sum_n qfi(rho, lift_a(|u_n><u_n|, d_b))`` over the columns u_n of a unitary.
+
+    The summed QFI of the rank-1 drivings of one basis of party a, one QFI
+    at a time: the quantity :func:`qfc.observable_correlation` minimizes.
+    """
+    u = require_unitary(basis_u, state.dim_a, "basis")
+    return float(sum(qfi(state.rho, lift_a(np.outer(v, v.conj()), state.dim_b)) for v in u.T))
 
 
 def off_diagonal_mass(mats: np.ndarray, u: np.ndarray) -> float:
@@ -160,6 +210,11 @@ def jacobi_basis(state, starts: int, seed: int = 0):
         for k in range(starts)
     ]
     return min(runs, key=lambda run: run[1])
+
+
+def random_params(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The generator coefficients a random restart of :func:`qfc.optimize_basis` draws."""
+    return rng.normal(0.0, START_SPREAD, size=dim * dim)
 
 
 def random_start(dim: int, seed: int) -> np.ndarray:

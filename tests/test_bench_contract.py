@@ -23,7 +23,8 @@ import qfc.cli
 from qfc import OptimizerConfig, OptimizerReport, random_density
 from qfc.states import BipartiteState
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 CFG = OptimizerConfig(restarts=2, seed=0)
 
@@ -52,6 +53,36 @@ def traced_names():
 @pytest.mark.parametrize("module, attr", traced_names())
 def test_traced_entry_point_exists(module, attr):
     assert callable(getattr(importlib.import_module(f"qfc.{module}"), attr, None))
+
+
+def attribute_chains():
+    """Every ``qfc.<module>.<name>`` chain written in ``bench/*.py``, sorted."""
+    chains = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and isinstance(node.value.value, ast.Name) and node.value.value.id == "qfc"):
+                chains.add((node.value.attr, node.attr))
+    return sorted(chains)
+
+
+def test_the_benchmark_reads_attribute_chains():
+    # the walk finds what the workloads and probes call, so an empty list means it broke
+    assert ("states", "random_pure") in attribute_chains()
+
+
+@pytest.mark.parametrize("module, attr", attribute_chains())
+def test_benchmark_attribute_chain_exists(module, attr):
+    assert hasattr(importlib.import_module(f"qfc.{module}"), attr)
+
+
+@pytest.mark.parametrize("name", ["_random_cq", "_random_cc", "_noisy_entangled"])
+def test_verify_keeps_the_builders_the_benchmark_compares_with(name):
+    # bench/workloads.py (verify_self_check) checks its states against these;
+    # without them it returns None and silently stops comparing
+    builder = getattr(importlib.import_module("qfc.verify"), name)
+    state = builder((3, 2), 7)
+    assert isinstance(state, BipartiteState) and state.dims == (3, 2)
 
 
 def test_optimize_basis_takes_config_by_keyword_only():

@@ -12,7 +12,6 @@ import pytest
 from qfc import (
     BipartiteState,
     OptimizerConfig,
-    basis_qfi_sum,
     entropic_discord,
     geometric_discord,
     make_cq,
@@ -25,6 +24,8 @@ from qfc import (
 from qfc.correlations import _probe_observable
 from qfc.states import haar_unitary, random_density
 from qfc.verify import _MIXED_DIMS, _noisy_entangled, _random_cc, _random_cq, state_seed
+
+from oracles import basis_qfi_sum
 
 SOLVERS = {
     "qah": observable_correlation,

@@ -362,6 +362,45 @@ class TestExitCodes:
         assert code == 2
         assert field in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "raw_matrix", "dims": [1, 1], "matrix": [[[1.0, 0.0, 0.0]]]},
+             "raw_matrix.matrix[0][0] must be a number or an [re, im] pair"),
+            ({"kind": "raw_matrix", "dims": [2, 1], "matrix": [[0.5, 0.0], [0.5]]},
+             "raw_matrix.matrix[1] has length 1, expected 2"),
+            ([{"kind": "werner", "w": 0.5}], "state spec must be a JSON object"),
+            ({"w": 0.5}, "missing field 'kind'"),
+            ({"kind": "max_entangled", "dims": [2, 3]}, "max_entangled.dims must be [M, M]"),
+            ({"kind": "werner", "w": 0.5, "dims": [3, 3]}, "werner.dims must be [2, 2]"),
+            ({"kind": "werner", "w": "half"}, "werner.w must be a number"),
+            ({"kind": "example1", "dims": [3, 2], "a": [1.0]},
+             "example1.a must hold two amplitudes"),
+        ],
+        ids=["entry-not-re-im", "ragged-matrix", "not-an-object", "no-kind",
+             "max-entangled-not-square", "werner-dims", "werner-w-string", "example1-a-length"],
+    )
+    def test_malformed_spec_exits_two(self, capsys, tmp_path, doc, message):
+        path = write_spec(tmp_path, doc)
+        code, out, err = run_cli(capsys, "qah", "--state", path)
+        assert code == 2 and not out
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{\"party\": \"a\",", "invalid JSON"),
+         ('{"party": "c", "matrix": [[1.0, 0.0], [0.0, 1.0]]}',
+          "observable.party must be 'a', 'b', or 'ab'")],
+        ids=["invalid-json", "bad-party"],
+    )
+    def test_malformed_observable_exits_two(self, capsys, tmp_path, text, message):
+        state = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        observable = tmp_path / "observable.json"
+        observable.write_text(text)
+        code, out, err = run_cli(capsys, "qfi", "--state", state, "--observable", str(observable))
+        assert code == 2 and not out
+        assert message in err
+
     def test_cq_sigma_larger_than_dims_exits_two(self, capsys, tmp_path):
         # a 1x1 spec whose 40x40 sigma would build a 1x40 state past the guard
         sigma = [[[1.0 / 40 if i == j else 0.0, 0.0] for j in range(40)] for i in range(40)]

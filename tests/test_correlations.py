@@ -7,7 +7,6 @@ from qfc import (
     BipartiteState,
     OptimizerConfig,
     PurityError,
-    basis_qfi_sum,
     dag,
     hermitian_basis,
     lift_a,
@@ -24,8 +23,6 @@ from qfc import (
     qfi,
     qfi_weight_matrix,
     random_pure,
-    schmidt,
-    state_vector,
     total_local_qfi_b,
     total_mfi,
     unitary_from_params,
@@ -35,7 +32,8 @@ from qfc import (
 from qfc.linalg import eigh, partial_trace
 from qfc.states import haar_unitary, random_density, random_hermitian
 
-from oracles import conditional_states, mfi
+from oracles import basis_qfi_sum, conditional_states, mfi, schmidt, state_vector
+from test_gradients import qah_objective
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -269,17 +267,21 @@ class TestPureStateCorrelation:
     def test_uniform_three_gives_two_thirds(self):
         assert abs(pure_state_correlation(max_entangled(3)) - 2 / 3) <= 1e-12
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 2)])
+    def test_matches_the_schmidt_oracle(self, dims):
+        # 1 - tr rho_a^2 of the reduced state against 1 - sum c_i^2 from an SVD
+        for seed in range(6):
+            state = random_pure(dims, 50 + seed)
+            coefficients = schmidt(state_vector(state), dims).coefficients
+            assert abs(pure_state_correlation(state) - (1.0 - np.sum(coefficients**2))) <= 1e-14
+
 
 class TestBasisQfiSum:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_literal_per_projector_qfi(self, seed):
         state = random_mixed((2, 3), 700 + seed)
         u = haar_unitary(2, 800 + seed)
-        literal = sum(
-            qfi(state.rho, lift_a(np.outer(u[:, k], u[:, k].conj()), 3))
-            for k in range(2)
-        )
-        assert abs(basis_qfi_sum(state, u) - literal) <= 1e-10
+        assert abs(qah_objective(state)(u)[0] - basis_qfi_sum(state, u)) <= 1e-10
 
     def test_gauge_invariance_under_phases_and_permutations(self):
         state = random_mixed((3, 2), 31)
@@ -287,7 +289,8 @@ class TestBasisQfiSum:
         rng = np.random.default_rng(33)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
         permuted = (u * phases)[:, rng.permutation(3)]
-        assert abs(basis_qfi_sum(state, u) - basis_qfi_sum(state, permuted)) <= 1e-12
+        objective = qah_objective(state)
+        assert abs(objective(u)[0] - objective(permuted)[0]) <= 1e-12
 
     def test_landscape_is_locally_smooth(self):
         state = random_mixed((2, 2), 77)
@@ -295,10 +298,11 @@ class TestBasisQfiSum:
         p0 = rng.normal(0, 1, 4)
         direction = rng.normal(0, 1, 4)
         direction /= np.linalg.norm(direction)
-        f0 = basis_qfi_sum(state, unitary_from_params(p0, 2))
+        objective = qah_objective(state)
+        f0 = objective(unitary_from_params(p0, 2))[0]
         ratios = []
         for eps in (1e-3, 1e-4):
-            f1 = basis_qfi_sum(state, unitary_from_params(p0 + eps * direction, 2))
+            f1 = objective(unitary_from_params(p0 + eps * direction, 2))[0]
             ratios.append((f1 - f0) / eps)
         # directional difference quotients agree across scales and stay bounded
         assert abs(ratios[0] - ratios[1]) <= 0.05 * max(1.0, abs(ratios[0]))

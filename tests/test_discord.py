@@ -5,10 +5,11 @@ import pytest
 
 from qfc import (
     BipartiteState,
+    HermiticityError,
     OptimizerConfig,
     OptimizerReport,
     QuantifierResult,
-    basis_qfi_sum,
+    TraceError,
     dag,
     entropic_discord,
     geometric_discord,
@@ -32,7 +33,7 @@ from qfc.linalg import SUPPORT_CUTOFF
 from qfc.optimize import multistart
 from qfc.states import haar_unitary, random_density
 
-from oracles import jacobi_basis, joint_diagonalize, off_diagonal_mass
+from oracles import basis_qfi_sum, jacobi_basis, joint_diagonalize, off_diagonal_mass
 
 CFG = OptimizerConfig(restarts=8, seed=0)
 
@@ -50,6 +51,16 @@ class TestEntropy:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_uniform_spectrum_gives_log_d(self, d):
         assert abs(von_neumann_entropy(np.eye(d) / d) - np.log(d)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "rho, error",
+        [(np.array([[0.5, 1.0], [0.0, 0.5]]), HermiticityError), (np.eye(2), TraceError)],
+        ids=["non-hermitian", "trace-2"],
+    )
+    def test_refuses_a_matrix_that_is_no_density(self, rho, error):
+        # both gave -0.0 before the entropy checked its input
+        with pytest.raises(error):
+            von_neumann_entropy(rho)
 
 
 class TestMutualInformation:

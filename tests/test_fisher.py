@@ -5,7 +5,9 @@ import pytest
 
 from qfc import (
     DegeneratePointError,
+    HermiticityError,
     PositivityError,
+    ShapeError,
     ValidationError,
     classical_fi,
     dag,
@@ -24,6 +26,32 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)  # |+><+|
+
+
+FISHER = {
+    "qfi": qfi,
+    "variance": variance,
+    "sld": sld,
+    "evolve": lambda rho, h: evolve(rho, h, 0.3),
+    "classical_fi": lambda rho, h: classical_fi(rho, h, [np.eye(2)]),
+}
+
+
+@pytest.mark.parametrize("name", FISHER)
+class TestOperands:
+    """The checks of every function of a state and an observable, in their order."""
+
+    def test_shape_mismatch(self, name):
+        with pytest.raises(ShapeError, match="does not match observable"):
+            FISHER[name](np.eye(2) / 2, np.eye(3))
+
+    def test_observable_is_checked_before_the_state(self, name):
+        with pytest.raises(HermiticityError, match="observable"):
+            FISHER[name](np.full((2, 2), np.nan), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_state_is_checked_before_the_shapes(self, name):
+        with pytest.raises(HermiticityError, match="state"):
+            FISHER[name](np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(3))
 
 
 class TestEvolve:
@@ -123,6 +151,12 @@ class TestQfiWeightMatrix:
         for k in range(4):
             np.testing.assert_array_equal(stacked[k], qfi_weight_matrix(spectra[k]))
 
+    def test_nan_propagates(self):
+        # a NaN eigenvalue gives NaN weights, not the zero of a pair outside the support
+        w = qfi_weight_matrix(np.array([np.nan, 1.0]))
+        assert np.isnan(w[0]).all() and np.isnan(w[:, 0]).all()
+        assert w[1, 1] == 0.0
+
 
 class TestVariance:
     def test_identity_observable(self):
@@ -182,6 +216,14 @@ class TestClassicalFi:
 class TestValidatePovm:
     def test_accepts_projective_measurement(self):
         validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+    def test_rejects_an_empty_set(self):
+        with pytest.raises(ShapeError, match="at least one"):
+            validate_povm([])
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ShapeError, match="share"):
+            validate_povm([np.diag([1.0, 0.0]), np.eye(3)])
 
     def test_rejects_incomplete_set(self):
         with pytest.raises(ValidationError):

@@ -108,7 +108,7 @@ def test_stack_matches_single_calls(name, count, rank, dims):
 @pytest.mark.parametrize("state, u", cases())
 @pytest.mark.parametrize("name", list(OBJECTIVES))
 def test_value_without_the_gradient_matches_the_full_value(name, state, u):
-    # the zero certificate, total_mfi and basis_qfi_sum ask for the value alone
+    # the zero certificate and total_mfi ask for the value alone
     objective = OBJECTIVES[name](state)
     value, grad = objective(u, gradient=False)
     assert grad is None

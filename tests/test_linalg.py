@@ -22,14 +22,14 @@ from qfc import (
     measured_state,
     optimize_basis,
     partial_trace,
-    schmidt,
     total_mfi,
 )
 from qfc.correlations import _a_components
-from qfc.linalg import off_diagonal_mass_and_gradient, require_unitary
+from qfc.linalg import (off_diagonal_mass_and_gradient, require_orthonormal_columns,
+                        require_unitary)
 from qfc.states import haar_unitary, random_density
 
-from oracles import joint_diagonalize, random_start
+from oracles import basis_qfi_sum, joint_diagonalize, random_start, schmidt
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -80,7 +80,9 @@ NON_FINITE_INPUTS = {
     "lift_a": lambda bad: qfc.lift_a(spoil(SX, bad), 2),
     "lift_b": lambda bad: qfc.lift_b(spoil(SX, bad), 2),
     "total_mfi": lambda bad: total_mfi(qfc.max_entangled(2), spoil(np.eye(2), bad)),
-    "basis_qfi_sum": lambda bad: qfc.basis_qfi_sum(qfc.max_entangled(2), spoil(np.eye(2), bad)),
+    # basis_qfi_sum and schmidt are oracles (tests/oracles.py) that check input like the library
+    "basis_qfi_sum": lambda bad: basis_qfi_sum(qfc.max_entangled(2), spoil(np.eye(2), bad)),
+    "von_neumann_entropy": lambda bad: qfc.von_neumann_entropy(spoil(RHO, bad)),
     "measured_state": lambda bad: measured_state(qfc.max_entangled(2), spoil(np.eye(2), bad)),
     "optimize_basis": lambda bad: optimize_basis(
         lambda u, gradient=True: (np.zeros(u.shape[:-2]), np.zeros_like(u)),
@@ -142,6 +144,10 @@ class TestPartialTrace:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             partial_trace(np.eye(5), (2, 3), "a")
+
+    def test_rejects_an_unknown_party(self):
+        with pytest.raises(ValueError, match="keep must be 'a' or 'b'"):
+            partial_trace(np.eye(6) / 6, (2, 3), "c")
 
 
 class TestEigh:
@@ -338,6 +344,11 @@ class TestRequireUnitary:
     def test_non_orthonormal_columns_raise(self):
         with pytest.raises(OrthonormalityError, match="basis"):
             require_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]), 2, "basis")
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2)])
+    def test_columns_must_form_a_2d_array(self, shape):
+        with pytest.raises(ShapeError, match="a_basis must be a 2-d array"):
+            require_orthonormal_columns(np.ones(shape), "a_basis")
 
     # Every public function that takes a basis of party a checks it the same way.
     CALLERS = {

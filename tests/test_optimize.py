@@ -41,7 +41,7 @@ from qfc.linalg import off_diagonal_mass_and_gradient
 from qfc.optimize import multistart
 from qfc.states import haar_unitary, random_hermitian
 
-from oracles import random_start
+from oracles import random_params, random_start
 from test_measured_blocks import captured_objective
 
 
@@ -348,7 +348,7 @@ class TestMultistart:
         assert len(seen) == 1 and seen[0].shape == (5, 2, 2)
         assert np.array_equal(seen[0][0], start)
         for k in range(1, 5):
-            params = optimize.random_params(2, np.random.default_rng(3 + k))
+            params = random_params(2, np.random.default_rng(3 + k))
             assert np.array_equal(seen[0][k], unitary_from_params(params, 2))
         assert report.restart_values.size == 5
 

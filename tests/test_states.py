@@ -26,11 +26,38 @@ from qfc import (
     random_density,
     random_kraus_channel,
     random_pure,
-    schmidt,
-    state_vector,
     validate_density,
     werner,
 )
+
+from oracles import schmidt, state_vector
+
+
+# Each constructor with one invalid input, and the typed error it raises.
+INVALID_INPUTS = {
+    "probs-count": (lambda: make_cq([0.5, 0.5], np.eye(2)[:, :1], [np.eye(2) / 2]), ShapeError),
+    "probs-negative": (lambda: pure_from_schmidt([1.2, -0.2], (2, 2)), ValidationError),
+    "cq-sigma-count": (lambda: make_cq([0.5, 0.5], np.eye(2), [np.eye(2) / 2]), ShapeError),
+    "cq-sigma-shapes": (
+        lambda: make_cq([0.5, 0.5], np.eye(2), [np.eye(2) / 2, np.eye(3) / 3]), ShapeError),
+    "cc-too-many-terms": (lambda: make_cc([0.5, 0.3, 0.2], (2, 3)), ShapeError),
+    "witness-small-party-b": (lambda: make_witness_state(dims=(3, 1)), ValidationError),
+    "witness-amplitude-count": (lambda: make_witness_state(a=(1.0,)), ShapeError),
+    "kraus-empty": (lambda: KrausChannel(()), ShapeError),
+    "kraus-mixed-shapes": (lambda: KrausChannel((np.eye(2), np.eye(3))), ShapeError),
+    "random-kraus-no-operator": (lambda: random_kraus_channel(2, 0, 0), ValidationError),
+    # the checks of linalg.require_state_vector
+    "pure-state-unnormalized": (
+        lambda: pure_state(np.array([1.0, 1.0, 0.0, 0.0]), (2, 2)), NormalizationError),
+    "pure-state-length": (lambda: pure_state(np.array([1.0, 0.0, 0.0]), (2, 2)), ShapeError),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_INPUTS)
+def test_invalid_input_raises_its_typed_error(case):
+    build, error = INVALID_INPUTS[case]
+    with pytest.raises(error):
+        build()
 
 
 class TestValidateDensity:
