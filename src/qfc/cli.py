@@ -27,6 +27,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -124,6 +125,13 @@ def _complex_matrix(entries, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
 def parse_state_spec(text: str) -> StateSpec:
     """Parse and schema-check a JSON state specification.
 
@@ -131,10 +139,7 @@ def parse_state_spec(text: str) -> StateSpec:
     constraints (e.g. coefficient sums) are enforced later by the state
     constructors.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("state spec must be a JSON object")
     kind = doc.get("kind")
@@ -221,10 +226,9 @@ def build_state(spec: StateSpec, allow_large: bool = False) -> BipartiteState:
     return BipartiteState(random_density(dims[0] * dims[1], rank, seed), *dims)
 
 
-def _read_spec(path: str, allow_large: bool) -> tuple[StateSpec, BipartiteState]:
+def _read_spec(path: str) -> StateSpec:
     with open(path, encoding="utf-8") as fh:
-        spec = parse_state_spec(fh.read())
-    return spec, build_state(spec, allow_large)
+        return parse_state_spec(fh.read())
 
 
 def _fmt(x: float) -> str:
@@ -255,27 +259,25 @@ def _emit(report: dict, fmt: str) -> None:
         return
     for key, value in report["values"].items():
         print(f"{key}: {_fmt(value) if isinstance(value, float) else value}")
-    for key in ("method", "entropic_method", "geometric_method"):
-        if key in report:
-            print(f"{key}: {report[key]}")
-    for section in ("optimizer", "optimizer_dq", "optimizer_dg"):
-        if section in report:
-            parts = ", ".join(f"{k}={v}" for k, v in report[section].items())
-            print(f"{section}: {parts}")
+    # every key after the values (methods, then optimizer sections), wall_time_s last
+    keys = list(report)
+    for key in keys[keys.index("values") + 1 : -1]:
+        value = report[key]
+        if isinstance(value, dict):
+            value = ", ".join(f"{k}={v}" for k, v in value.items())
+        print(f"{key}: {value}")
     print(f"wall_time_s: {report['wall_time_s']:.3f}")
 
 
-def _base_report(command: str, spec: StateSpec | None, args) -> dict:
-    report = {
-        "command": command,
+def _base_report(spec: StateSpec, args) -> dict:
+    return {
+        "command": args.command,
         "version": __version__,
         "seed": args.seed,
         "restarts": args.restarts,
         "tolerance": args.tol,
+        "spec": spec.data,
     }
-    if spec is not None:
-        report["spec"] = spec.data
-    return report
 
 
 def _config(args) -> OptimizerConfig:
@@ -283,12 +285,10 @@ def _config(args) -> OptimizerConfig:
 
 
 def _cmd_qfi(args) -> int:
-    spec, state = _read_spec(args.state, args.allow_large)
+    spec = _read_spec(args.state)
+    state = build_state(spec, args.allow_large)
     with open(args.observable, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
+        doc = _parse_json(fh.read())
     if not isinstance(doc, dict) or set(doc) != {"party", "matrix"}:
         raise SchemaError("observable spec must hold exactly 'party' and 'matrix'")
     party = doc["party"]
@@ -308,82 +308,75 @@ def _cmd_qfi(args) -> int:
     l = sld(state.rho, h)
     commutator = 1j * (state.rho @ h - h @ state.rho)
     residual = float(np.linalg.norm(commutator - (l @ state.rho + state.rho @ l) / 2))
-    report = _base_report("qfi", spec, args)
+    report = _base_report(spec, args)
     report["values"] = {"qfi": f, "variance": v, "sld_residual": residual}
     report["wall_time_s"] = time.perf_counter() - start
     _emit(report, args.format)
     return 0
 
 
-#: The solver of each quantity, by its command or sweep name. Each entry looks
-#: its function up in this module when it runs, so a function rebound here
-#: (``bench/tracing.py`` rebinds them to time them) is the one that runs.
+class _Quantity(NamedTuple):
+    solve: Callable
+    value_key: str
+    method_key: str
+    section_key: str  # the optimizer section, written when the solve searched
+
+
+#: Each quantity by its sweep name. Each solver looks its function up in this
+#: module when it runs, so a function rebound here (``bench/tracing.py``
+#: rebinds them to time them) is the one that runs.
 SOLVERS = {
-    "qah": lambda state, cfg: observable_correlation(state, cfg),
-    "qapi": lambda state, cfg: measurement_correlation(state, cfg),
-    "dq": lambda state, cfg: entropic_discord(state, cfg),
-    "dg": lambda state, cfg: geometric_discord(state, cfg),
+    "qah": _Quantity(lambda state, cfg: observable_correlation(state, cfg),
+                     "qah", "method", "optimizer"),
+    "qapi": _Quantity(lambda state, cfg: measurement_correlation(state, cfg),
+                      "qapi", "method", "optimizer"),
+    "dq": _Quantity(lambda state, cfg: entropic_discord(state, cfg),
+                    "entropic_discord", "entropic_method", "optimizer_dq"),
+    "dg": _Quantity(lambda state, cfg: geometric_discord(state, cfg),
+                    "geometric_discord", "geometric_method", "optimizer_dg"),
 }
 
-QUANTITIES = tuple(SOLVERS)
+
+def _solve(name: str, state: BipartiteState, args):
+    """Solve one quantity: its result, and its value (entropic discord in bits for base 2)."""
+    result = SOLVERS[name].solve(state, _config(args))
+    if name == "dq" and args.log_base == "2":
+        return result, result.value / LN2
+    return result, result.value
 
 
-def _cmd_quantifier(args, command: str) -> int:
-    spec, state = _read_spec(args.state, args.allow_large)
+def _cmd_solve(args) -> int:
+    spec = _read_spec(args.state)
+    state = build_state(spec, args.allow_large)
     start = time.perf_counter()
-    result = SOLVERS[command](state, _config(args))
-    report = _base_report(command, spec, args)
-    report["values"] = {command: result.value}
-    report["method"] = result.method
-    if result.method == "optimized":
-        report["optimizer"] = _optimizer_summary(result.report)
-    report["wall_time_s"] = time.perf_counter() - start
-    _emit(report, args.format)
-    return 0 if result.converged else 1
-
-
-def _cmd_discord(args) -> int:
-    spec, state = _read_spec(args.state, args.allow_large)
-    start = time.perf_counter()
-    dq = entropic_discord(state, _config(args))
-    dg = geometric_discord(state, _config(args))
-    dq_value = dq.value / LN2 if args.log_base == "2" else dq.value
-    report = _base_report("discord", spec, args)
-    report["log_base"] = args.log_base
-    report["values"] = {"entropic_discord": dq_value, "geometric_discord": dg.value}
-    report["entropic_method"] = dq.method
-    report["geometric_method"] = dg.method
-    for section, result in (("optimizer_dq", dq), ("optimizer_dg", dg)):
+    solved = [(SOLVERS[name], *_solve(name, state, args)) for name in args.solves]
+    report = _base_report(spec, args)
+    if "log_base" in args:
+        report["log_base"] = args.log_base
+    report["values"] = {q.value_key: value for q, _, value in solved}
+    for q, result, _ in solved:
+        report[q.method_key] = result.method
+    for q, result, _ in solved:
         if result.method == "optimized":  # a certified zero's report is not a search
-            report[section] = _optimizer_summary(result.report)
+            report[q.section_key] = _optimizer_summary(result.report)
     report["wall_time_s"] = time.perf_counter() - start
     _emit(report, args.format)
-    return 0 if dq.converged and dg.converged else 1
+    return 0 if all(result.converged for _, result, _ in solved) else 1
 
 
 #: Smallest sweep step; sweep points are rounded to 12 decimals.
 SWEEP_MIN_STEP = 1e-12
 
-#: Parameters sweepable per state kind, with the field they rewrite.
+#: Per sweepable state kind: its parameter, and the spec fields a value of it sets.
 SWEEP_PARAMS = {
-    "pure_schmidt": "s",
-    "werner": "w",
+    "pure_schmidt": ("s", lambda s: {"coeffs": [s, 1.0 - s]}),
+    "werner": ("w", lambda w: {"w": w}),
 }
 
 
-def _sweep_state(spec: StateSpec, value: float, allow_large: bool) -> BipartiteState:
-    doc = dict(spec.data)
-    if spec.kind == "pure_schmidt":
-        doc["coeffs"] = [value, 1.0 - value]
-    elif spec.kind == "werner":
-        doc["w"] = value
-    return build_state(StateSpec(spec.kind, doc), allow_large)
-
-
 def _cmd_sweep(args) -> int:
-    with open(args.state, encoding="utf-8") as fh:
-        spec = parse_state_spec(fh.read())
-    expected = SWEEP_PARAMS.get(spec.kind)
+    spec = _read_spec(args.state)
+    expected, fields = SWEEP_PARAMS.get(spec.kind, (None, None))
     if expected is None or args.param != expected:
         raise SchemaError(
             f"kind '{spec.kind}' supports sweeping "
@@ -391,26 +384,24 @@ def _cmd_sweep(args) -> int:
         )
     quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
     for q in quantities:
-        if q not in QUANTITIES:
-            raise SchemaError(f"unknown quantity {q!r}; expected one of {QUANTITIES}")
+        if q not in SOLVERS:
+            raise SchemaError(f"unknown quantity {q!r}; expected one of {tuple(SOLVERS)}")
     if not (np.isfinite(args.start) and np.isfinite(args.stop)):
         raise SchemaError("sweep start and stop must be finite")
     if not SWEEP_MIN_STEP <= args.step < np.inf:
         # points are rounded to 12 decimals, so a smaller step repeats them
         raise SchemaError(f"sweep step must be finite and at least {SWEEP_MIN_STEP:g}")
-    cfg = _config(args)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow([args.param] + quantities)
     converged = True
     i = 0
     while (point := args.start + i * args.step) <= args.stop + SWEEP_MIN_STEP:
         value = round(point, 12)
-        state = _sweep_state(spec, value, args.allow_large)
+        state = build_state(StateSpec(spec.kind, {**spec.data, **fields(value)}), args.allow_large)
         row = [_fmt(value)]
         for q in quantities:
-            result = SOLVERS[q](state, cfg)
+            result, x = _solve(q, state, args)
             converged = converged and result.converged
-            x = result.value / LN2 if q == "dq" and args.log_base == "2" else result.value
             row.append(_fmt(x))
         writer.writerow(row)
         i += 1
@@ -472,36 +463,36 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="display base for entropic quantities")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each command names its handler; a solving command, the quantities it reports
     report = [state, optimizer, fmt]
     p = sub.add_parser("qfi", parents=report, help="QFI, variance, SLD residual")
     p.add_argument("--observable", required=True, help="path to an observable JSON spec")
-    sub.add_parser("qah", parents=report, help="correlation via minimized local-driving QFI")
-    sub.add_parser("qapi", parents=report, help="correlation via the measured-Fisher gap")
-    sub.add_parser("discord", parents=report + [log_base], help="entropic and geometric discord")
+    p.set_defaults(run=_cmd_qfi)
+    p = sub.add_parser("qah", parents=report, help="correlation via minimized local-driving QFI")
+    p.set_defaults(run=_cmd_solve, solves=("qah",))
+    p = sub.add_parser("qapi", parents=report, help="correlation via the measured-Fisher gap")
+    p.set_defaults(run=_cmd_solve, solves=("qapi",))
+    p = sub.add_parser("discord", parents=report + [log_base],
+                       help="entropic and geometric discord")
+    p.set_defaults(run=_cmd_solve, solves=("dq", "dg"))
     p = sub.add_parser("sweep", parents=[state, optimizer, log_base],
                        help="grid scan of one state parameter (CSV)")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--param", required=True, help="parameter name (pure_schmidt: s, werner: w)")
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--quantities", default="qah,qapi",
                    help="comma-separated subset of qah,qapi,dq,dg")
-    sub.add_parser("verify", parents=[optimizer], help="run the acceptance suite")
+    p = sub.add_parser("verify", parents=[optimizer], help="run the acceptance suite")
+    p.set_defaults(run=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "qfi":
-            return _cmd_qfi(args)
-        if args.command in ("qah", "qapi"):
-            return _cmd_quantifier(args, args.command)
-        if args.command == "discord":
-            return _cmd_discord(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except (SchemaError, FileNotFoundError, DimensionGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,18 +34,22 @@ def _spectral_entropy(values: np.ndarray) -> np.ndarray:
     return -np.sum(values * np.log(np.where(values > ENTROPY_CUTOFF, values, 1.0)), axis=-1)
 
 
+def _entropy(rho: np.ndarray) -> float:
+    # unchecked: for a state's rho and marginals, valid by construction
+    return float(_spectral_entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2)))
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy ``-sum_i p_i ln p_i`` of a valid density matrix (0 ln 0 = 0)."""
-    rho = validate_density(rho)
-    return float(_spectral_entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2)))
+    return _entropy(validate_density(rho))
 
 
 def mutual_information(state: BipartiteState) -> float:
     """``S(rho_a) + S(rho_b) - S(rho)`` in nats."""
     return (
-        von_neumann_entropy(state.marginal("a"))
-        + von_neumann_entropy(state.marginal("b"))
-        - von_neumann_entropy(state.rho)
+        _entropy(state.marginal("a"))
+        + _entropy(state.marginal("b"))
+        - _entropy(state.rho)
     )
 
 
@@ -70,7 +74,7 @@ def entropic_discord(
     ``correlations._search``); ``method="optimized"`` always searches.
     """
     auto = _may_skip_search(method)
-    base = von_neumann_entropy(state.marginal("a")) - von_neumann_entropy(state.rho)
+    base = _entropy(state.marginal("a")) - _entropy(state.rho)
 
     def loss(spectra: np.ndarray):
         # I(measured rho) = S(rho_b) + H(p) - S(measured rho): measuring a

@@ -1,9 +1,11 @@
 """Command-line interface: schemas, commands, exit codes, and reports."""
 
+import argparse
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import qfc
-from qfc import verify
+from qfc import cli, verify
 from qfc.cli import SchemaError, build_state, main, parse_state_spec
 
 
@@ -321,6 +323,84 @@ class TestCommands:
         assert parse_state_spec(json.dumps(echoed)) == parse_state_spec(json.dumps(doc))
 
 
+def mask(text):
+    """``text`` with every number replaced by ``#``."""
+    return re.sub(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?", "#", text)
+
+
+OPTIMIZER_LINE = "restarts=#, best=#, second_best=#, converged=True, evaluations=#, iterations=#"
+OPTIMIZER_KEYS = ["restarts", "best", "second_best", "converged", "evaluations", "iterations"]
+
+
+class TestOutputLayout:
+    """Key order and line format of each report, numbers masked."""
+
+    SPECS = {
+        "closed-form": {"kind": "max_entangled", "dims": [2, 2]},
+        # d_a = 3, so no qubit-a closed form applies: every solve is certified
+        "certified-zero": {"kind": "cq", "dims": [3, 2], "probs": [0.5, 0.5], "sigmas": [
+            [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]],
+            [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]]},
+        "optimized": {"kind": "random", "dims": [3, 2], "seed": 3, "rank": 6},
+    }
+
+    @pytest.mark.parametrize(
+        "command, case, lines",
+        [
+            ("qah", "closed-form", ["qah: #", "method: closed-form"]),
+            ("qah", "certified-zero", ["qah: #", "method: certified-zero"]),
+            ("qah", "optimized", ["qah: #", "method: optimized", f"optimizer: {OPTIMIZER_LINE}"]),
+            ("qapi", "certified-zero", ["qapi: #", "method: certified-zero"]),
+            ("qapi", "optimized",
+             ["qapi: #", "method: optimized", f"optimizer: {OPTIMIZER_LINE}"]),
+            ("discord", "closed-form",
+             ["entropic_discord: #", "geometric_discord: #", "entropic_method: optimized",
+              "geometric_method: closed-form", f"optimizer_dq: {OPTIMIZER_LINE}"]),
+            ("discord", "certified-zero",
+             ["entropic_discord: #", "geometric_discord: #", "entropic_method: certified-zero",
+              "geometric_method: certified-zero"]),
+            ("discord", "optimized",
+             ["entropic_discord: #", "geometric_discord: #", "entropic_method: optimized",
+              "geometric_method: optimized", f"optimizer_dq: {OPTIMIZER_LINE}",
+              f"optimizer_dg: {OPTIMIZER_LINE}"]),
+        ],
+    )
+    def test_table_json_and_csv_layout(self, capsys, tmp_path, command, case, lines):
+        argv = [command, "--state", write_spec(tmp_path, self.SPECS[case]), "--restarts", "2"]
+        # table: the values, the methods, the optimizer sections, then wall_time_s
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        *body, wall = out.splitlines()
+        assert [mask(line) for line in body] == lines
+        assert re.fullmatch(r"wall_time_s: \d+\.\d{3}", wall)
+        # json: the run's settings and spec, then the table's keys in the table's order
+        names = [line.split(": ")[0] for line in lines]
+        n_values = sum(line.endswith(": #") for line in lines)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        head = ["command", "version", "seed", "restarts", "tolerance", "spec"]
+        head += ["log_base"] if command == "discord" else []
+        assert list(doc) == head + ["values"] + names[n_values:] + ["wall_time_s"]
+        assert list(doc["values"]) == names[:n_values]
+        for section in (name for name in names if name.startswith("optimizer")):
+            assert list(doc[section]) == OPTIMIZER_KEYS
+        # csv: a header of the value names and one row
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert mask(out).splitlines() == [",".join(names[:n_values]), ",".join(["#"] * n_values)]
+
+    def test_sweep_layout(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--state", path, "--param", "w", "--start", "0.5", "--stop", "1.0",
+            "--step", "0.5", "--quantities", "dg,dq,qapi,qah", "--restarts", "2",
+        )
+        assert code == 0
+        assert mask(out).splitlines() == ["w,dg,dq,qapi,qah", "#,#,#,#,#", "#,#,#,#,#"]
+
+
 class TestExitCodes:
     def test_schema_violation_exits_two(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "pure_schmidt", "coefs": [1.0], "dims": [2, 2]})
@@ -376,9 +456,16 @@ class TestExitCodes:
             ({"kind": "werner", "w": "half"}, "werner.w must be a number"),
             ({"kind": "example1", "dims": [3, 2], "a": [1.0]},
              "example1.a must hold two amplitudes"),
+            ({"kind": "raw_matrix", "dims": [1, 1], "matrix": []},
+             "raw_matrix.matrix must be a nested list of [re, im] pairs"),
+            ({"kind": "raw_matrix", "dims": [1, 1], "matrix": 5},
+             "raw_matrix.matrix must be a nested list of [re, im] pairs"),
+            ({"kind": "raw_matrix", "dims": [1, 2], "matrix": [1, 2]},
+             "raw_matrix.matrix must be a nested list of [re, im] pairs"),
         ],
         ids=["entry-not-re-im", "ragged-matrix", "not-an-object", "no-kind",
-             "max-entangled-not-square", "werner-dims", "werner-w-string", "example1-a-length"],
+             "max-entangled-not-square", "werner-dims", "werner-w-string", "example1-a-length",
+             "matrix-empty", "matrix-number", "matrix-flat"],
     )
     def test_malformed_spec_exits_two(self, capsys, tmp_path, doc, message):
         path = write_spec(tmp_path, doc)
@@ -574,6 +661,19 @@ class TestExitCodes:
             main([command, *required, *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+class TestDispatch:
+    def test_every_subcommand_resolves_to_a_handler(self):
+        parser = cli._build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands.choices) == {"qfi", "qah", "qapi", "discord", "sweep", "verify"}
+        for name, sub in commands.choices.items():
+            assert callable(sub.get_default("run")), name
+            solves = sub.get_default("solves")
+            # a solving command reports only quantities of the solver table
+            assert (sub.get_default("run") is cli._cmd_solve) is (solves is not None), name
+            assert set(solves or ()) <= set(cli.SOLVERS), name
 
 
 def synthetic_criterion(number, value, seen):

@@ -414,6 +414,11 @@ class TestOptimizeBasis:
         ordered = np.sort(report.restart_values)
         assert report.second_best_value == ordered[1]
 
+    def test_second_best_value_is_nan_for_one_restart(self):
+        report = optimize_basis(stack_objective(2), random_start(2, 0),
+                                config=OptimizerConfig(restarts=1))
+        assert np.isnan(report.second_best_value)
+
 
 class TestWarmStart:
     OBJECTIVE = staticmethod(stack_objective(3))
