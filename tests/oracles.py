@@ -224,3 +224,102 @@ def random_start(dim: int, seed: int) -> np.ndarray:
     k)``; tests that need a random restart 0 pass ``random_start(d, s)``.
     """
     return unitary_from_params(random_params(dim, np.random.default_rng(seed)), dim)
+
+
+#: qah, qapi, entropic and geometric discord of the 20 states of
+#: ``test_reach.reach_states()``, in that order, each the best of 48 restarts
+#: at tolerance 1e-12 and base seed 1000 (``test_reach.FROZEN_CFG``). Made at
+#: commit 2256f43, before the search screened its restarts, by
+#: ``PYTHONPATH=src python tests/test_reach.py``. They are frozen so that a
+#: loss of reach that a search and a longer run of the same search share
+#: still fails.
+REACH_REFERENCES = {
+    "qah": (
+        0.13822759110557398,
+        0.305089590361467,
+        0.2147498640364274,
+        0.4039415481609877,
+        0.18709326744189447,
+        0.09397838391152606,
+        0.17566344127033706,
+        0.3942760459144191,
+        0.15811275862944318,
+        0.5067733355964054,
+        0.11409459369552695,
+        0.32922177937029556,
+        0.19950152467411375,
+        0.266293497342383,
+        0.17686439374798585,
+        0.2687564681993813,
+        0.16740845774332003,
+        0.37362869704685064,
+        0.1264046382292563,
+        0.32542156763845925,
+    ),
+    "qapi": (
+        0.12975505328799697,
+        0.28531667260757665,
+        0.679343961456607,
+        0.3583271446334184,
+        0.42733899020528643,
+        0.06415869883693792,
+        0.3763521861078728,
+        0.49356014720203234,
+        0.1668007647193313,
+        0.4967601076111605,
+        0.08069738499284995,
+        0.33168767108725516,
+        0.6601916505152461,
+        0.13039405574622276,
+        0.3885305220827867,
+        0.2013395029043823,
+        0.41480534983915973,
+        0.5373523244957603,
+        0.1027170088652265,
+        0.3302839077961848,
+    ),
+    "dq": (
+        0.12023005373573037,
+        0.3975981675484521,
+        0.24391510979362874,
+        0.5314186685200812,
+        0.20088600187666827,
+        0.1284525592657253,
+        0.18963270275437916,
+        0.5457754659562983,
+        0.14451197244433578,
+        0.7235893832795921,
+        0.06271475752170486,
+        0.45978710705001613,
+        0.24289309180611007,
+        0.29700194818091363,
+        0.18163601596152557,
+        0.3008204736884659,
+        0.19730657344017688,
+        0.6024838748602488,
+        0.08335142395799355,
+        0.4832142600967446,
+    ),
+    "dg": (
+        0.0759932613364645,
+        0.1588196534256071,
+        0.046356039808701247,
+        0.2754755245878524,
+        0.03222885259294197,
+        0.07108782232414186,
+        0.04938907041151164,
+        0.22200055131269983,
+        0.04228307608590144,
+        0.27056649467897054,
+        0.050202193601915246,
+        0.18685654158080578,
+        0.042452840949421713,
+        0.13814846257348376,
+        0.03160354097657261,
+        0.20957063833971135,
+        0.038197028857853886,
+        0.18519906634006345,
+        0.030527227841189455,
+        0.18974032624139214,
+    ),
+}

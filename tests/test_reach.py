@@ -5,6 +5,12 @@ bases of party a. Once d_a >= 3 the qapi and entropic-discord landscapes
 have local optima, so a change of starts, restart count or stop rule can
 lose the global optimum without failing any closed-form check. The states
 and seeds below were fixed before the first run.
+
+``oracles.REACH_REFERENCES`` holds 48-restart values of these states frozen
+at an earlier optimizer, so a loss of reach that today's default and
+today's longer search share still fails. Regenerate them (only on purpose,
+and only from a search known to reach further) with
+``PYTHONPATH=src python tests/test_reach.py``.
 """
 
 import pytest
@@ -19,12 +25,22 @@ from qfc import (
 )
 from qfc.states import random_density
 
-from oracles import jacobi_basis
+from oracles import REACH_REFERENCES, jacobi_basis
 
 REACH_DIMS = [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
 #: The reference search: three times the default restarts, on other streams.
 REFERENCE_CFG = OptimizerConfig(restarts=48, seed=1000)
 REACH_TOL = 1e-6
+#: The search that made ``oracles.REACH_REFERENCES``.
+FROZEN_CFG = OptimizerConfig(restarts=48, tolerance=1e-12, seed=1000)
+#: The seed of state i is ``STATE_SEED + i``.
+STATE_SEED = 1100
+SOLVERS = {
+    "qah": observable_correlation,
+    "qapi": measurement_correlation,
+    "dq": entropic_discord,
+    "dg": geometric_discord,
+}
 
 
 def reach_states():
@@ -32,14 +48,24 @@ def reach_states():
     for i in range(20):
         dims = REACH_DIMS[i % len(REACH_DIMS)]
         d = dims[0] * dims[1]
-        yield BipartiteState(random_density(d, d if i % 2 == 0 else 2, 1100 + i), *dims)
+        yield BipartiteState(random_density(d, d if i % 2 == 0 else 2, STATE_SEED + i), *dims)
 
 
-@pytest.mark.parametrize(
-    "solver",
-    [observable_correlation, measurement_correlation, entropic_discord, geometric_discord],
-    ids=["qah", "qapi", "dq", "dg"],
-)
+def short_config(i):
+    """4 restarts at optimizer seed 4 x the seed of state i, as the benchmark's workloads seed them."""
+    return OptimizerConfig(restarts=4, seed=4 * (STATE_SEED + i))
+
+
+@pytest.mark.parametrize("run", ["default", "short"])
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_search_meets_the_frozen_references(name, run):
+    for i, (state, reference) in enumerate(zip(reach_states(), REACH_REFERENCES[name],
+                                               strict=True)):
+        config = None if run == "default" else short_config(i)
+        assert abs(SOLVERS[name](state, config).value - reference) <= REACH_TOL
+
+
+@pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS.keys())
 def test_default_search_matches_a_longer_one(solver):
     for state in reach_states():
         default = solver(state).value
@@ -51,3 +77,14 @@ def test_geometric_discord_matches_the_jacobi_oracle():
     for state in reach_states():
         _, oracle = jacobi_basis(state, 8)
         assert abs(geometric_discord(state).value - oracle) <= REACH_TOL
+
+
+if __name__ == "__main__":
+    # Print the literal of oracles.REACH_REFERENCES.
+    print("REACH_REFERENCES = {")
+    for name, solver in SOLVERS.items():
+        print(f'    "{name}": (')
+        for state in reach_states():
+            print(f"        {solver(state, FROZEN_CFG).value!r},")
+        print("    ),")
+    print("}")
