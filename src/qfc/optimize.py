@@ -22,10 +22,11 @@ doublings rather than in many unit steps. Every search minimizes: each
 quantifier is a minimum over bases, and its objective returns the quantifier
 itself. Restart 0 starts at a given basis, which every solver of party a
 sets to the eigenbasis of rho_a in one place, ``correlations._search``;
-restart k >= 1 starts from random generator coefficients drawn from its own
-stream (seed = base seed + k). The restarts run in lockstep, one objective
-call per round on the stack of those still searching; :func:`multistart`
-reports them.
+restart k >= 1 starts from random generator coefficients, row k - 1 of one
+``(R - 1, d^2)`` normal draw from ``np.random.default_rng(seed)``, which
+does not depend on the restart count R. The restarts run in lockstep, one
+objective call per round on the stack of those still searching;
+:func:`multistart` reports them.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class OptimizerConfig:
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
-            # restart k draws from np.random.default_rng(seed + k)
+            # the random starts are drawn from np.random.default_rng(seed)
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         tol = self.tolerance
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
@@ -280,8 +281,8 @@ def optimize_basis(objective, start, *, config=None):
     ``start`` is a d x d unitary, the start of restart 0; every solver of
     party a calls this through ``correlations._search``, which passes the
     eigenbasis of rho_a. Restart k >= 1 starts from the unitary of random
-    generator coefficients drawn from its own stream (seed
-    ``config.seed + k``). The restarts are BFGS searches run in lockstep,
+    generator coefficients, row k - 1 of one normal draw from
+    ``np.random.default_rng(config.seed)``. The restarts are BFGS searches run in lockstep,
     one objective call per round on the stack of those still searching (see
     :func:`_bfgs`); ``config`` (an :class:`OptimizerConfig`, the default one
     if None) sets the restarts and the tolerance, which bounds both the last
@@ -295,7 +296,6 @@ def optimize_basis(objective, start, *, config=None):
     dim = np.shape(start)[0] if np.ndim(start) else 0
     start = linalg.require_unitary(start, dim, "start")
     cfg = config if config is not None else OptimizerConfig()
-    params = [np.random.default_rng(cfg.seed + k).normal(0.0, START_SPREAD, dim * dim)
-              for k in range(1, cfg.restarts)]
-    randoms = unitary_from_params(np.reshape(params, (-1, dim * dim)), dim)
+    rng = np.random.default_rng(cfg.seed)
+    randoms = unitary_from_params(rng.normal(0.0, START_SPREAD, (cfg.restarts - 1, dim * dim)), dim)
     return multistart(_bfgs(objective, np.concatenate([start[None], randoms]), cfg.tolerance))

@@ -212,18 +212,21 @@ def jacobi_basis(state, starts: int, seed: int = 0):
     return min(runs, key=lambda run: run[1])
 
 
-def random_params(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The generator coefficients a random restart of :func:`qfc.optimize_basis` draws."""
-    return rng.normal(0.0, START_SPREAD, size=dim * dim)
+def random_params(dim: int, seed: int, count: int) -> np.ndarray:
+    """The generator coefficients of restarts 1 to ``count`` of :func:`qfc.optimize_basis`.
+
+    Row k - 1 is what restart k of a search at base seed ``seed`` draws;
+    it does not depend on ``count``.
+    """
+    return np.random.default_rng(seed).normal(0.0, START_SPREAD, size=(count, dim * dim))
 
 
 def random_start(dim: int, seed: int) -> np.ndarray:
-    """The unitary a random restart draws from the stream seeded ``seed``.
+    """The unitary restart 1 of a search at base seed ``seed`` starts from.
 
-    Restart k >= 1 of a search at base seed s starts at ``random_start(d, s +
-    k)``; tests that need a random restart 0 pass ``random_start(d, s)``.
+    Tests that need a random restart 0 pass ``random_start(d, s)``.
     """
-    return unitary_from_params(random_params(dim, np.random.default_rng(seed)), dim)
+    return unitary_from_params(random_params(dim, seed, 1)[0], dim)
 
 
 #: qah, qapi, entropic and geometric discord of the 20 states of

@@ -624,7 +624,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value", ["-5", "-1", "2.5", "some"])
     def test_bad_seed_exits_two(self, capsys, tmp_path, value):
-        # restart k draws from np.random.default_rng(seed + k), which rejects a negative seed
+        # the random starts are drawn from np.random.default_rng(seed), which rejects a negative seed
         path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
         with pytest.raises(SystemExit) as exc:
             main(["qah", "--state", path, "--seed", value, "--restarts", "3"])

@@ -347,8 +347,7 @@ class TestMultistart:
             report = optimize_basis(stack_objective(2), start, config=cfg)
         assert len(seen) == 1 and seen[0].shape == (5, 2, 2)
         assert np.array_equal(seen[0][0], start)
-        for k in range(1, 5):
-            params = random_params(2, np.random.default_rng(3 + k))
+        for k, params in enumerate(random_params(2, 3, 4), 1):
             assert np.array_equal(seen[0][k], unitary_from_params(params, 2))
         assert report.restart_values.size == 5
 
@@ -489,7 +488,7 @@ class TestOptimizerConfig:
 
     @pytest.mark.parametrize("seed", [-1, -5])
     def test_rejects_negative_seed(self, seed):
-        # restart k draws from np.random.default_rng(seed + k), which needs seed + k >= 0
+        # the random starts are drawn from np.random.default_rng(seed), which needs seed >= 0
         with pytest.raises(ValueError, match="seed"):
             OptimizerConfig(seed=seed)
 
