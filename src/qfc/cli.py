@@ -41,7 +41,7 @@ from .correlations import (
 from .discord import entropic_discord, geometric_discord
 from .errors import DimensionGuardError
 from .fisher import qfi, sld, variance
-from .optimize import OptimizerConfig
+from .optimize import POLISH_TOLERANCE, OptimizerConfig
 from .states import (
     BipartiteState,
     make_cc,
@@ -239,7 +239,8 @@ def _optimizer_summary(report) -> dict:
     return {
         "restarts": int(report.restart_values.size),
         "best": report.best_value,
-        # None (JSON null) for a single restart: strict JSON has no NaN
+        # a screened value, precise only to the screen; None (JSON null) for
+        # a single restart: strict JSON has no NaN
         "second_best": None if report.restart_values.size < 2 else report.second_best_value,
         "converged": bool(report.converged),
         "evaluations": int(report.n_evaluations),
@@ -450,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help=f"optimizer restarts (>= 1, default {defaults.restarts})")
     optimizer.add_argument("--tol", type=_config_value("tolerance", float),
                            default=defaults.tolerance,
-                           help=f"optimizer objective tolerance (finite, > 0, "
+                           help=f"certificate threshold; the search polishes its best restart "
+                                f"to min(tol, {POLISH_TOLERANCE:g}) (finite, > 0, "
                                 f"default {defaults.tolerance:g})")
     state = argparse.ArgumentParser(add_help=False)
     state.add_argument("--state", required=True, help="path to a JSON state specification")

@@ -24,9 +24,11 @@ itself. Restart 0 starts at a given basis, which every solver of party a
 sets to the eigenbasis of rho_a in one place, ``correlations._search``;
 restart k >= 1 starts from random generator coefficients, row k - 1 of one
 ``(R - 1, d^2)`` normal draw from ``np.random.default_rng(seed)``, which
-does not depend on the restart count R. The restarts run in lockstep, one
-objective call per round on the stack of those still searching;
-:func:`multistart` reports them.
+does not depend on the restart count R. A search screens its restarts at a
+loose tolerance and polishes only the best of them at a tight one (see
+:func:`_bfgs`); each round runs its restarts in lockstep, one objective call
+per step on the stack of those still searching. :func:`multistart` reports
+the restarts.
 """
 
 from __future__ import annotations
@@ -43,8 +45,15 @@ from .errors import OptimizationError, ShapeError
 
 #: Spread (radians) of the random generator coefficients at each restart.
 START_SPREAD = np.pi / 2
-#: Iteration cap of each restart; a restart that reaches it is unconverged.
+#: Iteration cap of each restart, over every round it runs in; a restart
+#: that reaches it is unconverged.
 MAX_ITERATIONS = 2000
+#: Tolerance of the first screen round, which runs every restart of a search;
+#: round j runs the better half of round j - 1 to ``SCREEN_TOLERANCE**j``.
+SCREEN_TOLERANCE = 1e-2
+#: Loosest tolerance of the polish, which continues the screen's one
+#: remaining restart: it runs to ``min(config.tolerance, POLISH_TOLERANCE)``.
+POLISH_TOLERANCE = 1e-12
 #: Sufficient-decrease constant of the backtracking (Armijo) line search.
 ARMIJO = 1e-4
 #: Step halvings a line search may make before it gives up and ends the
@@ -54,7 +63,13 @@ MAX_HALVINGS = 40
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multistart settings: restart count, objective tolerance and base seed."""
+    """Multistart settings: restart count, objective tolerance and base seed.
+
+    ``tolerance`` is the threshold below which a solver certifies a zero
+    (``correlations._search``), and the polish runs to ``min(tolerance,
+    POLISH_TOLERANCE)``; the screen runs to :data:`SCREEN_TOLERANCE` whatever
+    it is. ``seed`` seeds the one generator of the random starts.
+    """
 
     restarts: int = 16
     tolerance: float = 1e-6
@@ -86,6 +101,13 @@ class OptimizerReport:
     is the flag of the restart that reached it. Ties between equally good
     restarts resolve to the lowest restart index. ``best_unitary`` is the
     basis that attains ``best_value``.
+
+    After :func:`_bfgs`, only the best restart was polished: ``best_value``
+    and ``converged`` hold at the polish tolerance. Every other restart
+    stopped in a screen round, so its value is an upper bound on its basin's
+    minimum that holds only to that round's precision (its squared gradient
+    norm at most ``SCREEN_TOLERANCE**j`` in round j), and its
+    ``restart_converged`` flag says whether it met that round's tolerance.
     """
 
     best_value: float
@@ -100,7 +122,11 @@ class OptimizerReport:
 
     @property
     def second_best_value(self) -> float:
-        """Runner-up among restart finals (nan for a single restart)."""
+        """Runner-up among restart finals (nan for a single restart).
+
+        A screened value: it may lie above the runner-up's basin minimum by
+        far more than the polish tolerance.
+        """
         if self.restart_values.size < 2:
             return float("nan")
         return float(np.sort(self.restart_values)[1])
@@ -179,60 +205,130 @@ def _evaluate(objective, v: np.ndarray):
     return values, g
 
 
-def _restart(u: np.ndarray, f: float, g: np.ndarray, tolerance: float):
-    # One restart of _bfgs from u, where the value is f and the tangent
-    # gradient g: a generator that yields (u, step) for each trial point
-    # u exp(i A(0, step)), is sent (trial, value, gradient) back, and returns
-    # the restart's run.
-    evaluations, iterations, decrease = 1, 0, 0.0
-    h = None  # inverse Hessian estimate; the identity until the first update
-    t_sd = 1.0  # first trial of a steepest-descent line search
-    while True:
-        gg = g @ g
-        p = -g if h is None else -(h @ g)
-        slope = g @ p
-        if slope >= 0.0:
-            p, slope = -g, -gg
-        if gg <= tolerance and (decrease <= tolerance or -slope <= tolerance):
-            return u, f, evaluations, iterations, True
-        if iterations == MAX_ITERATIONS:
-            return u, f, evaluations, iterations, False
-        # |t p| <= pi keeps the generator's eigenvalues from wrapping.
-        t = first = min(t_sd if h is None else 1.0, np.pi / math.sqrt(p @ p))
-        for _ in range(MAX_HALVINGS):
-            s = t * p
-            trial, f_new, g_new = yield u, s
-            evaluations += 1
-            if f_new <= f + ARMIJO * t * slope:
+class _Restart:
+    """One restart of :func:`_bfgs` and everything it carries between searches.
+
+    Its point ``u``, value ``f`` and tangent gradient ``g``; the inverse
+    Hessian estimate ``h`` (None, the identity, until the first update); the
+    first trial ``t_sd`` of a steepest-descent line search; the value's
+    ``decrease`` over the last step (the start counts as a step of 0); its
+    evaluations and iterations; and how its last search stopped:
+    ``converged``, and ``stalled`` once a line search found no lower value.
+    :meth:`search` goes on from where the last search stopped.
+    """
+
+    def __init__(self, u: np.ndarray, f: float, g: np.ndarray):
+        self.u, self.f, self.g = u, f, g
+        self.h, self.t_sd, self.decrease = None, 1.0, 0.0
+        self.evaluations, self.iterations = 1, 0
+        self.converged = self.stalled = False
+
+    @property
+    def run(self):
+        """``(unitary, value, evaluations, iterations, converged)``, for :func:`multistart`."""
+        return self.u, self.f, self.evaluations, self.iterations, self.converged
+
+    def search(self, tolerance: float):
+        """Search on to ``tolerance``; see :func:`_bfgs` for the steps and stops.
+
+        A generator that yields ``(u, step)`` for each trial point ``u exp(i
+        A(0, step))`` and is sent ``(trial, value, gradient)`` back. A
+        stalled restart is not searched again: it only checks its stop.
+        """
+        u, f, g, h, t_sd, decrease = self.u, self.f, self.g, self.h, self.t_sd, self.decrease
+        evaluations, iterations, stalled = self.evaluations, self.iterations, self.stalled
+        while True:
+            gg = g @ g
+            p = -g if h is None else -(h @ g)
+            slope = g @ p
+            if slope >= 0.0:
+                p, slope = -g, -gg
+            if gg <= tolerance and (decrease <= tolerance or -slope <= tolerance):
+                converged = True
                 break
-            t /= 2.0
-        else:
-            # No step lowers the value: the decrease is 0, so this is a
-            # stationary point to working precision unless g is still large.
-            return u, f, evaluations, iterations, bool(gg <= tolerance)
-        y = g_new - g
-        sy = s @ y
-        if sy > 0.0:
-            if h is None:
-                h = (sy / (y @ y)) * np.eye(s.size)
-            hy = h @ y
-            hys = hy[:, None] * s
-            h += ((sy + y @ hy) * (s[:, None] * s) / sy - hys - hys.T) / sy
-        t_sd = 2.0 * t if t == first else t
-        iterations += 1
-        decrease = f - f_new
-        u, f, g = trial, f_new, g_new
+            if stalled or iterations == MAX_ITERATIONS:
+                # Once no step lowers the value the decrease is 0, so a stalled
+                # restart is at a stationary point to working precision unless
+                # g is still large; at the cap it is unconverged.
+                converged = bool(stalled and gg <= tolerance)
+                break
+            # |t p| <= pi keeps the generator's eigenvalues from wrapping.
+            t = first = min(t_sd if h is None else 1.0, np.pi / math.sqrt(p @ p))
+            for _ in range(MAX_HALVINGS):
+                s = t * p
+                trial, f_new, g_new = yield u, s
+                evaluations += 1
+                if f_new <= f + ARMIJO * t * slope:
+                    break
+                t /= 2.0
+            else:
+                stalled = True
+                continue
+            y = g_new - g
+            sy = s @ y
+            if sy > 0.0:
+                if h is None:
+                    h = (sy / (y @ y)) * np.eye(s.size)
+                hy = h @ y
+                hys = hy[:, None] * s
+                h += ((sy + y @ hy) * (s[:, None] * s) / sy - hys - hys.T) / sy
+            t_sd = 2.0 * t if t == first else t
+            iterations += 1
+            decrease = f - f_new
+            u, f, g = trial, f_new, g_new
+        self.u, self.f, self.g, self.h, self.t_sd, self.decrease = u, f, g, h, t_sd, decrease
+        self.evaluations, self.iterations = evaluations, iterations
+        self.converged, self.stalled = converged, stalled
+
+
+def _lockstep(objective, restarts, tolerance: float):
+    """Search each of ``restarts`` on to ``tolerance``, in lockstep: one round.
+
+    Each step of the round makes one chart call and one objective call on
+    the stack of the trial points of the restarts still searching, and a
+    restart that stops drops out of the stack. Each restart keeps its own
+    state, so it takes the steps it would take alone.
+    """
+    searches = [restart.search(tolerance) for restart in restarts]
+    dim = restarts[0].u.shape[-1]
+    active, replies = range(len(searches)), [None] * len(searches)  # None starts a generator
+    while True:
+        requests = []
+        for k, reply in zip(active, replies):
+            try:
+                requests.append((k, *searches[k].send(reply)))
+            except StopIteration:
+                pass
+        if not requests:
+            return
+        active, bases, steps = zip(*requests)
+        params = np.concatenate([np.zeros((len(steps), dim)), steps], axis=1)
+        trials = np.array(bases) @ unitary_from_params(params, dim)
+        values, grads = _evaluate(objective, trials)
+        replies = list(zip(trials, values.tolist(), grads))
 
 
 def _bfgs(objective, starts: np.ndarray, tolerance: float):
     """Minimize ``f`` by BFGS on U(d) from each unitary of the ``(R, d, d)`` stack ``starts``.
 
     Returns one ``(unitary, value, evaluations, iterations, converged)`` run
-    per restart. The R restarts run in lockstep: each round makes one chart
-    call and one objective call on the stack of the trial points of the
-    restarts still searching, and a restart that stops drops out of the
-    batch. Each restart keeps its own point, inverse Hessian H, step memory
-    and counters, so it follows the path it would follow alone.
+    per restart. A multistart in two phases (Rinnooy Kan and Timmer, Math.
+    Programming 39, 27, 1987), each phase one or more :func:`_lockstep`
+    rounds:
+
+    * *Screen.* All R restarts run to the loose :data:`SCREEN_TOLERANCE`.
+      The better half of them, by value (ties go to the lower index), run on
+      to ``SCREEN_TOLERANCE**2``, the better half of those to
+      ``SCREEN_TOLERANCE**3``, and so on until one restart is left.
+    * *Polish.* That restart runs on to ``min(tolerance,
+      POLISH_TOLERANCE)``.
+
+    A restart goes on from where its last round stopped, with its point,
+    value, gradient, inverse Hessian and step memory, and its counts hold
+    the work of every round it ran in. Stopping and going on does not change
+    its path: the polished restart ends exactly where it would end searched
+    alone to the polish tolerance, and every other restart holds its value
+    only to the tolerance of the last round it ran in.
 
     Each backtracking (Armijo) line search along ``p`` starts at ``t = 1``
     once H exists. Before that ``p = -g`` and the first trial is a
@@ -240,34 +336,27 @@ def _bfgs(objective, starts: np.ndarray, tolerance: float):
     that accepted its first trial, and otherwise the step the backtrack
     accepted. Every trial is capped at ``|t p| <= pi``.
 
-    A restart stops converged once the squared gradient norm is at most
-    ``tolerance`` and either the last step lowered the value by at most
-    ``tolerance`` (the start counts as such a step) or the predicted decrease
-    ``-g.p`` is at most ``tolerance``; the latter ends a search at roundoff
-    level without a line search that could only halve its way to nothing.
-    It stops unconverged at :data:`MAX_ITERATIONS`, or when a line search
-    finds no step that lowers the value while the squared gradient norm is
-    still above ``tolerance``.
+    A round stops a restart converged once the squared gradient norm is at
+    most the round's tolerance and either the last step lowered the value by
+    at most that tolerance (the start counts as such a step) or the predicted
+    decrease ``-g.p`` is at most that tolerance; the latter ends a search at
+    roundoff level without a line search that could only halve its way to
+    nothing. It stops a restart unconverged at :data:`MAX_ITERATIONS`
+    iterations over all rounds, or when a line search finds no step that
+    lowers the value while the squared gradient norm is still above the
+    tolerance. An unconverged restart takes no further step in a later
+    round, so an unconverged winner is reported as it stands.
     """
-    count, dim = len(starts), starts.shape[-1]
     values, grads = _evaluate(objective, starts)
-    searches = [_restart(*start, tolerance) for start in zip(starts, values.tolist(), grads)]
-    runs = [None] * count
-    active, replies = range(count), [None] * count  # None starts a generator
-    while True:
-        requests = []
-        for k, reply in zip(active, replies):
-            try:
-                requests.append((k, *searches[k].send(reply)))
-            except StopIteration as stop:
-                runs[k] = stop.value
-        if not requests:
-            return runs
-        active, bases, steps = zip(*requests)
-        params = np.concatenate([np.zeros((len(steps), dim)), steps], axis=1)
-        trials = np.array(bases) @ unitary_from_params(params, dim)
-        values, grads = _evaluate(objective, trials)
-        replies = list(zip(trials, values.tolist(), grads))
+    restarts = [_Restart(*start) for start in zip(starts, values.tolist(), grads)]
+    polish = min(tolerance, POLISH_TOLERANCE)
+    field, screen = range(len(restarts)), SCREEN_TOLERANCE
+    while len(field) > 1:
+        _lockstep(objective, [restarts[k] for k in field], screen)
+        field = sorted(field, key=lambda k: (restarts[k].f, k))[: (len(field) + 1) // 2]
+        screen = max(screen * SCREEN_TOLERANCE, polish)
+    _lockstep(objective, [restarts[field[0]]], polish)
+    return [restart.run for restart in restarts]
 
 
 def optimize_basis(objective, start, *, config=None):
@@ -282,16 +371,27 @@ def optimize_basis(objective, start, *, config=None):
     party a calls this through ``correlations._search``, which passes the
     eigenbasis of rho_a. Restart k >= 1 starts from the unitary of random
     generator coefficients, row k - 1 of one normal draw from
-    ``np.random.default_rng(config.seed)``. The restarts are BFGS searches run in lockstep,
-    one objective call per round on the stack of those still searching (see
-    :func:`_bfgs`); ``config`` (an :class:`OptimizerConfig`, the default one
-    if None) sets the restarts and the tolerance, which bounds both the last
-    decrease and the squared gradient norm. Returns the
-    :class:`OptimizerReport` of the restarts. Deterministic for a fixed
-    config and start. A restart's result does not depend on how many others
-    run beside it as long as the objective's value and gradient at a unitary
-    do not depend on the stack it comes in, which holds for every objective
-    of the library.
+    ``np.random.default_rng(config.seed)``. ``config`` (an
+    :class:`OptimizerConfig`, the default one if None) sets the restarts,
+    the seed and the tolerance.
+
+    The restarts are BFGS searches in two phases (see :func:`_bfgs`). The
+    screen runs all of them to :data:`SCREEN_TOLERANCE`, and the better half
+    of each screen round on to a tolerance 1/SCREEN_TOLERANCE times tighter,
+    until one is left; the polish runs that one on to ``min(config.tolerance,
+    POLISH_TOLERANCE)``. A tolerance bounds both the last decrease (or the
+    predicted one) and the squared gradient norm. Each round runs its
+    restarts in lockstep, one objective call per step on the stack of those
+    still searching.
+
+    Returns the :class:`OptimizerReport` of the restarts: ``best_value`` and
+    ``converged`` are the polished restart's, and every other restart's
+    value holds only to the precision of the last screen round it ran in.
+    Deterministic for a fixed config and start. Stopping a restart and going
+    on does not change its path, so as long as the objective's value and
+    gradient at a unitary do not depend on the stack it comes in (which
+    holds for every objective of the library) the polished restart ends
+    exactly where a one-restart search from its start ends.
     """
     dim = np.shape(start)[0] if np.ndim(start) else 0
     start = linalg.require_unitary(start, dim, "start")

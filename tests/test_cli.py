@@ -560,17 +560,19 @@ class TestExitCodes:
         assert err.startswith("error:") and "finite" in err
 
     def test_sweep_exits_one_after_every_row_when_a_solve_is_unconverged(self, capsys, tmp_path):
-        # at tolerance 1e-300 no restart can meet the stop rule, as for `qfc qapi`
-        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        # qah searches on a pure state with a qutrit party a; its gradient at
+        # the optimum is roundoff, not 0, so at tolerance 1e-300 no restart
+        # meets the stop rule
+        path = write_spec(tmp_path, {"kind": "pure_schmidt", "coeffs": [0.3, 0.7], "dims": [3, 3]})
         code, out, _ = run_cli(
             capsys,
-            "sweep", "--state", path, "--param", "w",
-            "--start", "0.4", "--stop", "0.5", "--step", "0.1",
-            "--quantities", "qapi", "--tol", "1e-300", "--restarts", "2",
+            "sweep", "--state", path, "--param", "s",
+            "--start", "0.3", "--stop", "0.4", "--step", "0.1",
+            "--quantities", "qah", "--tol", "1e-300", "--restarts", "2",
         )
         assert code == 1
         rows = list(csv.reader(io.StringIO(out)))
-        assert [row[0] for row in rows] == ["w", "0.4", "0.5"]
+        assert [row[0] for row in rows] == ["s", "0.3", "0.4"]
 
     def test_sweep_step_below_the_grid_resolution_exits_two(self, tmp_path):
         # 0.5 + 1e-17 == 0.5: a grid built by repeated addition never advances.

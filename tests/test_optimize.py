@@ -75,6 +75,29 @@ def stack_objective(dim):
     return lambda u: off_diagonal_mass_and_gradient(stack, u)
 
 
+def recording_rounds(rounds):
+    """Patch ``optimize._lockstep`` to append each round to ``rounds``.
+
+    A round is ``(restarts, tolerance, before, after)``: the restarts it
+    searches, its tolerance and their runs before and after it.
+    """
+    lockstep = optimize._lockstep
+
+    def recording(objective, restarts, tolerance):
+        before = [restart.run for restart in restarts]
+        lockstep(objective, restarts, tolerance)
+        rounds.append((restarts, tolerance, before, [restart.run for restart in restarts]))
+
+    return mock.patch.object(optimize, "_lockstep", recording)
+
+
+def assert_same_runs(runs, others):
+    """Runs equal bit for bit: unitary, value, evaluations, iterations and flag."""
+    assert len(runs) == len(others)
+    for (u, *rest), (v, *other_rest) in zip(runs, others):
+        assert np.array_equal(u, v) and rest == other_rest
+
+
 class TestUnitaryFromParams:
     def test_zero_parameters_give_identity(self):
         np.testing.assert_allclose(unitary_from_params(np.zeros(4), 2), np.eye(2), atol=1e-14)
@@ -120,20 +143,31 @@ class TestGradientSearch:
         assert g @ g <= tolerance
 
     def test_iteration_cap_reports_unconverged(self):
-        with mock.patch.object(optimize, "MAX_ITERATIONS", 2):
-            report = optimize_basis(
-                stack_objective(3), random_start(3, 0), config=OptimizerConfig(restarts=1)
-            )
-        assert report.n_iterations == 2
+        # The cap counts a restart's iterations over the screen and the polish:
+        # with a cap above every screen run, the winner stops at the cap in
+        # total, not after a fresh allowance in its polish.
+        objective, start, cfg = stack_objective(3), random_start(3, 0), OptimizerConfig(restarts=2)
+        rounds = []
+        with recording_rounds(rounds):
+            free = optimize_basis(objective, start, config=cfg)
+        cap = max(run[3] for run in rounds[0][3]) + 1
+        best = int(np.argmin(free.restart_values))
+        assert free.converged and free.restart_iterations[best] > cap
+        with mock.patch.object(optimize, "MAX_ITERATIONS", cap):
+            report = optimize_basis(objective, start, config=cfg)
+        assert report.restart_iterations[best] == cap
+        assert report.best_value == report.restart_values[best]
         assert not report.converged
 
     def test_failed_line_search_with_a_large_gradient_is_unconverged(self):
         # a constant value with a nonzero gradient: no step passes the Armijo test
         grad = np.diag([1.0, -1.0]).astype(complex) @ np.array([[0, 1], [1, 0]])
         objective = constant(1.0, lambda u: u @ grad)
-        report = optimize_basis(objective, random_start(2, 0), config=OptimizerConfig(restarts=1))
-        assert not report.converged
-        assert report.n_evaluations == 1 + optimize.MAX_HALVINGS
+        report = optimize_basis(objective, random_start(2, 0), config=OptimizerConfig(restarts=2))
+        assert not report.converged and not report.restart_converged.any()
+        # one line search per restart in the screen; the unconverged winner
+        # takes no second one in the polish
+        np.testing.assert_array_equal(report.restart_evaluations, [1 + optimize.MAX_HALVINGS] * 2)
         assert report.n_iterations == 0
 
     def test_non_finite_gradient_aborts(self):
@@ -237,10 +271,39 @@ class TestLockstep:
 
     @SOLVERS
     def test_restarts_do_not_couple(self, solver):
-        small = solver(self.STATE, OptimizerConfig(restarts=2, seed=9)).report
-        large = solver(self.STATE, OptimizerConfig(restarts=5, seed=9)).report
-        for field in PER_RESTART:
-            np.testing.assert_array_equal(getattr(large, field)[:2], getattr(small, field))
+        # the screen round of 2 restarts is the screen round of the first 2 of 5
+        screens = []
+        for restarts in (2, 5):
+            rounds = []
+            with recording_rounds(rounds):
+                solver(self.STATE, OptimizerConfig(restarts=restarts, seed=9))
+            screens.append(rounds[0][3])
+        assert_same_runs(screens[1][:2], screens[0])
+
+    @SOLVERS
+    def test_a_restart_runs_alone_as_in_the_stack(self, solver):
+        # Each restart ends exactly where it ends searched alone to the
+        # tolerance of the last round it ran in; the winner, polished, where
+        # a one-restart search from its start ends.
+        objective = captured_objective(solver, self.STATE)
+        cfg = OptimizerConfig(restarts=5, seed=9)
+        rounds = []
+        with recording_rounds(rounds):
+            report = optimize_basis(objective, random_start(3, 1), config=cfg)
+        restarts, _, starts, _ = rounds[0]
+        last = {id(restart): tolerance for stack, tolerance, *_ in rounds for restart in stack}
+        for restart, start in zip(restarts, starts):
+            values, grads = optimize._evaluate(objective, start[0][None])
+            alone = optimize._Restart(start[0], values[0], grads[0])
+            optimize._lockstep(objective, [alone], last[id(restart)])
+            assert_same_runs([alone.run], [restart.run])
+        best = int(np.argmin(report.restart_values))
+        single = optimize_basis(objective, starts[best][0],
+                                config=dataclasses.replace(cfg, restarts=1))
+        assert np.array_equal(single.best_unitary, report.best_unitary)
+        assert single.best_value == report.best_value
+        assert single.n_evaluations == report.restart_evaluations[best]
+        assert single.n_iterations == report.restart_iterations[best]
 
     @SOLVERS
     def test_repeated_runs_are_bit_identical(self, solver):
@@ -334,26 +397,86 @@ class TestMultistart:
         assert report.converged
 
     def test_runs_each_restart_once_in_order(self):
-        # one stack of starts: restart 0 at the given start, restart k from seed + k
-        seen = []
-        bfgs = optimize._bfgs
-
-        def recording(objective, starts, tolerance):
-            seen.append(starts.copy())
-            return bfgs(objective, starts, tolerance)
-
+        # The screen takes every start: restart 0 at the given start, restart
+        # k at row k - 1 of the seed's draw. The polish takes only the winner.
+        rounds = []
         start, cfg = haar_unitary(2, 1), OptimizerConfig(restarts=5, seed=3)
-        with mock.patch.object(optimize, "_bfgs", recording):
+        with recording_rounds(rounds):
             report = optimize_basis(stack_objective(2), start, config=cfg)
-        assert len(seen) == 1 and seen[0].shape == (5, 2, 2)
-        assert np.array_equal(seen[0][0], start)
+        restarts, tolerance, starts, _ = rounds[0]
+        assert len(restarts) == 5 and tolerance == optimize.SCREEN_TOLERANCE
+        assert np.array_equal(starts[0][0], start)
         for k, params in enumerate(random_params(2, 3, 4), 1):
-            assert np.array_equal(seen[0][k], unitary_from_params(params, 2))
+            assert np.array_equal(starts[k][0], unitary_from_params(params, 2))
+        assert all(run[2] == 1 for run in starts)  # no restart has searched yet
+        (winner,), tolerance, _, _ = rounds[-1]
+        assert tolerance == min(cfg.tolerance, optimize.POLISH_TOLERANCE)
+        assert winner is restarts[int(np.argmin(report.restart_values))]
         assert report.restart_values.size == 5
+
+
+class TestTwoPhases:
+    """The screen runs every restart loosely; the polish continues only the winner."""
+
+    def test_polish_continues_the_lowest_screened_value(self):
+        rounds = []
+        with recording_rounds(rounds):
+            optimize_basis(stack_objective(3), random_start(3, 4),
+                           config=OptimizerConfig(restarts=6, seed=4))
+        for (stack, _, _, after), (kept, *_) in zip(rounds, rounds[1:]):
+            # each round keeps the better half of the last, by value then index
+            order = sorted(range(len(stack)), key=lambda k: (after[k][1], k))
+            assert kept == [stack[k] for k in order[: (len(stack) + 1) // 2]]
+        assert [len(stack) for stack, *_ in rounds] == [6, 3, 2, 1]
+
+    def test_ties_go_to_the_lowest_index(self):
+        # a flat landscape where every restart but restart 0 screens at 1.0
+        start = np.eye(3)
+        flat = lambda u: (np.where(np.all(u == start, axis=(-2, -1)), 2.0, 1.0), np.zeros_like(u))
+        rounds = []
+        with recording_rounds(rounds):
+            report = optimize_basis(flat, start, config=OptimizerConfig(restarts=4))
+        restarts = rounds[0][0]
+        assert [stack for stack, *_ in rounds[1:]] == [restarts[1:3], restarts[1:2]]
+        assert report.best_value == 1.0
+        assert np.array_equal(report.best_unitary, rounds[0][2][1][0])
+
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-14])
+    def test_the_screen_does_not_use_the_config_tolerance(self, tolerance):
+        rounds = []
+        with recording_rounds(rounds):
+            optimize_basis(stack_objective(3), random_start(3, 0),
+                           config=OptimizerConfig(restarts=4, tolerance=tolerance))
+        screen = optimize.SCREEN_TOLERANCE
+        polish = min(tolerance, optimize.POLISH_TOLERANCE)
+        assert [t for _, t, *_ in rounds] == [screen, screen**2, polish]
+        # the restarts that ran only in the screen stopped converged at its
+        # tolerance, one of them well short of the config tolerance
+        squared_gradients = []
+        for restart, run in zip(rounds[0][0], rounds[0][3]):
+            if restart not in rounds[1][0]:
+                u, _, _, _, converged = run
+                _, grad = stack_objective(3)(u)
+                g = -(optimize._tangent_rows(3) @ (dag(grad) @ u).ravel()).imag
+                assert converged
+                squared_gradients.append(g @ g)
+        assert max(squared_gradients) <= screen
+        assert max(squared_gradients) > 1e-6
+
+    def test_an_unconverged_winner_is_not_polished(self):
+        rounds = []
+        with mock.patch.object(optimize, "MAX_ITERATIONS", 1), recording_rounds(rounds):
+            report = optimize_basis(stack_objective(3), random_start(3, 0),
+                                    config=OptimizerConfig(restarts=2))
+        assert not report.restart_converged.any()
+        (winner,), _, before, after = rounds[-1]
+        assert_same_runs(after, before)  # the polish round took no step
+        assert winner.run[3] == 1 and not report.converged
 
 
 class TestOptimizeBasis:
     def test_constant_objective_converges_immediately(self):
+        # one evaluation per start: the polish does not evaluate the winner again
         report = optimize_basis(constant(4.25), np.eye(2), config=OptimizerConfig(restarts=2))
         assert report.converged
         assert report.best_value == 4.25
@@ -392,11 +515,16 @@ class TestOptimizeBasis:
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_restart_values_prefix_stable(self):
+        # the screened runs of the first 3 restarts do not depend on the restart count
         objective = stack_objective(2)
         start = random_start(2, 2)
-        small = optimize_basis(objective, start, config=OptimizerConfig(restarts=3, seed=2))
-        large = optimize_basis(objective, start, config=OptimizerConfig(restarts=6, seed=2))
-        np.testing.assert_array_equal(large.restart_values[:3], small.restart_values)
+        screens = []
+        for restarts in (3, 6):
+            rounds = []
+            with recording_rounds(rounds):
+                optimize_basis(objective, start, config=OptimizerConfig(restarts=restarts, seed=2))
+            screens.append(rounds[0][3])
+        assert_same_runs(screens[1][:3], screens[0])
 
     def test_non_finite_objective_aborts(self):
         with pytest.raises(OptimizationError):
@@ -435,9 +563,14 @@ class TestWarmStart:
         assert np.array_equal(seen[0][0], start)
 
     def test_other_restarts_keep_their_streams(self):
-        one = optimize_basis(self.OBJECTIVE, random_start(3, 7), config=self.CFG)
-        other = optimize_basis(self.OBJECTIVE, haar_unitary(3, 1), config=self.CFG)
-        np.testing.assert_array_equal(other.restart_values[1:], one.restart_values[1:])
+        # the starts and screened runs of restarts 1.. do not depend on restart 0's start
+        screens = []
+        for start in (random_start(3, 7), haar_unitary(3, 1)):
+            rounds = []
+            with recording_rounds(rounds):
+                optimize_basis(self.OBJECTIVE, start, config=self.CFG)
+            screens.append(rounds[0][2][1:] + rounds[0][3][1:])
+        assert_same_runs(*screens)
 
     def test_best_unitary_attains_best_value(self):
         report = optimize_basis(self.OBJECTIVE, haar_unitary(3, 1), config=self.CFG)
