@@ -79,16 +79,6 @@ def measure_a(state: BipartiteState, u: np.ndarray) -> np.ndarray:
     return np.einsum("...an,aibj,...bn->...nij", u.conj(), state.rho.reshape(m, n, m, n), u)
 
 
-def _a_components(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    # A_k = tr_b[(1 (x) Y_k) X] over the trace-orthonormal Hermitian basis Y_k
-    # of b, so X = sum_k A_k (x) Y_k and, for the dephasing Pi_u of party a in
-    # the basis u, ||X - Pi_u X||^2 is the off-diagonal mass of the A_k
-    # (linalg.off_diagonal_mass_and_gradient).
-    m, n = dims
-    y = linalg.hermitian_basis(n)
-    return np.einsum("kji,aibj->kab", y, np.asarray(x).reshape(m, n, m, n))
-
-
 #: Pauli matrices sigma_x, sigma_y, sigma_z.
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -204,14 +194,18 @@ def total_local_qfi_b(state: BipartiteState) -> float:
     return float(np.sum(w[:, :, None, None] * (reduced.real**2 + reduced.imag**2)))
 
 
+def _block_gradient(state: BipartiteState, d: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # The gradient G[a, n] = 2 sum_b tr(D_n rho_ab) u[b, n] of a function of the
+    # measured blocks with df = sum_n tr(D_n dB_n), for the stack d of the D_n.
+    m, n = state.dims
+    return 2.0 * np.einsum("...nij,ajbi,...bn->...an", d, state.rho.reshape(m, n, m, n), u)
+
+
 def _measured_objective(state: BipartiteState, spectral):
     # The objective u -> (sum_n F(B_n), G) for a spectral function F of the
     # measured blocks; spectral(l) returns the values and dF/dl at the block
-    # eigenvalues l. With D_n = V_n diag(dF/dl) V_n^dag, df = sum_n tr(D_n
-    # dB_n), so G[a, n] = 2 sum_b tr(D_n rho_ab) u[b, n] for the blocks rho_ab.
+    # eigenvalues l, and D_n = V_n diag(dF/dl) V_n^dag (see _block_gradient).
     # With gradient=False it returns (value, None) from the eigenvalues alone.
-    m, n = state.dims
-    rho_ab = state.rho.reshape(m, n, m, n)
 
     def objective(u: np.ndarray, gradient: bool = True):
         blocks = measure_a(state, u)
@@ -220,7 +214,7 @@ def _measured_objective(state: BipartiteState, spectral):
         vals, vecs = np.linalg.eigh(blocks)
         value, slopes = spectral(vals)
         d = np.einsum("...nik,...nk,...njk->...nij", vecs, slopes, vecs.conj())
-        return value, 2.0 * np.einsum("...nij,ajbi,...bn->...an", d, rho_ab, u)
+        return value, _block_gradient(state, d, u)
 
     return objective
 

@@ -16,7 +16,7 @@ from .states import PURITY_TOL, BipartiteState, validate_density
 from .correlations import (
     _PAULIS,
     QuantifierResult,
-    _a_components,
+    _block_gradient,
     _bloch_extremum,
     _may_skip_search,
     _measured_objective,
@@ -100,24 +100,22 @@ def geometric_discord(
 ) -> QuantifierResult:
     """Minimal squared Hilbert-Schmidt distance to a state measured on party a.
 
-    For pure inputs the closed form ``1 - tr rho_a^2``
-    (:func:`pure_state_correlation`) applies, attained by measuring in the
-    eigenbasis of rho_a, a Schmidt basis. With ``rho = sum_k A_k (x) Y_k``
-    over a trace-orthonormal Hermitian basis ``Y_k`` of b, the distance in
-    the basis u is the off-diagonal mass of the ``A_k`` in that basis
-    (:func:`linalg.off_diagonal_mass_and_gradient`). For a mixed input with
-    a qubit party a, write ``A_k = (c_0k 1 + sum_l C'_lk sigma_l) / sqrt(2)``:
-    the mass in the basis ``(1 +- n.sigma)/2`` is ``||C'||^2 - n^T C'C'^T n``,
-    so the minimum is ``||C||^2 - ||c_0||^2 - lambda_max(C'C'^T)`` (Luo and
-    Fu, PRA 82, 034302, 2010), the sum of the two smaller eigenvalues of
-    ``C'C'^T``, attained by the eigenbasis of ``n.sigma`` for the top
-    eigenvector n. Both closed forms give ``method="closed-form"`` and no
-    report. Other mixed inputs run the gradient search of
-    :func:`optimize_basis` (``method="optimized"``) from the eigenbasis of
-    rho_a, as every other basis search does, unless the value is certified
-    within tolerance of zero first (``method="certified-zero"``, see
-    ``correlations._search``). Pass ``method="optimized"`` to run the search
-    on pure inputs, on a qubit party a and on a certifiable state too (used
+    In the basis u the distance is the mass of rho's off-diagonal blocks,
+    ``sum_{n != k} ||r_nk||_F^2`` with ``r_nk = (<u_n| (x) 1) rho (|u_k> (x)
+    1)`` (Luo and Fu, PRA 82, 034302, 2010), a sum of squares. It equals
+    ``tr rho^2 - sum_n ||B_n||^2`` over the measured blocks ``B_n = r_nn``
+    (:func:`measure_a`), which gives the gradient, but that difference can
+    cancel to below zero. Pure inputs take the closed form ``1 - tr rho_a^2``
+    (:func:`pure_state_correlation`), attained by the eigenbasis of rho_a, a
+    Schmidt basis. Mixed inputs with a qubit party a take another: with
+    ``R_l = tr_a[(sigma_l (x) 1) rho]`` and ``K_lk = Re tr(R_l R_k)``, the
+    distance in the basis ``(1 +- n.sigma)/2`` is ``(tr K - n^T K n) / 2``,
+    so the minimum is half the sum of the two smaller eigenvalues of K,
+    attained by the eigenbasis of ``n.sigma`` for the top eigenvector n.
+    Both give ``method="closed-form"`` and no report. Other inputs search
+    (``method="optimized"``), unless a value certified within tolerance of
+    zero skips the search (``method="certified-zero"``, see
+    ``correlations._search``); ``method="optimized"`` always searches (used
     to cross-check the closed forms and the certificate).
     """
     auto = _may_skip_search(method)
@@ -125,14 +123,23 @@ def geometric_discord(
         # every eigenbasis of rho_a is a Schmidt basis of a pure state
         return QuantifierResult(pure_state_correlation(state), _start_basis(state), "closed-form")
 
-    stack = _a_components(state.rho, state.dims)
-    if auto and state.dim_a == 2:
-        c = np.einsum("lab,kba->lk", _PAULIS, stack).real / np.sqrt(2.0)
-        vals, basis = _bloch_extremum(c @ c.T, -1)
-        return QuantifierResult(float(vals[0] + vals[1]), basis, "closed-form")
-    return _search(
-        state,
-        lambda u, gradient=True: linalg.off_diagonal_mass_and_gradient(stack, u, gradient),
-        config,
-        auto,
-    )
+    m, n = state.dims
+    rho_ab = state.rho.reshape(m, n, m, n)
+    if auto and m == 2:
+        r_l = np.einsum("lab,biaj->lij", _PAULIS, rho_ab)
+        vals, basis = _bloch_extremum(np.einsum("lij,kji->lk", r_l, r_l).real, -1)
+        return QuantifierResult(0.5 * float(vals[0] + vals[1]), basis, "closed-form")
+    off = ~np.eye(m, dtype=bool)[:, :, None, None]
+
+    def distance(u: np.ndarray, gradient: bool = True):
+        # r[..., n, k] = (<u_n| (x) 1) rho (|u_k> (x) 1); two contractions cost less than one
+        left = np.einsum("...an,aibj->...nibj", u.conj(), rho_ab)
+        r = np.einsum("...nibj,...bk->...nkij", left, u)
+        # each basis summed as one C-ordered row, so no value depends on the stack size
+        mass = np.where(off, r.real**2 + r.imag**2, 0.0)
+        value = np.sum(mass.reshape(*mass.shape[:-4], -1), axis=-1)
+        if not gradient:
+            return value, None
+        return value, _block_gradient(state, -2.0 * np.einsum("...nnij->...nij", r), u)
+
+    return _search(state, distance, config, auto)

@@ -72,9 +72,9 @@ def require_orthonormal_columns(v: np.ndarray, name: str = "basis") -> np.ndarra
 
 
 def require_unitary(u: np.ndarray, dim: int, name: str = "unitary") -> np.ndarray:
-    """Return ``u`` as a complex array, raising unless it is a ``dim x dim`` unitary."""
-    if np.shape(u) != (dim, dim):
-        raise ShapeError(f"{name} of shape {np.shape(u)} does not match dimension {dim}")
+    """Return ``u`` as a complex array, raising unless it is a ``dim x dim`` unitary, dim >= 1."""
+    if dim < 1 or np.shape(u) != (dim, dim):
+        raise ShapeError(f"{name} of shape {np.shape(u)} does not match dimension {dim} >= 1")
     return require_orthonormal_columns(u, name)
 
 
@@ -151,25 +151,3 @@ def hermitian_basis(d: int) -> np.ndarray:
             ops[idx + 1, l, k] = -1j * inv_sqrt2
             idx += 2
     return ops
-
-
-def off_diagonal_mass_and_gradient(mats: np.ndarray, u: np.ndarray, gradient: bool = True):
-    """Off-diagonal mass of a stack in the basis u, and its gradient ``G``.
-
-    The mass of a ``(K, d, d)`` stack ``M`` is ``sum_k ||offdiag(U^dag M_k
-    U)||_F^2``, a sum of squares, so ``>= 0``; ``df = Re tr(G^dag du)``. With
-    ``d_kn = <u_n| M_k |u_n>`` the value is ``sum_k ||M_k||^2 - sum_kn
-    d_kn^2``, so ``G[:, n] = -4 sum_k d_kn M_k u_n``. A ``(..., d, d)``
-    stack of bases u gives values of shape ``(...)`` and a ``(..., d, d)``
-    stack of gradients; with ``gradient=False`` the gradient is ``None``.
-    """
-    m = np.asarray(mats).shape[-1]
-    rotated = np.einsum("...ak,mab,...bl->...mkl", u.conj(), mats, u)
-    # Boolean indexing leaves the batch axes inner in memory; each basis is
-    # summed as one C-ordered row, so no value depends on the stack size.
-    off = np.ascontiguousarray(rotated[..., ~np.eye(m, dtype=bool)])
-    value = np.sum((off.real**2 + off.imag**2).reshape(*off.shape[:-2], -1), axis=-1)
-    if not gradient:
-        return value, None
-    diagonal = rotated.diagonal(axis1=-2, axis2=-1).real
-    return value, -4.0 * np.einsum("kab,...bn,...kn->...an", mats, u, diagonal)

@@ -182,7 +182,7 @@ def multistart(runs) -> OptimizerReport:
 def _tangent_rows(dim: int) -> np.ndarray:
     # Row k is the off-diagonal generator Y_k, transposed and flattened, so
     # tr(M Y_k) = _tangent_rows(dim)[k] @ M.ravel().
-    rows = _generator_basis(dim)[dim:].transpose(0, 2, 1).reshape(dim * dim - dim, -1)
+    rows = _generator_basis(dim)[dim:].transpose(0, 2, 1).reshape(dim * dim - dim, dim * dim)
     rows.flags.writeable = False
     return rows
 

@@ -1,27 +1,26 @@
 """Independent oracles for the library's objectives and searches, used only by the tests.
 
-The library's objectives are spectral functions of the measured blocks and
-never normalize them. The per-outcome oracles take the long way: normalized
-conditional states of party b and the measurement-induced Fisher
-information of one observable at a time. :func:`basis_qfi_sum` sums one QFI
-per basis vector, where the library evaluates qah's objective as one
-polynomial in the basis, and :func:`schmidt` reaches the Schmidt
+The library's objectives are functions of rho's blocks in the basis of
+party a and never normalize them. The per-outcome oracles take the long
+way: normalized conditional states of party b and the measurement-induced
+Fisher information of one observable at a time. :func:`basis_qfi_sum` sums
+one QFI per basis vector, where the library evaluates qah's objective as
+one polynomial in the basis, and :func:`schmidt` reaches the Schmidt
 coefficients of a pure state by an SVD, where the library's closed form
 reads ``1 - tr rho_a^2`` off the reduced state.
 
 The library finds every optimal basis of party a with one gradient search.
 :func:`joint_diagonalize` reaches the optimum of the off-diagonal mass by
-another path, Jacobi pair rotations, so the tests can hold the search to it.
+another path, Jacobi pair rotations, on the components ``A_k`` of rho
+(:func:`_a_components`), so the tests can hold the search to it.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from qfc import PurityError, ShapeError, lift_a, linalg, measure_a, qfi
-from qfc.correlations import _a_components
-from qfc.linalg import (SUPPORT_CUTOFF, off_diagonal_mass_and_gradient, require_state_vector,
-                        require_unitary)
+from qfc import PurityError, ShapeError, hermitian_basis, lift_a, linalg, measure_a, qfi
+from qfc.linalg import SUPPORT_CUTOFF, require_state_vector, require_unitary
 from qfc.optimize import START_SPREAD, unitary_from_params
 from qfc.states import PURITY_TOL, haar_unitary
 
@@ -108,6 +107,44 @@ def basis_qfi_sum(state, basis_u) -> float:
     """
     u = require_unitary(basis_u, state.dim_a, "basis")
     return float(sum(qfi(state.rho, lift_a(np.outer(v, v.conj()), state.dim_b)) for v in u.T))
+
+
+def _a_components(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The components ``A_k = tr_b[(1 (x) Y_k) X]`` of an operator X on the joint space.
+
+    Over the trace-orthonormal Hermitian basis ``Y_k = hermitian_basis(d_b)``
+    of b, ``X = sum_k A_k (x) Y_k``, so for the dephasing ``Pi_u`` of party a
+    in the basis u, ``||X - Pi_u X||^2`` is the off-diagonal mass of the
+    ``A_k`` (:func:`off_diagonal_mass`). Returns the ``(d_b^2, d_a, d_a)``
+    stack.
+    """
+    m, n = dims
+    y = hermitian_basis(n)
+    return np.einsum("kji,aibj->kab", y, np.asarray(x).reshape(m, n, m, n))
+
+
+def off_diagonal_mass_and_gradient(mats: np.ndarray, u: np.ndarray, gradient: bool = True):
+    """Off-diagonal mass of a stack in the basis u, and its gradient ``G``.
+
+    The mass of a ``(K, d, d)`` stack ``M`` is ``sum_k ||offdiag(U^dag M_k
+    U)||_F^2``, a sum of squares, so ``>= 0``; ``df = Re tr(G^dag du)``. With
+    ``d_kn = <u_n| M_k |u_n>`` the value is ``sum_k ||M_k||^2 - sum_kn
+    d_kn^2``, so ``G[:, n] = -4 sum_k d_kn M_k u_n``. A ``(..., d, d)``
+    stack of bases u gives values of shape ``(...)`` and a ``(..., d, d)``
+    stack of gradients; with ``gradient=False`` the gradient is ``None``.
+    An objective of :func:`qfc.optimize_basis` with local minima, and the
+    quantity :func:`joint_diagonalize` minimizes.
+    """
+    m = np.asarray(mats).shape[-1]
+    rotated = np.einsum("...ak,mab,...bl->...mkl", u.conj(), mats, u)
+    # Boolean indexing leaves the batch axes inner in memory; each basis is
+    # summed as one C-ordered row, so no value depends on the stack size.
+    off = np.ascontiguousarray(rotated[..., ~np.eye(m, dtype=bool)])
+    value = np.sum((off.real**2 + off.imag**2).reshape(*off.shape[:-2], -1), axis=-1)
+    if not gradient:
+        return value, None
+    diagonal = rotated.diagonal(axis1=-2, axis2=-1).real
+    return value, -4.0 * np.einsum("kab,...bn,...kn->...an", mats, u, diagonal)
 
 
 def off_diagonal_mass(mats: np.ndarray, u: np.ndarray) -> float:

@@ -28,12 +28,13 @@ from qfc import (
     werner,
 )
 from qfc import verify
-from qfc.correlations import _a_components, _start_basis
+from qfc.correlations import _start_basis
 from qfc.linalg import SUPPORT_CUTOFF
 from qfc.optimize import multistart
 from qfc.states import haar_unitary, random_density
 
-from oracles import basis_qfi_sum, jacobi_basis, joint_diagonalize, off_diagonal_mass
+from oracles import (_a_components, basis_qfi_sum, jacobi_basis, joint_diagonalize,
+                     off_diagonal_mass)
 
 CFG = OptimizerConfig(restarts=8, seed=0)
 
@@ -190,8 +191,8 @@ class TestQubitAClosedForm:
         ids=["I/4", "werner-0.3", "werner-0.7"],
     )
     def test_degenerate_correlation_matrix(self, state):
-        # C'C'^T is 0 for I/4 and a multiple of the identity for Werner
-        # states: every basis is optimal
+        # K = Re tr(R_k R_l) is 0 for I/4 and a multiple of the identity for
+        # Werner states: every basis is optimal
         result = geometric_discord(state)
         stack = _a_components(state.rho, state.dims)
         assert abs(result.value - jacobi_basis(state, 1)[1]) <= 1e-12

@@ -1,6 +1,7 @@
 """Partial traces, eigendecomposition, Schmidt decomposition, Hermitian bases, unitary
 checks and the Jacobi joint-diagonalization oracle."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -24,12 +25,11 @@ from qfc import (
     partial_trace,
     total_mfi,
 )
-from qfc.correlations import _a_components
-from qfc.linalg import (off_diagonal_mass_and_gradient, require_orthonormal_columns,
-                        require_unitary)
+from qfc.linalg import require_orthonormal_columns, require_unitary
 from qfc.states import haar_unitary, random_density
 
-from oracles import basis_qfi_sum, joint_diagonalize, random_start, schmidt
+from oracles import (_a_components, basis_qfi_sum, joint_diagonalize,
+                     off_diagonal_mass_and_gradient, random_start, schmidt)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -55,6 +55,26 @@ def test_validation_tolerance_is_written_once():
     readers = [path.name for path in sorted(Path(qfc.__file__).parent.glob("*.py"))
                if "VALIDATION_TOL" in path.read_text()]
     assert readers == ["linalg.py"]
+
+
+def test_every_top_level_name_is_used_or_exported():
+    # A function or class no module of the package uses and the package does
+    # not export survives only for the tests, so it belongs in tests/oracles.py.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(qfc.__file__).parent.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+                continue
+            own = {id(child) for child in ast.walk(node)}
+            if not any(id(ref) not in own and node.name in (getattr(ref, "id", None),
+                                                            getattr(ref, "attr", None))
+                       for other in trees.values() for ref in ast.walk(other)):
+                unused.append(f"{module}:{node.name}")
+    assert unused == []
 
 
 def spoil(x, bad):

@@ -1,9 +1,10 @@
 """Measured blocks on party a and the batched objectives built on them.
 
 Each optimizer objective that depends on a measurement of party a is a
-spectral function of the measured blocks. These tests hold each one to its
-explicit definition: the per-observable MFI sum, the loss of mutual
-information under the measurement, and the distance to the measured state.
+function of rho's blocks in the basis of that measurement. These tests hold
+each one to its explicit definition: the per-observable MFI sum, the loss of
+mutual information under the measurement, and the distance to the measured
+state.
 """
 
 from unittest import mock

@@ -21,6 +21,7 @@ import pytest
 
 import qfc
 from qfc import (
+    BipartiteState,
     OptimizationError,
     OptimizerConfig,
     ShapeError,
@@ -37,11 +38,10 @@ from qfc import (
     optimize,
     verify,
 )
-from qfc.linalg import off_diagonal_mass_and_gradient
 from qfc.optimize import multistart
-from qfc.states import haar_unitary, random_hermitian
+from qfc.states import haar_unitary, random_density, random_hermitian
 
-from oracles import random_params, random_start
+from oracles import off_diagonal_mass_and_gradient, random_params, random_start
 from test_measured_blocks import captured_objective
 
 
@@ -314,6 +314,15 @@ class TestLockstep:
         assert a.best_value == b.best_value
 
 
+@SOLVERS
+def test_one_dimensional_party_a_searches_to_zero(solver):
+    # every state with d_a = 1 is a product state
+    state = BipartiteState(random_density(3, 3, 5), 1, 3)
+    result = solver(state, OptimizerConfig(restarts=2), method="optimized")
+    assert result.method == "optimized" and result.converged
+    assert abs(result.value) <= 1e-12
+
+
 def test_one_objective_call_per_round():
     """Objective calls of criterion 3's 20 noisy states at 4 restarts (optimizer
     seed 4 x state seed), all four solvers.
@@ -484,6 +493,12 @@ class TestOptimizeBasis:
         assert report.n_evaluations == 2 and report.n_iterations == 0
         np.testing.assert_array_equal(report.restart_evaluations, [1, 1])
 
+    def test_one_dimensional_basis_has_nothing_to_search(self):
+        # U(1) has no off-diagonal generator: each restart stops at its start
+        report = optimize_basis(constant(4.25), np.eye(1), config=OptimizerConfig(restarts=3))
+        assert report.converged and report.best_value == 4.25
+        assert report.best_unitary.shape == (1, 1) and report.n_iterations == 0
+
     def test_column_alignment_objective_reaches_zero(self):
         cfg = OptimizerConfig(restarts=16, seed=1)
         report = optimize_basis(misalignment, random_start(2, 1), config=cfg)
@@ -576,7 +591,7 @@ class TestWarmStart:
         report = optimize_basis(self.OBJECTIVE, haar_unitary(3, 1), config=self.CFG)
         assert self.OBJECTIVE(report.best_unitary)[0] == report.best_value
 
-    @pytest.mark.parametrize("shape", [(2, 3), (2,), ()])
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (), (0, 0)])
     def test_rejects_start_of_wrong_shape(self, shape):
         start = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
         with pytest.raises(ShapeError):
