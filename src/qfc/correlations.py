@@ -34,8 +34,8 @@ class QuantifierResult:
 
     * ``"optimized"``: the gradient search of :func:`optimize_basis`, whose
       ``report.best_value`` is ``value``;
-    * ``"closed-form"``: no search and no ``report`` (pure states in
-      geometric discord, and a qubit party a in
+    * ``"closed-form"``: no search and no ``report`` (a pure state in
+      every solver, and a mixed state with a qubit party a in
       :func:`observable_correlation` and geometric discord);
     * ``"certified-zero"``: no search, because the objective at one
       candidate basis was already within the tolerance of zero, the lower
@@ -110,6 +110,17 @@ def _start_basis(state: BipartiteState) -> np.ndarray:
     # pure states (the Schmidt basis) and on CQ/CC states whose rho_a has no
     # repeated eigenvalue (it is then the classical basis).
     return np.linalg.eigh(state.marginal("a"))[1]
+
+
+def _pure_closed_form(state: BipartiteState, auto: bool, value) -> QuantifierResult | None:
+    # Every solver's first step: under method="auto", a state within
+    # PURITY_TOL of pure takes its closed form value(state), with no search
+    # and no report, at the eigenbasis of rho_a. That basis is a Schmidt
+    # basis of a pure state, where every quantifier attains its closed form.
+    # None otherwise: the solver goes on.
+    if auto and state.purity() >= 1.0 - PURITY_TOL:
+        return QuantifierResult(value(state), _start_basis(state), "closed-form")
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -269,24 +280,30 @@ def observable_correlation(
     Minimizes, over all orthonormal bases {phi_n} of H^a, the summed QFI of
     the rank-1 drivings ``|phi_n><phi_n| (x) 1``. Zero exactly on CQ/CC
     states; equal to ``1 - tr rho_a^2`` on pure states
-    (:func:`pure_state_correlation`).
+    (:func:`pure_state_correlation`). A state within ``PURITY_TOL`` of pure
+    takes that closed form first, attained by the eigenbasis of rho_a (a
+    Schmidt basis), with ``method="closed-form"`` and no report; on a
+    nearly pure state it is off by an amount of order ``1 - purity``.
 
-    For a qubit party a the minimum has a closed form, the structure of the
-    local quantum uncertainty (Girolami, Tufarelli and Adesso, PRL 110,
-    240402, 2013): the projectors of the basis ``(1 +- n.sigma)/2`` each have
-    QFI ``n^T K n / 4`` with ``K_kl = sum_ij w_ij Re(<psi_i|s_k|psi_j>
-    <psi_j|s_l|psi_i>)``, ``s_k = sigma_k (x) 1``, over the eigenpairs of rho
-    and their QFI weights w. So the value is ``lambda_min(K) / 2``, attained
-    by the eigenbasis of ``n.sigma`` for the bottom eigenvector n, and the
-    result has ``method="closed-form"`` and no report. Other party-a
-    dimensions run the gradient search of :func:`optimize_basis` from the
-    eigenbasis of rho_a (``method="optimized"``), unless the value is
-    certified within tolerance of zero first (``method="certified-zero"``,
-    see ``_search``). Pass ``method="optimized"`` to run the search on a
-    qubit party a and on a certifiable state too (used to cross-check the
-    closed form and the certificate).
+    For a mixed state with a qubit party a the minimum has a closed form,
+    the structure of the local quantum uncertainty (Girolami, Tufarelli and
+    Adesso, PRL 110, 240402, 2013): the projectors of the basis ``(1 +-
+    n.sigma)/2`` each have QFI ``n^T K n / 4`` with ``K_kl = sum_ij w_ij
+    Re(<psi_i|s_k|psi_j> <psi_j|s_l|psi_i>)``, ``s_k = sigma_k (x) 1``, over
+    the eigenpairs of rho and their QFI weights w. So the value is
+    ``lambda_min(K) / 2``, attained by the eigenbasis of ``n.sigma`` for the
+    bottom eigenvector n, and the result has ``method="closed-form"`` and no
+    report. Other mixed states run the gradient search of
+    :func:`optimize_basis` from the eigenbasis of rho_a
+    (``method="optimized"``), unless the value is certified within
+    tolerance of zero first (``method="certified-zero"``, see ``_search``).
+    Pass ``method="optimized"`` to run the search on a pure state, a qubit
+    party a and a certifiable state too (used to cross-check the closed
+    forms and the certificate).
     """
     auto = _may_skip_search(method)
+    if (pure := _pure_closed_form(state, auto, pure_state_correlation)) is not None:
+        return pure
     w, v3 = _qfi_spectrum(state)
     if auto and state.dim_a == 2:
         s = np.einsum("ani,kab,bnj->kij", v3.conj(), _PAULIS, v3)
@@ -305,11 +322,17 @@ def measurement_correlation(
     Minimizes, over rank-1 von Neumann measurements on party a, the gap
     between the basis-summed local QFI on party b and its measurement-induced
     counterpart :func:`total_mfi`. Zero exactly on CQ/CC states; equal to
-    ``1 - tr rho_a^2`` on pure states. A value certified within tolerance
+    ``1 - tr rho_a^2`` on pure states, in every basis. A state within
+    ``PURITY_TOL`` of pure takes that closed form
+    (:func:`pure_state_correlation`) at the eigenbasis of rho_a, with
+    ``method="closed-form"`` and no report; on a nearly pure state it is off
+    by an amount of order ``1 - purity``. A value certified within tolerance
     of zero skips the search (``method="certified-zero"``, see ``_search``);
     ``method="optimized"`` always searches.
     """
     auto = _may_skip_search(method)
+    if (pure := _pure_closed_form(state, auto, pure_state_correlation)) is not None:
+        return pure
     total = total_local_qfi_b(state)
 
     def gap(vals: np.ndarray):
@@ -325,7 +348,8 @@ def pure_state_correlation(state: BipartiteState) -> float:
     Both quantifiers take this value on pure states, where it also equals
     the geometric discord: the linear entropy of the reduced state (Luo and
     Fu, PRA 82, 034302, 2010), ``1 - sum_i c_i^2`` over the Schmidt
-    coefficients ``c_i`` (the eigenvalues of rho_a). Raises
+    coefficients ``c_i`` (the eigenvalues of rho_a). The three solvers
+    return it for a pure state without a search (``method="auto"``). Raises
     :class:`PurityError` on mixed input.
     """
     purity = state.purity()

@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .linalg import dag
 from .optimize import OptimizerConfig
-from .states import PURITY_TOL, BipartiteState, validate_density
+from .states import BipartiteState, validate_density
 from .correlations import (
     _PAULIS,
     QuantifierResult,
@@ -20,8 +20,8 @@ from .correlations import (
     _bloch_extremum,
     _may_skip_search,
     _measured_objective,
+    _pure_closed_form,
     _search,
-    _start_basis,
     measure_a,
     pure_state_correlation,
 )
@@ -69,11 +69,17 @@ def entropic_discord(
 
     ``min over measurements of I(rho) - I(measured rho)``, restricted to
     rank-1 projective measurements. Zero exactly on CQ/CC states; equals the
-    entanglement entropy on pure states. A value certified within tolerance
-    of zero skips the search (``method="certified-zero"``, see
-    ``correlations._search``); ``method="optimized"`` always searches.
+    entanglement entropy ``S(rho_a)`` on pure states, in every basis. A state
+    within ``PURITY_TOL`` of pure takes that closed form at the eigenbasis of
+    rho_a, with ``method="closed-form"`` and no report; on a nearly pure
+    state it is off by an amount of order ``(1 - purity) ln(1 / (1 -
+    purity))``, the entropy of rho's small eigenvalues. A value certified
+    within tolerance of zero skips the search (``method="certified-zero"``,
+    see ``correlations._search``); ``method="optimized"`` always searches.
     """
     auto = _may_skip_search(method)
+    if (pure := _pure_closed_form(state, auto, lambda s: _entropy(s.marginal("a")))) is not None:
+        return pure
     base = _entropy(state.marginal("a")) - _entropy(state.rho)
 
     def loss(spectra: np.ndarray):
@@ -105,9 +111,11 @@ def geometric_discord(
     1)`` (Luo and Fu, PRA 82, 034302, 2010), a sum of squares. It equals
     ``tr rho^2 - sum_n ||B_n||^2`` over the measured blocks ``B_n = r_nn``
     (:func:`measure_a`), which gives the gradient, but that difference can
-    cancel to below zero. Pure inputs take the closed form ``1 - tr rho_a^2``
-    (:func:`pure_state_correlation`), attained by the eigenbasis of rho_a, a
-    Schmidt basis. Mixed inputs with a qubit party a take another: with
+    cancel to below zero. A state within ``PURITY_TOL`` of pure takes the
+    closed form ``1 - tr rho_a^2`` (:func:`pure_state_correlation`),
+    attained by the eigenbasis of rho_a, a Schmidt basis; on a nearly pure
+    state it is off by an amount of order ``1 - purity``. Mixed inputs with
+    a qubit party a take another: with
     ``R_l = tr_a[(sigma_l (x) 1) rho]`` and ``K_lk = Re tr(R_l R_k)``, the
     distance in the basis ``(1 +- n.sigma)/2`` is ``(tr K - n^T K n) / 2``,
     so the minimum is half the sum of the two smaller eigenvalues of K,
@@ -119,9 +127,8 @@ def geometric_discord(
     to cross-check the closed forms and the certificate).
     """
     auto = _may_skip_search(method)
-    if auto and state.purity() >= 1.0 - PURITY_TOL:
-        # every eigenbasis of rho_a is a Schmidt basis of a pure state
-        return QuantifierResult(pure_state_correlation(state), _start_basis(state), "closed-form")
+    if (pure := _pure_closed_form(state, auto, pure_state_correlation)) is not None:
+        return pure
 
     m, n = state.dims
     rho_ab = state.rho.reshape(m, n, m, n)

@@ -56,7 +56,8 @@ class BipartiteState:
         return linalg.partial_trace(self.rho, self.dims, party)
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
+        # tr rho^2 = sum_ij |rho_ij|^2 for a Hermitian rho: no matrix product
+        return float(np.vdot(self.rho, self.rho).real)
 
 
 def validate_density(m: np.ndarray) -> np.ndarray:

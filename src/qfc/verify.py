@@ -83,14 +83,19 @@ _MIXED_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 def check_pure_coincidence(cfg: OptimizerConfig) -> CriterionResult:
-    """Both quantifiers match 1 - tr rho_a^2 on seeded random pure states."""
+    """Both quantifiers match 1 - tr rho_a^2 on seeded random pure states.
+
+    The quantifiers are solved with ``method="optimized"``: the default
+    returns the closed form itself on pure input, and this criterion checks
+    that the search reaches it.
+    """
     start = time.perf_counter()
     obs, meas = [], []
     for i, dims in enumerate(_PURE_DIMS):
         state = random_pure(dims, state_seed(cfg.seed, 1, i))
         closed = pure_state_correlation(state)
-        obs.append(abs(observable_correlation(state, cfg).value - closed))
-        meas.append(abs(measurement_correlation(state, cfg).value - closed))
+        obs.append(abs(observable_correlation(state, cfg, method="optimized").value - closed))
+        meas.append(abs(measurement_correlation(state, cfg, method="optimized").value - closed))
     margins = [
         (f"{len(_PURE_DIMS)} pure states up to 3x4: max |observable - closed form|",
          np.max(obs), "<=", 1e-4),
@@ -349,7 +354,11 @@ def _grid_entropic_discord(state: BipartiteState) -> float:
 
 
 def check_discord_baselines(cfg: OptimizerConfig) -> CriterionResult:
-    """Geometric discord closed form vs search; Bell entropic discord = ln 2."""
+    """Geometric discord closed form vs search; Bell entropic discord = ln 2.
+
+    Every "optimized" margin solves with ``method="optimized"``, since the
+    default takes the closed form on these pure states.
+    """
     start = time.perf_counter()
     geo = []
     for i, dims in enumerate([(2, 2)] * 3 + [(2, 3)] * 3):
@@ -363,7 +372,8 @@ def check_discord_baselines(cfg: OptimizerConfig) -> CriterionResult:
         ("6 pure states: max |closed - optimized| geometric discord", np.max(geo), "<=", 1e-4),
         ("Bell entropic discord vs ln 2: grid", abs(_grid_entropic_discord(bell) - ln2),
          "<=", 1e-4),
-        ("optimizer", abs(entropic_discord(bell, cfg).value - ln2), "<=", 1e-4),
+        ("optimizer", abs(entropic_discord(bell, cfg, method="optimized").value - ln2),
+         "<=", 1e-4),
     ]
     return _done(11, "discord baselines cross-check", margins, start)
 

@@ -66,9 +66,9 @@ def test_one_nan_among_the_pure_states_fails_criterion_1(monkeypatch):
     # Python's max drops a NaN unless it comes first
     solve, calls = verify.observable_correlation, []
 
-    def patched(state, cfg):
+    def patched(state, cfg, **kwargs):
         calls.append(state)
-        return nan_result(state) if len(calls) == 5 else solve(state, cfg)
+        return nan_result(state) if len(calls) == 5 else solve(state, cfg, **kwargs)
 
     monkeypatch.setattr(verify, "observable_correlation", patched)
     result = verify.check_pure_coincidence(CONFIG)

@@ -16,6 +16,8 @@ import pytest
 import qfc
 from qfc import cli, verify
 from qfc.cli import SchemaError, build_state, main, parse_state_spec
+from qfc.correlations import QuantifierResult
+from qfc.optimize import multistart
 
 
 def write_spec(tmp_path, doc, name="state.json"):
@@ -124,16 +126,25 @@ class TestParseStateSpec:
 
 class TestCommands:
     def test_qah_on_bell(self, capsys, tmp_path):
-        # the qubit-a closed form on the Bell state, the search one dimension up
-        for m, method in ((2, "closed-form"), (3, "optimized")):
-            path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [m, m]})
+        # the pure-state closed form on the Bell states; the search on a mixed
+        # 3x3 state, where it must give the library's value for the same config
+        mixed = {"kind": "random", "dims": [3, 3], "seed": 3, "rank": 9}
+        searched = qfc.observable_correlation(
+            build_state(parse_state_spec(json.dumps(mixed))), qfc.OptimizerConfig(restarts=6)
+        ).value
+        for spec, value, method in (
+            ({"kind": "max_entangled", "dims": [2, 2]}, 0.5, "closed-form"),
+            ({"kind": "max_entangled", "dims": [3, 3]}, 2.0 / 3.0, "closed-form"),
+            (mixed, searched, "optimized"),
+        ):
+            path = write_spec(tmp_path, spec)
             code, out, _ = run_cli(
                 capsys, "qah", "--state", path, "--restarts", "6", "--format", "json"
             )
             assert code == 0
             report = json.loads(out)
-            assert abs(report["values"]["qah"] - (1.0 - 1.0 / m)) <= 1e-4
-            assert report["spec"] == {"kind": "max_entangled", "dims": [m, m]}
+            assert abs(report["values"]["qah"] - value) <= 1e-12
+            assert report["spec"] == spec
             assert report["method"] == method
             assert ("optimizer" in report) is (method == "optimized")
         assert report["optimizer"]["converged"] is True
@@ -350,12 +361,13 @@ class TestOutputLayout:
             ("qah", "closed-form", ["qah: #", "method: closed-form"]),
             ("qah", "certified-zero", ["qah: #", "method: certified-zero"]),
             ("qah", "optimized", ["qah: #", "method: optimized", f"optimizer: {OPTIMIZER_LINE}"]),
+            ("qapi", "closed-form", ["qapi: #", "method: closed-form"]),
             ("qapi", "certified-zero", ["qapi: #", "method: certified-zero"]),
             ("qapi", "optimized",
              ["qapi: #", "method: optimized", f"optimizer: {OPTIMIZER_LINE}"]),
             ("discord", "closed-form",
-             ["entropic_discord: #", "geometric_discord: #", "entropic_method: optimized",
-              "geometric_method: closed-form", f"optimizer_dq: {OPTIMIZER_LINE}"]),
+             ["entropic_discord: #", "geometric_discord: #", "entropic_method: closed-form",
+              "geometric_method: closed-form"]),
             ("discord", "certified-zero",
              ["entropic_discord: #", "geometric_discord: #", "entropic_method: certified-zero",
               "geometric_method: certified-zero"]),
@@ -559,20 +571,32 @@ class TestExitCodes:
         assert code == 2 and not out
         assert err.startswith("error:") and "finite" in err
 
-    def test_sweep_exits_one_after_every_row_when_a_solve_is_unconverged(self, capsys, tmp_path):
-        # qah searches on a pure state with a qutrit party a; its gradient at
-        # the optimum is roundoff, not 0, so at tolerance 1e-300 no restart
-        # meets the stop rule
+    def test_sweep_exits_one_after_every_row_when_a_solve_is_unconverged(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # No sweepable spec gives an unconverged search for sure: pure states
+        # take the closed form, and on Werner states whether a search meets
+        # the stop rule at tolerance 1e-300 depends on roundoff. So a solver
+        # whose first search is reported unconverged stands in for qah.
+        calls = []
+
+        def unconverged_first(state, cfg):
+            calls.append(state)
+            report = multistart([(np.eye(state.dim_a), 0.5, 1, 0, len(calls) > 1)])
+            return QuantifierResult(0.5, report.best_unitary, "optimized", report)
+
+        stand_in = cli.SOLVERS["qah"]._replace(solve=unconverged_first)
+        monkeypatch.setitem(cli.SOLVERS, "qah", stand_in)
         path = write_spec(tmp_path, {"kind": "pure_schmidt", "coeffs": [0.3, 0.7], "dims": [3, 3]})
         code, out, _ = run_cli(
             capsys,
             "sweep", "--state", path, "--param", "s",
-            "--start", "0.3", "--stop", "0.4", "--step", "0.1",
-            "--quantities", "qah", "--tol", "1e-300", "--restarts", "2",
+            "--start", "0.3", "--stop", "0.4", "--step", "0.1", "--quantities", "qah",
         )
         assert code == 1
         rows = list(csv.reader(io.StringIO(out)))
         assert [row[0] for row in rows] == ["s", "0.3", "0.4"]
+        assert len(calls) == 2
 
     def test_sweep_step_below_the_grid_resolution_exits_two(self, tmp_path):
         # 0.5 + 1e-17 == 0.5: a grid built by repeated addition never advances.

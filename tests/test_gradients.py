@@ -26,11 +26,15 @@ def qah_objective(state):
 
 
 def qapi_objective(state):
-    return captured_objective(correlations.measurement_correlation, state)
+    return captured_objective(
+        lambda s: correlations.measurement_correlation(s, method="optimized"), state
+    )
 
 
 def entropic_objective(state):
-    return captured_objective(discord.entropic_discord, state)
+    return captured_objective(
+        lambda s: discord.entropic_discord(s, method="optimized"), state
+    )
 
 
 def geometric_objective(state):

@@ -54,7 +54,9 @@ def captured_objective(solver, state):
 
 
 def entropic_objective(state):
-    objective = captured_objective(discord.entropic_discord, state)
+    objective = captured_objective(
+        lambda s: discord.entropic_discord(s, method="optimized"), state
+    )
     return lambda u: objective(u)[0]
 
 
