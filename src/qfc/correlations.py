@@ -112,14 +112,32 @@ def _start_basis(state: BipartiteState) -> np.ndarray:
     return np.linalg.eigh(state.marginal("a"))[1]
 
 
-def _pure_closed_form(state: BipartiteState, auto: bool, value) -> QuantifierResult | None:
-    # Every solver's first step: under method="auto", a state within
-    # PURITY_TOL of pure takes its closed form value(state), with no search
-    # and no report, at the eigenbasis of rho_a. That basis is a Schmidt
-    # basis of a pure state, where every quantifier attains its closed form.
-    # None otherwise: the solver goes on.
-    if auto and state.purity() >= 1.0 - PURITY_TOL:
-        return QuantifierResult(value(state), _start_basis(state), "closed-form")
+def _tolerance(config: OptimizerConfig | None) -> float:
+    return (config if config is not None else OptimizerConfig()).tolerance
+
+
+def _pure_closed_form(
+    state: BipartiteState, auto: bool, config: OptimizerConfig | None, value
+) -> QuantifierResult | None:
+    # Every solver's first step: under method="auto", a nearly pure state
+    # takes its closed form value(state), with no search and no report, at
+    # the eigenbasis of rho_a. That basis is a Schmidt basis of a pure
+    # state, where every quantifier attains its closed form. None otherwise:
+    # the solver goes on.
+    #
+    # With delta = 1 - purity, rho's top eigenvalue is at least 1 - delta.
+    # Entropic discord is then off its closed form by at most S(rho) or the
+    # conditional entropies of the measured state, each at most h(delta) +
+    # delta ln d <= delta (1 + ln(d / delta)) with h the binary entropy:
+    # below 100 delta for every positive float delta (>= 2^-53) and d <
+    # e^60. The other three are off by O(delta), measured at most 0.91 delta
+    # on nearly pure states up to 4x4. So the gate admits delta up to
+    # min(PURITY_TOL, tolerance / 100), where every closed form is within
+    # the tolerance; at the default tolerance 1e-6 that is PURITY_TOL.
+    if auto:
+        purity = state.purity()
+        if purity >= 1.0 - PURITY_TOL and 1.0 - purity <= _tolerance(config) / 100:
+            return QuantifierResult(value(state), _start_basis(state), "closed-form")
     return None
 
 
@@ -165,8 +183,7 @@ def _search(
         s = np.einsum("ji,aibj->ab", _probe_observable(n), state.rho.reshape(m, n, m, n))
         basis = np.linalg.eigh(s)[1]
         value = float(objective(basis, gradient=False)[0])
-        tolerance = (config if config is not None else OptimizerConfig()).tolerance
-        if value <= tolerance:
+        if value <= _tolerance(config):
             report = multistart([(basis, value, 1, 0, True)])
             return QuantifierResult(value, basis, "certified-zero", report)
     report = optimize_basis(objective, _start_basis(state), config=config)
@@ -280,10 +297,12 @@ def observable_correlation(
     Minimizes, over all orthonormal bases {phi_n} of H^a, the summed QFI of
     the rank-1 drivings ``|phi_n><phi_n| (x) 1``. Zero exactly on CQ/CC
     states; equal to ``1 - tr rho_a^2`` on pure states
-    (:func:`pure_state_correlation`). A state within ``PURITY_TOL`` of pure
-    takes that closed form first, attained by the eigenbasis of rho_a (a
-    Schmidt basis), with ``method="closed-form"`` and no report; on a
-    nearly pure state it is off by an amount of order ``1 - purity``.
+    (:func:`pure_state_correlation`). A state with ``1 - purity`` at most
+    ``min(PURITY_TOL, tolerance / 100)`` takes that closed form first,
+    attained by the eigenbasis of rho_a (a Schmidt basis), with
+    ``method="closed-form"`` and no report; on a nearly pure state it is
+    off by an amount of order ``1 - purity``, within the configured
+    tolerance (see ``_pure_closed_form``).
 
     For a mixed state with a qubit party a the minimum has a closed form,
     the structure of the local quantum uncertainty (Girolami, Tufarelli and
@@ -302,7 +321,7 @@ def observable_correlation(
     forms and the certificate).
     """
     auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, pure_state_correlation)) is not None:
+    if (pure := _pure_closed_form(state, auto, config, pure_state_correlation)) is not None:
         return pure
     w, v3 = _qfi_spectrum(state)
     if auto and state.dim_a == 2:
@@ -322,16 +341,17 @@ def measurement_correlation(
     Minimizes, over rank-1 von Neumann measurements on party a, the gap
     between the basis-summed local QFI on party b and its measurement-induced
     counterpart :func:`total_mfi`. Zero exactly on CQ/CC states; equal to
-    ``1 - tr rho_a^2`` on pure states, in every basis. A state within
-    ``PURITY_TOL`` of pure takes that closed form
-    (:func:`pure_state_correlation`) at the eigenbasis of rho_a, with
+    ``1 - tr rho_a^2`` on pure states, in every basis. A state with ``1 -
+    purity`` at most ``min(PURITY_TOL, tolerance / 100)`` takes that closed
+    form (:func:`pure_state_correlation`) at the eigenbasis of rho_a, with
     ``method="closed-form"`` and no report; on a nearly pure state it is off
-    by an amount of order ``1 - purity``. A value certified within tolerance
+    by an amount of order ``1 - purity``, within the configured tolerance
+    (see ``_pure_closed_form``). A value certified within tolerance
     of zero skips the search (``method="certified-zero"``, see ``_search``);
     ``method="optimized"`` always searches.
     """
     auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, pure_state_correlation)) is not None:
+    if (pure := _pure_closed_form(state, auto, config, pure_state_correlation)) is not None:
         return pure
     total = total_local_qfi_b(state)
 

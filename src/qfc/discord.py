@@ -70,15 +70,18 @@ def entropic_discord(
     ``min over measurements of I(rho) - I(measured rho)``, restricted to
     rank-1 projective measurements. Zero exactly on CQ/CC states; equals the
     entanglement entropy ``S(rho_a)`` on pure states, in every basis. A state
-    within ``PURITY_TOL`` of pure takes that closed form at the eigenbasis of
-    rho_a, with ``method="closed-form"`` and no report; on a nearly pure
-    state it is off by an amount of order ``(1 - purity) ln(1 / (1 -
-    purity))``, the entropy of rho's small eigenvalues. A value certified
+    with ``1 - purity`` at most ``min(PURITY_TOL, tolerance / 100)`` takes
+    that closed form at the eigenbasis of rho_a, with
+    ``method="closed-form"`` and no report. On a nearly pure state it is off
+    by at most ``(1 - purity) (1 + ln(d / (1 - purity)))``, the entropy of
+    rho's small eigenvalues, which the bound keeps within the configured
+    tolerance (see ``correlations._pure_closed_form``). A value certified
     within tolerance of zero skips the search (``method="certified-zero"``,
     see ``correlations._search``); ``method="optimized"`` always searches.
     """
     auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, lambda s: _entropy(s.marginal("a")))) is not None:
+    pure = _pure_closed_form(state, auto, config, lambda s: _entropy(s.marginal("a")))
+    if pure is not None:
         return pure
     base = _entropy(state.marginal("a")) - _entropy(state.rho)
 
@@ -111,10 +114,12 @@ def geometric_discord(
     1)`` (Luo and Fu, PRA 82, 034302, 2010), a sum of squares. It equals
     ``tr rho^2 - sum_n ||B_n||^2`` over the measured blocks ``B_n = r_nn``
     (:func:`measure_a`), which gives the gradient, but that difference can
-    cancel to below zero. A state within ``PURITY_TOL`` of pure takes the
-    closed form ``1 - tr rho_a^2`` (:func:`pure_state_correlation`),
-    attained by the eigenbasis of rho_a, a Schmidt basis; on a nearly pure
-    state it is off by an amount of order ``1 - purity``. Mixed inputs with
+    cancel to below zero. A state with ``1 - purity`` at most
+    ``min(PURITY_TOL, tolerance / 100)`` takes the closed form ``1 - tr
+    rho_a^2`` (:func:`pure_state_correlation`), attained by the eigenbasis
+    of rho_a, a Schmidt basis; on a nearly pure state it is off by an
+    amount of order ``1 - purity``, within the configured tolerance (see
+    ``correlations._pure_closed_form``). Mixed inputs with
     a qubit party a take another: with
     ``R_l = tr_a[(sigma_l (x) 1) rho]`` and ``K_lk = Re tr(R_l R_k)``, the
     distance in the basis ``(1 +- n.sigma)/2`` is ``(tr K - n^T K n) / 2``,
@@ -127,7 +132,7 @@ def geometric_discord(
     to cross-check the closed forms and the certificate).
     """
     auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, pure_state_correlation)) is not None:
+    if (pure := _pure_closed_form(state, auto, config, pure_state_correlation)) is not None:
         return pure
 
     m, n = state.dims

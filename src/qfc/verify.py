@@ -105,14 +105,20 @@ def check_pure_coincidence(cfg: OptimizerConfig) -> CriterionResult:
 
 
 def check_maximal_values(cfg: OptimizerConfig) -> CriterionResult:
-    """Maximally entangled MxM states reach the ceiling 1 - 1/M."""
+    """Maximally entangled MxM states reach the ceiling 1 - 1/M.
+
+    The quantifiers are solved with ``method="optimized"``: the default
+    returns the closed form itself on pure input. rho_a is maximally mixed
+    here, so its eigenbasis, the search's first start, is arbitrary, and
+    this criterion checks that the search still reaches the ceiling.
+    """
     start = time.perf_counter()
     deviations = []
     for m in (2, 3):
         state = max_entangled(m)
         target = 1.0 - 1.0 / m
         for solve in (observable_correlation, measurement_correlation):
-            deviations.append(abs(solve(state, cfg).value - target))
+            deviations.append(abs(solve(state, cfg, method="optimized").value - target))
     margins = [("targets 0.5 and 2/3: max deviation", np.max(deviations), "<=", 1e-4)]
     return _done(2, "maximal values on maximally entangled states", margins, start)
 

@@ -417,7 +417,8 @@ class TestQubitClosedForm:
 
 class TestMeasurementCorrelation:
     def test_bell_reaches_one_half(self):
-        result = measurement_correlation(max_entangled(2), CFG)
+        # the search: the default takes the closed form on a pure state
+        result = measurement_correlation(max_entangled(2), CFG, method="optimized")
         assert abs(result.value - 0.5) <= 1e-4
 
     def test_cc_state_vanishes(self):

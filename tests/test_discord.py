@@ -90,14 +90,16 @@ class TestEntropicDiscord:
         )
         assert abs(entropic_discord(state, CFG).value) <= 1e-6
 
+    # the two pure-state cases search: the default takes the closed form
+
     def test_bell_state_gives_ln2(self):
-        result = entropic_discord(max_entangled(2), CFG)
+        result = entropic_discord(max_entangled(2), CFG, method="optimized")
         assert abs(result.value - LN2) <= 1e-4
 
     def test_pure_state_equals_entanglement_entropy(self):
         state = random_pure((2, 3), 42)
         expected = von_neumann_entropy(state.marginal("a"))
-        assert abs(entropic_discord(state, CFG).value - expected) <= 1e-4
+        assert abs(entropic_discord(state, CFG, method="optimized").value - expected) <= 1e-4
 
     @pytest.mark.parametrize("dims", [(5, 2), (6, 2)])
     def test_larger_party_a_lies_between_zero_and_its_entropy(self, dims):

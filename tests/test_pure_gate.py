@@ -15,6 +15,7 @@ from qfc import (
     OptimizerConfig,
     entropic_discord,
     geometric_discord,
+    max_entangled,
     measured_state,
     measurement_correlation,
     mutual_information,
@@ -79,6 +80,21 @@ def test_pure_input_takes_the_closed_form(name, dims):
 
 
 @pytest.mark.parametrize("name", list(SOLVERS))
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_the_search_reaches_the_closed_form_on_maximally_entangled_input(name, m):
+    # rho_a = 1/m: its eigenbasis, the search's first start, is arbitrary
+    state = max_entangled(m)
+    expected = float(np.log(m)) if name == "dq" else 1.0 - 1.0 / m
+    result = SOLVERS[name](state)
+    assert result.method == "closed-form"
+    assert abs(result.value - expected) <= 1e-12
+    searched = SOLVERS[name](state, method="optimized")
+    assert searched.method == "optimized" and searched.converged
+    assert abs(searched.value - expected) <= 1e-10
+    assert abs(DEFINITIONS[name](state, searched.argopt) - searched.value) <= 1e-10
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 3)])
 def test_nearly_pure_input_is_within_the_tolerance_of_the_search(name, dims):
     # eps = 4e-9 leaves the purity 1 - 2 eps (1 - 1/d), within PURITY_TOL of 1;
@@ -96,3 +112,28 @@ def test_a_state_just_past_the_purity_tolerance_is_not_gated(name):
     state = near_pure((3, 3), 3203, 1e-8)
     assert state.purity() < 1.0 - PURITY_TOL
     assert SOLVERS[name](state).method != "closed-form"
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_a_tight_tolerance_narrows_the_gate(name):
+    # The gate admits 1 - purity up to min(PURITY_TOL, tolerance / 100). At
+    # tolerance 1e-10 the 1 - purity of 7e-9 above is searched: entropic
+    # discord's closed form is off by about 4e-8 there, far outside it.
+    tight = OptimizerConfig(tolerance=1e-10)
+    state = near_pure((3, 3), 3203, 4e-9)
+    result = SOLVERS[name](state, tight)
+    assert result.method == "optimized"
+    searched = SOLVERS[name](state, tight, method="optimized")
+    assert abs(result.value - searched.value) <= tight.tolerance
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_the_gate_at_a_tight_tolerance_stays_within_it(name):
+    # 1 - purity about 4e-13, under tolerance / 100 for tolerance 1e-10
+    tight = OptimizerConfig(tolerance=1e-10)
+    state = near_pure((3, 3), 3203, 2.5e-13)
+    assert 0.0 < 1.0 - state.purity() <= tight.tolerance / 100
+    result = SOLVERS[name](state, tight)
+    assert result.method == "closed-form"
+    searched = SOLVERS[name](state, tight, method="optimized")
+    assert abs(result.value - searched.value) <= tight.tolerance
