@@ -102,14 +102,19 @@ def _bloch_extremum(k: np.ndarray, index: int):
     n = vecs[:, index]
     lead = n[np.argmax(abs(n))]
     n = (n * abs(lead) / lead).real  # the eigenvector without its phase
-    return vals, np.linalg.eigh(np.tensordot(n, _PAULIS, 1))[1]
+    return vals, np.linalg.eigh((n @ _PAULIS.reshape(3, 4)).reshape(2, 2))[1]
 
 
-def _start_basis(state: BipartiteState) -> np.ndarray:
+def _start_basis(rho_a: np.ndarray) -> np.ndarray:
     # The eigenbasis of rho_a, for one d_a x d_a eigh. It is the optimum on
     # pure states (the Schmidt basis) and on CQ/CC states whose rho_a has no
     # repeated eigenvalue (it is then the classical basis).
-    return np.linalg.eigh(state.marginal("a"))[1]
+    return np.linalg.eigh(rho_a)[1]
+
+
+def _linear_entropy(rho_a: np.ndarray) -> float:
+    # 1 - tr rho_a^2, as 1 - sum_ij |rho_ij|^2 for a Hermitian rho_a
+    return float(1.0 - np.sum(rho_a.real**2 + rho_a.imag**2))
 
 
 def _tolerance(config: OptimizerConfig | None) -> float:
@@ -120,7 +125,7 @@ def _pure_closed_form(
     state: BipartiteState, auto: bool, config: OptimizerConfig | None, value
 ) -> QuantifierResult | None:
     # Every solver's first step: under method="auto", a nearly pure state
-    # takes its closed form value(state), with no search and no report, at
+    # takes its closed form value(rho_a), with no search and no report, at
     # the eigenbasis of rho_a. That basis is a Schmidt basis of a pure
     # state, where every quantifier attains its closed form. None otherwise:
     # the solver goes on.
@@ -137,7 +142,8 @@ def _pure_closed_form(
     if auto:
         purity = state.purity()
         if purity >= 1.0 - PURITY_TOL and 1.0 - purity <= _tolerance(config) / 100:
-            return QuantifierResult(value(state), _start_basis(state), "closed-form")
+            rho_a = state.marginal("a")
+            return QuantifierResult(value(rho_a), _start_basis(rho_a), "closed-form")
     return None
 
 
@@ -167,8 +173,8 @@ def _search(
     global generator, cached per ``dim_b``. The objective's value alone
     (``objective(u, gradient=False)``, which returns ``(value, None)``) is
     evaluated once at the eigenbasis of S. Every quantifier is >= 0 in
-    every basis, so a value at most ``config.tolerance`` is within
-    tolerance of the minimum: it is returned with
+    every basis up to roundoff, so a value at most ``config.tolerance`` is
+    within tolerance of the minimum: it is returned with
     ``method="certified-zero"``, that basis and a report of that one
     evaluation. That is "within tolerance of zero", not "classical" (a
     state mixed with a little entanglement can pass).
@@ -186,7 +192,7 @@ def _search(
         if value <= _tolerance(config):
             report = multistart([(basis, value, 1, 0, True)])
             return QuantifierResult(value, basis, "certified-zero", report)
-    report = optimize_basis(objective, _start_basis(state), config=config)
+    report = optimize_basis(objective, _start_basis(state.marginal("a")), config=config)
     return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
 
@@ -203,9 +209,10 @@ def lift_b(h: np.ndarray, dim_a: int) -> np.ndarray:
 
 
 def _qfi_spectrum(state: BipartiteState):
-    # QFI weights w of rho's spectrum and its eigenvectors as v3[a, b, i].
+    # QFI weights w of rho's spectrum and its eigenvectors as v3[a, b, i];
+    # unchecked, since the state's constructor checked rho.
     m, n = state.dims
-    spectrum = linalg.eigh(state.rho, "state")
+    spectrum = linalg._spectrum(state.rho)
     return qfi_weight_matrix(spectrum.values), spectrum.vectors.reshape(m, n, m * n)
 
 
@@ -321,7 +328,7 @@ def observable_correlation(
     forms and the certificate).
     """
     auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, config, pure_state_correlation)) is not None:
+    if (pure := _pure_closed_form(state, auto, config, _linear_entropy)) is not None:
         return pure
     w, v3 = _qfi_spectrum(state)
     if auto and state.dim_a == 2:
@@ -340,18 +347,20 @@ def measurement_correlation(
 
     Minimizes, over rank-1 von Neumann measurements on party a, the gap
     between the basis-summed local QFI on party b and its measurement-induced
-    counterpart :func:`total_mfi`. Zero exactly on CQ/CC states; equal to
-    ``1 - tr rho_a^2`` on pure states, in every basis. A state with ``1 -
-    purity`` at most ``min(PURITY_TOL, tolerance / 100)`` takes that closed
-    form (:func:`pure_state_correlation`) at the eigenbasis of rho_a, with
-    ``method="closed-form"`` and no report; on a nearly pure state it is off
-    by an amount of order ``1 - purity``, within the configured tolerance
-    (see ``_pure_closed_form``). A value certified within tolerance
-    of zero skips the search (``method="certified-zero"``, see ``_search``);
-    ``method="optimized"`` always searches.
+    counterpart :func:`total_mfi`. Zero exactly on CQ/CC states, and >= 0 up
+    to roundoff: the gap is a difference, which can cancel to slightly below
+    zero (down to -8.9e-16 on acceptance criterion 3's CQ/CC states) where
+    the minimum is 0. Equal to ``1 - tr rho_a^2`` on pure states, in every
+    basis. A state with ``1 - purity`` at most ``min(PURITY_TOL, tolerance /
+    100)`` takes that closed form (:func:`pure_state_correlation`) at the
+    eigenbasis of rho_a, with ``method="closed-form"`` and no report; on a
+    nearly pure state it is off by an amount of order ``1 - purity``, within
+    the configured tolerance (see ``_pure_closed_form``). A value certified
+    within tolerance of zero skips the search (``method="certified-zero"``,
+    see ``_search``); ``method="optimized"`` always searches.
     """
     auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, config, pure_state_correlation)) is not None:
+    if (pure := _pure_closed_form(state, auto, config, _linear_entropy)) is not None:
         return pure
     total = total_local_qfi_b(state)
 
@@ -375,5 +384,4 @@ def pure_state_correlation(state: BipartiteState) -> float:
     purity = state.purity()
     if purity < 1.0 - PURITY_TOL:
         raise PurityError(f"state has purity {purity:.9f}, expected 1")
-    rho_a = state.marginal("a")
-    return float(1.0 - np.sum(rho_a.real**2 + rho_a.imag**2))
+    return _linear_entropy(state.marginal("a"))

@@ -18,12 +18,12 @@ from .correlations import (
     QuantifierResult,
     _block_gradient,
     _bloch_extremum,
+    _linear_entropy,
     _may_skip_search,
     _measured_objective,
     _pure_closed_form,
     _search,
     measure_a,
-    pure_state_correlation,
 )
 
 ENTROPY_CUTOFF = 1e-15
@@ -68,10 +68,12 @@ def entropic_discord(
     """Minimal loss of mutual information under measurement on party a.
 
     ``min over measurements of I(rho) - I(measured rho)``, restricted to
-    rank-1 projective measurements. Zero exactly on CQ/CC states; equals the
-    entanglement entropy ``S(rho_a)`` on pure states, in every basis. A state
-    with ``1 - purity`` at most ``min(PURITY_TOL, tolerance / 100)`` takes
-    that closed form at the eigenbasis of rho_a, with
+    rank-1 projective measurements. Zero exactly on CQ/CC states, and >= 0
+    up to roundoff: the loss is a difference of entropies, which can cancel
+    to slightly below zero (down to -4.4e-16 measured) where the minimum is
+    0. Equals the entanglement entropy ``S(rho_a)`` on pure states, in every
+    basis. A state with ``1 - purity`` at most ``min(PURITY_TOL, tolerance /
+    100)`` takes that closed form at the eigenbasis of rho_a, with
     ``method="closed-form"`` and no report. On a nearly pure state it is off
     by at most ``(1 - purity) (1 + ln(d / (1 - purity)))``, the entropy of
     rho's small eigenvalues, which the bound keeps within the configured
@@ -80,8 +82,7 @@ def entropic_discord(
     see ``correlations._search``); ``method="optimized"`` always searches.
     """
     auto = _may_skip_search(method)
-    pure = _pure_closed_form(state, auto, config, lambda s: _entropy(s.marginal("a")))
-    if pure is not None:
+    if (pure := _pure_closed_form(state, auto, config, _entropy)) is not None:
         return pure
     base = _entropy(state.marginal("a")) - _entropy(state.rho)
 
@@ -132,7 +133,7 @@ def geometric_discord(
     to cross-check the closed forms and the certificate).
     """
     auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, config, pure_state_correlation)) is not None:
+    if (pure := _pure_closed_form(state, auto, config, _linear_entropy)) is not None:
         return pure
 
     m, n = state.dims

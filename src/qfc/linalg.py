@@ -125,7 +125,11 @@ def eigh(h: np.ndarray, name: str = "matrix") -> Spectrum:
     The input is validated and symmetrized as ``(H + H^dag)/2`` before
     decomposition to suppress roundoff.
     """
-    h = require_hermitian(h, name)
+    return _spectrum(require_hermitian(h, name))
+
+
+def _spectrum(h: np.ndarray) -> Spectrum:
+    # eigh without the check, for a matrix already checked (a state's rho)
     vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
     order = np.argsort(-vals, kind="stable")
     return Spectrum(vals[order], vecs[:, order])

@@ -8,27 +8,29 @@ Hermitian basis ``linalg.hermitian_basis(d)``, onto the whole unitary group.
 An objective takes a ``(..., d, d)`` stack of unitaries and returns
 ``(values, G)``: the values, of shape ``(...)``, and their Euclidean
 gradients, of shape ``(..., d, d)``, so that ``df = Re tr(G^dag du)`` for
-each unitary of the stack. Every objective here is invariant under
-``u -> u diag(e^{i phi})``, so the d diagonal generators leave it
-unchanged: restart k is a Riemannian BFGS search on U(d) (Edelman, Arias
-and Smith, SIAM J. Matrix Anal. Appl. 20, 303, 1998) in the d^2 - d
-coordinates of the off-diagonal generators. Each step is ``u <- u exp(i
-A(t p))`` along ``p = -H g`` for the inverse-Hessian estimate H and the
-gradient g in those coordinates, which are re-centred at every step. Until
-a step meets positive curvature there is no H; the step is then steepest
-descent from a step length the search remembers (see :func:`_bfgs`), so a
-restart that starts where the minimized value curves down leaves in a few
-doublings rather than in many unit steps. Every search minimizes: each
-quantifier is a minimum over bases, and its objective returns the quantifier
-itself. Restart 0 starts at a given basis, which every solver of party a
-sets to the eigenbasis of rho_a in one place, ``correlations._search``;
-restart k >= 1 starts from random generator coefficients, row k - 1 of one
-``(R - 1, d^2)`` normal draw from ``np.random.default_rng(seed)``, which
-does not depend on the restart count R. A search screens its restarts at a
-loose tolerance and polishes only the best of them at a tight one (see
-:func:`_bfgs`); each round runs its restarts in lockstep, one objective call
-per step on the stack of those still searching. :func:`multistart` reports
-the restarts.
+each unitary of the stack. Every objective here is invariant under ``u -> u
+diag(e^{i phi})``, so the d diagonal generators leave it unchanged: restart
+k is a Riemannian BFGS search on U(d) (Edelman, Arias and Smith, SIAM J.
+Matrix Anal. Appl. 20, 303, 1998) in the d^2 - d coordinates of the
+off-diagonal generators. Each step is ``u <- u exp(i A(t p))`` along ``p =
+-H g`` for the inverse-Hessian estimate H and the gradient g in those
+coordinates, which are re-centred at every step. The step chart
+:func:`_step_chart` takes those d^2 - d coordinates as they are;
+:func:`unitary_from_params`, which charts the random starts, takes all d^2
+and checks them. Until a step meets positive curvature there is no H; the
+step is then steepest descent from a step length the search remembers (see
+:func:`_bfgs`), so a restart that starts where the minimized value curves
+down leaves in a few doublings rather than in many unit steps. Every search
+minimizes: each quantifier is a minimum over bases, and its objective
+returns the quantifier itself. Restart 0 starts at a given basis, which
+every solver of party a sets to the eigenbasis of rho_a in one place,
+``correlations._search``; restart k >= 1 starts from random generator
+coefficients, row k - 1 of one ``(R - 1, d^2)`` normal draw from
+``np.random.default_rng(seed)``, which does not depend on the restart count
+R. A search screens its restarts at a loose tolerance and polishes only the
+best of them at a tight one (see :func:`_bfgs`); each round runs its
+restarts in lockstep, one objective call per step on the stack of those
+still searching. :func:`multistart` reports the restarts.
 """
 
 from __future__ import annotations
@@ -149,8 +151,21 @@ def unitary_from_params(params: np.ndarray, dim: int) -> np.ndarray:
     p = np.asarray(params, dtype=float)
     if p.shape[-1:] != (dim * dim,):
         raise ShapeError(f"need {dim * dim} parameters for dimension {dim}, got shape {p.shape}")
-    vals, vecs = np.linalg.eigh(np.einsum("...k,kij->...ij", p, _generator_basis(dim)))
+    return _exp_i(p, _generator_basis(dim))
+
+
+def _exp_i(coefficients: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    # exp(i A) for A = sum_k coefficients[..., k] generators[k], through eigh
+    vals, vecs = np.linalg.eigh(np.einsum("...k,kij->...ij", coefficients, generators))
     return (vecs * np.exp(1j * vals)[..., None, :]) @ linalg.dag(vecs)
+
+
+def _step_chart(steps: np.ndarray, dim: int) -> np.ndarray:
+    # exp(i A(0, step)) for a (m, d^2 - d) stack of off-diagonal coefficients,
+    # unchecked. The real and the imaginary part of each entry of A get at
+    # most one nonzero term, so leaving out the diagonal generators' zero
+    # terms gives unitary_from_params of the zero-padded step bit for bit.
+    return _exp_i(steps, _generator_basis(dim)[dim:])
 
 
 def multistart(runs) -> OptimizerReport:
@@ -160,14 +175,15 @@ def multistart(runs) -> OptimizerReport:
     converged)`` run per restart, in restart order (see :func:`_bfgs`). The
     best value is the smallest; ties resolve to the lowest restart index.
     """
-    values = np.array([run[1] for run in runs], dtype=float)
-    flags = np.array([run[4] for run in runs], dtype=bool)
-    evaluations = np.array([run[2] for run in runs], dtype=int)
-    iterations = np.array([run[3] for run in runs], dtype=int)
+    unitaries, values, evaluations, iterations, flags = zip(*runs)
+    values = np.array(values, dtype=float)
+    evaluations = np.array(evaluations, dtype=int)
+    iterations = np.array(iterations, dtype=int)
+    flags = np.array(flags, dtype=bool)
     best = int(np.argmin(values))
     return OptimizerReport(
         best_value=float(values[best]),
-        best_unitary=runs[best][0],
+        best_unitary=unitaries[best],
         restart_values=values,
         restart_converged=flags,
         restart_evaluations=evaluations,
@@ -286,8 +302,11 @@ def _lockstep(objective, restarts, tolerance: float):
 
     Each step of the round makes one chart call and one objective call on
     the stack of the trial points of the restarts still searching, and a
-    restart that stops drops out of the stack. Each restart keeps its own
-    state, so it takes the steps it would take alone.
+    restart that stops drops out of the stack. The chart call is
+    :func:`_step_chart`, which maps the steps' off-diagonal coordinates
+    straight to ``exp(i A(0, step))``, as :func:`unitary_from_params` maps
+    the zero-padded step, bit for bit. Each restart keeps its own state, so
+    it takes the steps it would take alone.
     """
     searches = [restart.search(tolerance) for restart in restarts]
     dim = restarts[0].u.shape[-1]
@@ -302,8 +321,7 @@ def _lockstep(objective, restarts, tolerance: float):
         if not requests:
             return
         active, bases, steps = zip(*requests)
-        params = np.concatenate([np.zeros((len(steps), dim)), steps], axis=1)
-        trials = np.array(bases) @ unitary_from_params(params, dim)
+        trials = np.array(bases) @ _step_chart(np.array(steps), dim)
         values, grads = _evaluate(objective, trials)
         replies = list(zip(trials, values.tolist(), grads))
 

@@ -236,7 +236,7 @@ class TestJacobiOracles:
     @staticmethod
     def bases(state):
         """u_G, the Jacobi oracle's basis of rho, and restart 0 of every search."""
-        return jacobi_basis(state, OptimizerConfig().restarts)[0], _start_basis(state)
+        return jacobi_basis(state, OptimizerConfig().restarts)[0], _start_basis(state.marginal("a"))
 
     @staticmethod
     def at(state, u):

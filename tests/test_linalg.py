@@ -196,6 +196,20 @@ class TestEigh:
         with pytest.raises(HermiticityError):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_unchecked_spectrum_is_the_checked_one(self):
+        # The solvers decompose a state's rho, checked when the state was
+        # built, without eigh's check; the numbers must be eigh's, bit for bit.
+        for seed in range(20):
+            d = 2 + seed % 5
+            rho = random_density(d, 1 + seed % d, seed)
+            checked, unchecked = eigh(rho, "state"), qfc.linalg._spectrum(rho)
+            assert np.array_equal(checked.values, unchecked.values)
+            assert np.array_equal(checked.vectors, unchecked.vectors)
+        with pytest.raises(HermiticityError):
+            eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValidationError):
+            eigh(np.full((2, 2), np.nan))
+
 
 class TestSchmidt:
     def test_bell_coefficients(self):

@@ -117,6 +117,39 @@ class TestUnitaryFromParams:
         with pytest.raises(ShapeError):
             unitary_from_params(np.zeros(3), 2)
 
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_trial_points_equal_the_padded_chart_bit_for_bit(self, dim):
+        # The lockstep charts the off-diagonal step coordinates alone; its
+        # trial points u exp(i A(0, step)) must be the zero-padded chart's.
+        rng = np.random.default_rng(100 + dim)
+        for size in range(1, 6):
+            bases = np.array([haar_unitary(dim, 10 * dim + size + k) for k in range(size)])
+            steps = rng.standard_normal((size, dim * dim - dim))
+            norms = np.linalg.norm(steps, axis=-1, keepdims=True)
+            lengths = rng.uniform(0.0, np.pi, (size, 1))
+            lengths[0] = np.pi  # the step cap
+            steps = np.divide(steps * lengths, norms, out=np.zeros_like(steps), where=norms > 0)
+            padded = np.concatenate([np.zeros((size, dim)), steps], axis=1)
+            assert np.array_equal(bases @ optimize._step_chart(steps, dim),
+                                  bases @ unitary_from_params(padded, dim))
+
+    def test_searched_steps_equal_the_padded_chart_bit_for_bit(self):
+        # every step chart of one search, against the public chart
+        charts = []
+        chart = optimize._step_chart
+
+        def recording(steps, dim):
+            charts.append((steps, chart(steps, dim)))
+            return charts[-1][1]
+
+        cfg = OptimizerConfig(restarts=4)
+        with mock.patch.object(optimize, "_step_chart", recording):
+            optimize_basis(stack_objective(3), random_start(3, 0), config=cfg)
+        assert charts
+        for steps, trials in charts:
+            padded = np.concatenate([np.zeros((len(steps), 3)), steps], axis=1)
+            assert np.array_equal(trials, unitary_from_params(padded, 3))
+
 
 class TestGradientSearch:
     def test_diagonalizes_a_hermitian_matrix(self):
@@ -185,14 +218,14 @@ class TestStepRule:
     def test_no_trial_step_is_longer_than_pi(self):
         # beyond chart length pi the generator's eigenvalues wrap
         lengths = []
-        chart = optimize.unitary_from_params
+        chart = optimize._step_chart
 
-        def recording(params, dim):
-            lengths.extend(np.linalg.norm(params, axis=-1))
-            return chart(params, dim)
+        def recording(steps, dim):
+            lengths.extend(np.linalg.norm(steps, axis=-1))
+            return chart(steps, dim)
 
         objective = qapi_gap(self.STATE)
-        with mock.patch.object(optimize, "unitary_from_params", recording):
+        with mock.patch.object(optimize, "_step_chart", recording):
             ((*_, converged),) = optimize._bfgs(objective, haar_unitary(3, 1)[None], 1e-6)
         assert converged
         assert max(lengths) <= np.pi * (1 + 1e-12)
