@@ -133,23 +133,6 @@ class TestUnitaryFromParams:
             assert np.array_equal(bases @ optimize._step_chart(steps, dim),
                                   bases @ unitary_from_params(padded, dim))
 
-    def test_searched_steps_equal_the_padded_chart_bit_for_bit(self):
-        # every step chart of one search, against the public chart
-        charts = []
-        chart = optimize._step_chart
-
-        def recording(steps, dim):
-            charts.append((steps, chart(steps, dim)))
-            return charts[-1][1]
-
-        cfg = OptimizerConfig(restarts=4)
-        with mock.patch.object(optimize, "_step_chart", recording):
-            optimize_basis(stack_objective(3), random_start(3, 0), config=cfg)
-        assert charts
-        for steps, trials in charts:
-            padded = np.concatenate([np.zeros((len(steps), 3)), steps], axis=1)
-            assert np.array_equal(trials, unitary_from_params(padded, 3))
-
 
 class TestGradientSearch:
     def test_diagonalizes_a_hermitian_matrix(self):
