@@ -238,34 +238,38 @@ def _block_gradient(state: BipartiteState, d: np.ndarray, u: np.ndarray) -> np.n
 
 def _measured_objective(state: BipartiteState, spectral):
     # The objective u -> (sum_n F(B_n), G) for a spectral function F of the
-    # measured blocks; spectral(l) returns the values and dF/dl at the block
-    # eigenvalues l, and D_n = V_n diag(dF/dl) V_n^dag (see _block_gradient).
-    # With gradient=False it returns (value, None) from the eigenvalues alone.
+    # measured blocks; spectral(l, gradient) returns the values and dF/dl at
+    # the block eigenvalues l (None without gradient), and D_n = V_n
+    # diag(dF/dl) V_n^dag (see _block_gradient). With gradient=False it
+    # returns (value, None) from the eigenvalues alone, computing no slope.
 
     def objective(u: np.ndarray, gradient: bool = True):
         blocks = measure_a(state, u)
         if not gradient:
-            return spectral(np.linalg.eigvalsh(blocks))[0], None
+            return spectral(np.linalg.eigvalsh(blocks), False)
         vals, vecs = np.linalg.eigh(blocks)
-        value, slopes = spectral(vals)
+        value, slopes = spectral(vals, True)
         d = np.einsum("...nik,...nk,...njk->...nij", vecs, slopes, vecs.conj())
         return value, _block_gradient(state, d, u)
 
     return objective
 
 
-def _mfi_spectral(vals: np.ndarray):
-    # sum_n sum_ij (l_i - l_j)^2 / (2 (l_i + l_j)) and its slopes in l_i,
-    # pairs below the support cutoff dropped. The weights are homogeneous of
-    # degree one, so p_n w(spectrum of B_n / p_n) is w(spectrum of B_n): no
-    # normalization and no 0/0 at a dark outcome.
+def _mfi_spectral(vals: np.ndarray, gradient: bool):
+    # sum_n sum_ij (l_i - l_j)^2 / (2 (l_i + l_j)) and, with gradient, its
+    # slopes in l_i (else None), pairs below the support cutoff dropped. The
+    # weights are homogeneous of degree one, so p_n w(spectrum of B_n / p_n)
+    # is w(spectrum of B_n): no normalization and no 0/0 at a dark outcome.
+    value = np.sum(qfi_weight_matrix(vals), axis=(-3, -2, -1))
+    if not gradient:
+        return value, None
     li, lj = vals[..., :, None], vals[..., None, :]
     sums = li + lj
     slopes = np.zeros_like(sums)
     np.divide(
         (li - lj) * (li + 3.0 * lj), sums**2, out=slopes, where=sums > linalg.SUPPORT_CUTOFF
     )
-    return np.sum(qfi_weight_matrix(vals), axis=(-3, -2, -1)), slopes.sum(axis=-1)
+    return value, slopes.sum(axis=-1)
 
 
 def total_mfi(state: BipartiteState, measurement: np.ndarray) -> float:
@@ -364,9 +368,9 @@ def measurement_correlation(
         return pure
     total = total_local_qfi_b(state)
 
-    def gap(vals: np.ndarray):
-        value, slopes = _mfi_spectral(vals)
-        return total - value, -slopes
+    def gap(vals: np.ndarray, gradient: bool):
+        value, slopes = _mfi_spectral(vals, gradient)
+        return total - value, -slopes if gradient else None
 
     return _search(state, _measured_objective(state, gap), config, auto)
 

@@ -86,7 +86,7 @@ def entropic_discord(
         return pure
     base = _entropy(state.marginal("a")) - _entropy(state.rho)
 
-    def loss(spectra: np.ndarray):
+    def loss(spectra: np.ndarray, gradient: bool):
         # I(measured rho) = S(rho_b) + H(p) - S(measured rho): measuring a
         # leaves rho_b alone (so S(rho_b) cancels from the loss), dephases
         # rho_a to p_n = tr B_n and makes rho block diagonal in the basis u.
@@ -95,6 +95,8 @@ def entropic_discord(
         # loss has the opposite slope.
         probs = spectra.sum(axis=-1)
         value = base - _spectral_entropy(probs) + _spectral_entropy(spectra).sum(axis=-1)
+        if not gradient:
+            return value, None
         slopes = np.log(np.maximum(spectra, ENTROPY_CUTOFF)) - np.log(
             np.maximum(probs, ENTROPY_CUTOFF)
         )[..., None]

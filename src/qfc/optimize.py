@@ -27,10 +27,12 @@ every solver of party a sets to the eigenbasis of rho_a in one place,
 ``correlations._search``; restart k >= 1 starts from random generator
 coefficients, row k - 1 of one ``(R - 1, d^2)`` normal draw from
 ``np.random.default_rng(seed)``, which does not depend on the restart count
-R. A search screens its restarts at a loose tolerance and polishes only the
-best of them at a tight one (see :func:`_bfgs`); each round runs its
-restarts in lockstep, one objective call per step on the stack of those
-still searching. :func:`multistart` reports the restarts.
+R. The random starts of one ``(seed, R, d)`` are drawn once per process and
+shared read-only by every search that uses them. A search screens its
+restarts at a loose tolerance and polishes only the best of them at a tight
+one (see :func:`_bfgs`); each round runs its restarts in lockstep, one
+objective call per step on the stack of those still searching.
+:func:`multistart` reports the restarts.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ ARMIJO = 1e-4
 #: Step halvings a line search may make before it gives up and ends the
 #: restart.
 MAX_HALVINGS = 40
+#: Random-start stacks kept by :func:`_random_starts`, one per ``(seed,
+#: restarts, d)``; the least recently used goes first.
+START_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,16 @@ def _exp_i(coefficients: np.ndarray, generators: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(1j * vals)[..., None, :]) @ linalg.dag(vecs)
 
 
+@lru_cache(maxsize=START_CACHE_SIZE)
+def _random_starts(seed: int, count: int, dim: int) -> np.ndarray:
+    # The starts of restarts 1 to count of a search at this seed, read-only:
+    # every search of the same (seed, restarts, d) shares one draw.
+    params = np.random.default_rng(seed).normal(0.0, START_SPREAD, (count, dim * dim))
+    starts = unitary_from_params(params, dim)
+    starts.flags.writeable = False
+    return starts
+
+
 def _step_chart(steps: np.ndarray, dim: int) -> np.ndarray:
     # exp(i A(0, step)) for a (m, d^2 - d) stack of off-diagonal coefficients,
     # unchecked. The real and the imaginary part of each entry of A get at
@@ -254,11 +269,16 @@ class _Restart:
         u, f, g, h, t_sd, decrease = self.u, self.f, self.g, self.h, self.t_sd, self.decrease
         evaluations, iterations, stalled = self.evaluations, self.iterations, self.stalled
         while True:
-            gg = g @ g
-            p = -g if h is None else -(h @ g)
-            slope = g @ p
-            if slope >= 0.0:
-                p, slope = -g, -gg
+            # Scalars are Python floats. A steepest-descent step reuses g.g
+            # for -g.p and p.p, which negation leaves the same bits.
+            gg = float(g @ g)
+            if h is not None:
+                p = -(h @ g)
+                slope = float(g @ p)
+            if h is None or slope >= 0.0:
+                p, slope, pp = -g, -gg, gg
+            else:
+                pp = float(p @ p)
             if gg <= tolerance and (decrease <= tolerance or -slope <= tolerance):
                 converged = True
                 break
@@ -269,7 +289,7 @@ class _Restart:
                 converged = bool(stalled and gg <= tolerance)
                 break
             # |t p| <= pi keeps the generator's eigenvalues from wrapping.
-            t = first = min(t_sd if h is None else 1.0, np.pi / math.sqrt(p @ p))
+            t = first = min(t_sd if h is None else 1.0, np.pi / math.sqrt(pp))
             for _ in range(MAX_HALVINGS):
                 s = t * p
                 trial, f_new, g_new = yield u, s
@@ -281,13 +301,13 @@ class _Restart:
                 stalled = True
                 continue
             y = g_new - g
-            sy = s @ y
+            sy = float(s @ y)
             if sy > 0.0:
                 if h is None:
-                    h = (sy / (y @ y)) * np.eye(s.size)
+                    h = (sy / float(y @ y)) * np.eye(s.size)
                 hy = h @ y
                 hys = hy[:, None] * s
-                h += ((sy + y @ hy) * (s[:, None] * s) / sy - hys - hys.T) / sy
+                h += ((sy + float(y @ hy)) * (s[:, None] * s) / sy - hys - hys.T) / sy
             t_sd = 2.0 * t if t == first else t
             iterations += 1
             decrease = f - f_new
@@ -389,7 +409,8 @@ def optimize_basis(objective, start, *, config=None):
     party a calls this through ``correlations._search``, which passes the
     eigenbasis of rho_a. Restart k >= 1 starts from the unitary of random
     generator coefficients, row k - 1 of one normal draw from
-    ``np.random.default_rng(config.seed)``. ``config`` (an
+    ``np.random.default_rng(config.seed)``, drawn once per process for each
+    ``(seed, restarts, d)`` and shared read-only. ``config`` (an
     :class:`OptimizerConfig`, the default one if None) sets the restarts,
     the seed and the tolerance.
 
@@ -414,6 +435,5 @@ def optimize_basis(objective, start, *, config=None):
     dim = np.shape(start)[0] if np.ndim(start) else 0
     start = linalg.require_unitary(start, dim, "start")
     cfg = config if config is not None else OptimizerConfig()
-    rng = np.random.default_rng(cfg.seed)
-    randoms = unitary_from_params(rng.normal(0.0, START_SPREAD, (cfg.restarts - 1, dim * dim)), dim)
+    randoms = _random_starts(int(cfg.seed), int(cfg.restarts) - 1, dim)
     return multistart(_bfgs(objective, np.concatenate([start[None], randoms]), cfg.tolerance))

@@ -24,7 +24,7 @@ from qfc import (
     mutual_information,
     total_mfi,
 )
-from qfc import correlations, discord
+from qfc import correlations, discord, verify
 from qfc.states import haar_unitary, random_density
 
 from oracles import mfi
@@ -167,3 +167,26 @@ class TestBatchedObjectives:
         expected = mutual_information(state) - mutual_information(measured_state(state, u))
         assert abs(entropic_objective(state)(u) - expected) <= 1e-12
         assert abs(geometric_objective(state)(u) - explicit_distance(state, u)) <= 1e-12
+
+
+class TestValueOnlyPath:
+    """``objective(u, gradient=False)`` returns ``(value, None)`` and computes no slope."""
+
+    @pytest.mark.parametrize("solver", [correlations.measurement_correlation,
+                                        discord.entropic_discord], ids=["qapi", "dq"])
+    def test_value_is_the_gradient_paths_value(self, solver):
+        # On criterion 3's noisy states. The value-only path takes eigvalsh's
+        # eigenvalues, which may differ from eigh's in the last bits; on
+        # eigh's, it gives the same bits.
+        eigh = np.linalg.eigh
+        for k in range(20):
+            dims = verify._MIXED_DIMS[k % len(verify._MIXED_DIMS)]
+            state = verify._noisy_entangled(dims, verify.state_seed(0, 3, 100 + k))
+            objective = captured_objective(lambda s: solver(s, method="optimized"), state)
+            for j in range(4):
+                u = haar_unitary(state.dim_a, 70 + 4 * k + j)
+                full = objective(u)[0]
+                value, grad = objective(u, gradient=False)
+                assert grad is None and abs(value - full) <= 1e-14
+                with mock.patch.object(np.linalg, "eigvalsh", lambda a: eigh(a)[0]):
+                    assert objective(u, gradient=False)[0] == full

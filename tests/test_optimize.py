@@ -424,20 +424,54 @@ class TestMultistart:
     def test_runs_each_restart_once_in_order(self):
         # The screen takes every start: restart 0 at the given start, restart
         # k at row k - 1 of the seed's draw. The polish takes only the winner.
-        rounds = []
+        # The first search draws the starts; the second reuses that draw.
         start, cfg = haar_unitary(2, 1), OptimizerConfig(restarts=5, seed=3)
-        with recording_rounds(rounds):
-            report = optimize_basis(stack_objective(2), start, config=cfg)
-        restarts, tolerance, starts, _ = rounds[0]
-        assert len(restarts) == 5 and tolerance == optimize.SCREEN_TOLERANCE
-        assert np.array_equal(starts[0][0], start)
-        for k, params in enumerate(random_params(2, 3, 4), 1):
-            assert np.array_equal(starts[k][0], unitary_from_params(params, 2))
-        assert all(run[2] == 1 for run in starts)  # no restart has searched yet
-        (winner,), tolerance, _, _ = rounds[-1]
-        assert tolerance == min(cfg.tolerance, optimize.POLISH_TOLERANCE)
-        assert winner is restarts[int(np.argmin(report.restart_values))]
-        assert report.restart_values.size == 5
+        optimize._random_starts.cache_clear()
+        for _ in ("cold", "warm"):
+            rounds = []
+            with recording_rounds(rounds):
+                report = optimize_basis(stack_objective(2), start, config=cfg)
+            restarts, tolerance, starts, _ = rounds[0]
+            assert len(restarts) == 5 and tolerance == optimize.SCREEN_TOLERANCE
+            assert np.array_equal(starts[0][0], start)
+            for k, params in enumerate(random_params(2, 3, 4), 1):
+                assert np.array_equal(starts[k][0], unitary_from_params(params, 2))
+            assert all(run[2] == 1 for run in starts)  # no restart has searched yet
+            (winner,), tolerance, _, _ = rounds[-1]
+            assert tolerance == min(cfg.tolerance, optimize.POLISH_TOLERANCE)
+            assert winner is restarts[int(np.argmin(report.restart_values))]
+            assert report.restart_values.size == 5
+        assert optimize._random_starts.cache_info().hits == 1
+
+
+class TestStartDraw:
+    """The random starts of one (seed, restarts, d) are drawn once and shared read-only."""
+
+    def test_cold_and_warm_searches_report_the_same(self):
+        start, cfg = haar_unitary(3, 2), OptimizerConfig(restarts=5, seed=7)
+        optimize._random_starts.cache_clear()
+        cold = optimize_basis(stack_objective(3), start, config=cfg)
+        warm = optimize_basis(stack_objective(3), start, config=cfg)
+        assert optimize._random_starts.cache_info().hits == 1
+        for name in ("restart_values", "restart_evaluations", "restart_iterations",
+                     "restart_converged"):
+            assert np.array_equal(getattr(cold, name), getattr(warm, name))
+        assert cold.best_unitary.tobytes() == warm.best_unitary.tobytes()
+
+    def test_cached_stack_is_read_only_and_equals_a_fresh_draw(self):
+        optimize._random_starts.cache_clear()
+        stack = optimize._random_starts(3, 4, 2)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+        assert np.array_equal(stack, unitary_from_params(random_params(2, 3, 4), 2))
+        assert optimize._random_starts(3, 4, 2) is stack
+
+    def test_one_restart_draws_nothing(self):
+        assert optimize._random_starts(5, 0, 3).shape == (0, 3, 3)
+        start = haar_unitary(3, 1)
+        report = optimize_basis(stack_objective(3), start, config=OptimizerConfig(restarts=1, seed=5))
+        assert report.restart_values.size == 1 and report.restart_evaluations[0] >= 1
 
 
 class TestTwoPhases:
