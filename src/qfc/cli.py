@@ -384,6 +384,8 @@ def _cmd_sweep(args) -> int:
             f"{'nothing' if expected is None else 'parameter ' + repr(expected)}"
         )
     quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
+    if not quantities:
+        raise SchemaError(f"no quantity to sweep; expected one or more of {tuple(SOLVERS)}")
     for q in quantities:
         if q not in SOLVERS:
             raise SchemaError(f"unknown quantity {q!r}; expected one of {tuple(SOLVERS)}")

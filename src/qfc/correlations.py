@@ -15,7 +15,7 @@ discord on pure states:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class QuantifierResult:
       :func:`observable_correlation` and geometric discord);
     * ``"certified-zero"``: no search, because the objective at one
       candidate basis was already within the tolerance of zero, the lower
-      bound of every quantifier (see ``_search``). ``report`` records that
+      bound of every quantifier (see ``_solve``). ``report`` records that
       one evaluation: one restart, one evaluation, no iterations,
       converged. It means "within tolerance of zero", not "classical": a
       state a little off the classical ones can be certified too.
@@ -83,14 +83,6 @@ def measure_a(state: BipartiteState, u: np.ndarray) -> np.ndarray:
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _may_skip_search(method: str) -> bool:
-    # Whether a solver may return without a search (method="auto"): through
-    # a closed form or a certified zero. Every solver validates its method here.
-    if method not in ("auto", "optimized"):
-        raise ValueError(f"method must be 'auto' or 'optimized', got {method!r}")
-    return method == "auto"
-
-
 def _bloch_extremum(k: np.ndarray, index: int):
     # Eigenvalues of the real symmetric 3 x 3 matrix k, ascending, and the
     # eigenbasis of n.sigma for the eigenvector n of eigenvalue number index.
@@ -117,39 +109,9 @@ def _linear_entropy(rho_a: np.ndarray) -> float:
     return float(1.0 - np.sum(rho_a.real**2 + rho_a.imag**2))
 
 
-def _tolerance(config: OptimizerConfig | None) -> float:
-    return (config if config is not None else OptimizerConfig()).tolerance
-
-
-def _pure_closed_form(
-    state: BipartiteState, auto: bool, config: OptimizerConfig | None, value
-) -> QuantifierResult | None:
-    # Every solver's first step: under method="auto", a nearly pure state
-    # takes its closed form value(rho_a), with no search and no report, at
-    # the eigenbasis of rho_a. That basis is a Schmidt basis of a pure
-    # state, where every quantifier attains its closed form. None otherwise:
-    # the solver goes on.
-    #
-    # With delta = 1 - purity, rho's top eigenvalue is at least 1 - delta.
-    # Entropic discord is then off its closed form by at most S(rho) or the
-    # conditional entropies of the measured state, each at most h(delta) +
-    # delta ln d <= delta (1 + ln(d / delta)) with h the binary entropy:
-    # below 100 delta for every positive float delta (>= 2^-53) and d <
-    # e^60. The other three are off by O(delta), measured at most 0.91 delta
-    # on nearly pure states up to 4x4. So the gate admits delta up to
-    # min(PURITY_TOL, tolerance / 100), where every closed form is within
-    # the tolerance; at the default tolerance 1e-6 that is PURITY_TOL.
-    if auto:
-        purity = state.purity()
-        if purity >= 1.0 - PURITY_TOL and 1.0 - purity <= _tolerance(config) / 100:
-            rho_a = state.marginal("a")
-            return QuantifierResult(value(rho_a), _start_basis(rho_a), "closed-form")
-    return None
-
-
 @lru_cache(maxsize=None)
 def _probe_observable(dim_b: int) -> np.ndarray:
-    # The generic Hermitian Y on b of the certificate in _search. Cached:
+    # The generic Hermitian Y on b of the certificate in _solve. Cached:
     # drawing it takes about 26 us, twice the einsum and eigh that use it
     # (timeit on a 2-vCPU host, over the noisy-discord benchmark states).
     y = random_hermitian(dim_b, 0)
@@ -157,42 +119,73 @@ def _probe_observable(dim_b: int) -> np.ndarray:
     return y
 
 
-def _search(
-    state: BipartiteState, objective, config: OptimizerConfig | None, certify: bool
+def _solve(
+    state: BipartiteState, config: OptimizerConfig | None, method: str, pure_value, objective,
+    qubit=None,
 ) -> QuantifierResult:
-    """Minimize ``objective`` over bases of party a; every solver's search enters here.
+    """Every solver of party a: its closed forms, certificate and search, in that order.
 
-    With ``certify`` (``method="auto"``) a certificate comes first. Write
-    ``rho = sum_k A_k (x) Y_k`` over a trace-orthonormal Hermitian basis
-    ``Y_k`` of b. rho is classical on a exactly when the ``A_k`` commute
-    pairwise (Dakic, Vedral and Brukner, PRL 105, 190502, 2010), and the
-    eigenbasis of a generic combination of them is then a classical basis.
-    The combination is ``S = tr_b[(1 (x) Y) rho] = sum_k tr(Y Y_k) A_k``
-    for a fixed generic Hermitian ``Y`` on b, ``random_hermitian(dim_b,
-    0)``: Gaussian entries from ``np.random.default_rng(0)``, never numpy's
-    global generator, cached per ``dim_b``. The objective's value alone
-    (``objective(u, gradient=False)``, which returns ``(value, None)``) is
-    evaluated once at the eigenbasis of S. Every quantifier is >= 0 in
-    every basis up to roundoff, so a value at most ``config.tolerance`` is
-    within tolerance of the minimum: it is returned with
-    ``method="certified-zero"``, that basis and a report of that one
-    evaluation. That is "within tolerance of zero", not "classical" (a
-    state mixed with a little entanglement can pass).
+    ``method`` must be ``"auto"`` or ``"optimized"``; ``config=None`` is
+    ``OptimizerConfig()``. ``objective(state)`` builds the function ``f``
+    to minimize, after the closed forms, so a solve that ends in one does
+    none of its setup. Under ``"auto"`` three steps may return first.
 
-    Otherwise, or without ``certify``, :func:`optimize_basis` searches with
-    restart 0 at the eigenbasis of rho_a. It is looked up as a module global
-    on each call, so a rebound one (``bench/tracing.py``) is the one that
-    runs.
+    *Purity gate.* A state with ``delta = 1 - purity`` at most
+    ``min(PURITY_TOL, tolerance / 100)`` takes its closed form
+    ``pure_value(rho_a)`` at the eigenbasis of rho_a, a Schmidt basis of a
+    pure state, where every quantifier attains it; no report. rho's top
+    eigenvalue is at least ``1 - delta``. Entropic discord is then off its
+    closed form by at most S(rho) or the conditional entropies of the
+    measured state, each at most ``h(delta) + delta ln d <= delta (1 + ln(d
+    / delta))`` with h the binary entropy: below ``100 delta`` for every
+    positive float delta (>= 2^-53) and d < e^60. The other three are off by
+    O(delta), measured at most ``0.91 delta`` on nearly pure states up to
+    4x4. So every closed form the gate admits is within the tolerance; at
+    the default tolerance 1e-6 the bound is PURITY_TOL.
+
+    *Qubit closed form.* ``qubit(state)``, when given and ``dim_a == 2``.
+
+    *Certificate.* Write ``rho = sum_k A_k (x) Y_k`` over a
+    trace-orthonormal Hermitian basis ``Y_k`` of b. rho is classical on a
+    exactly when the ``A_k`` commute pairwise (Dakic, Vedral and Brukner,
+    PRL 105, 190502, 2010), and the eigenbasis of a generic combination of
+    them is then a classical basis. The combination is ``S = tr_b[(1 (x) Y)
+    rho] = sum_k tr(Y Y_k) A_k`` for a fixed generic Hermitian ``Y`` on b,
+    ``random_hermitian(dim_b, 0)``: Gaussian entries from
+    ``np.random.default_rng(0)``, never numpy's global generator, cached per
+    ``dim_b``. The value of ``f`` alone (``f(u, gradient=False)``, which
+    returns ``(value, None)``) is evaluated once at the eigenbasis of S.
+    Every quantifier is >= 0 in every basis up to roundoff, so a value at
+    most ``config.tolerance`` is within tolerance of the minimum: it is
+    returned with ``method="certified-zero"``, that basis and a report of
+    that one evaluation. That is "within tolerance of zero", not "classical"
+    (a state mixed with a little entanglement can pass).
+
+    Otherwise :func:`optimize_basis` minimizes ``f`` with restart 0 at the
+    eigenbasis of rho_a. It is looked up as a module global on each call,
+    so a rebound one (``bench/tracing.py``) is the one that runs.
     """
-    if certify:
+    if method not in ("auto", "optimized"):
+        raise ValueError(f"method must be 'auto' or 'optimized', got {method!r}")
+    config = config if config is not None else OptimizerConfig()
+    auto = method == "auto"
+    if auto:
+        purity = state.purity()
+        if purity >= 1.0 - PURITY_TOL and 1.0 - purity <= config.tolerance / 100:
+            rho_a = state.marginal("a")
+            return QuantifierResult(pure_value(rho_a), _start_basis(rho_a), "closed-form")
+        if qubit is not None and state.dim_a == 2:
+            return qubit(state)
+    f = objective(state)
+    if auto:
         m, n = state.dims
         s = np.einsum("ji,aibj->ab", _probe_observable(n), state.rho.reshape(m, n, m, n))
         basis = np.linalg.eigh(s)[1]
-        value = float(objective(basis, gradient=False)[0])
-        if value <= _tolerance(config):
+        value = float(f(basis, gradient=False)[0])
+        if value <= config.tolerance:
             report = multistart([(basis, value, 1, 0, True)])
             return QuantifierResult(value, basis, "certified-zero", report)
-    report = optimize_basis(objective, _start_basis(state.marginal("a")), config=config)
+    report = optimize_basis(f, _start_basis(state.marginal("a")), config=config)
     return QuantifierResult(report.best_value, report.best_unitary, "optimized", report)
 
 
@@ -300,6 +293,18 @@ def _basis_qfi_core(w: np.ndarray, v3: np.ndarray, u: np.ndarray, gradient: bool
     return value, 4.0 * np.einsum("...mbj,abj->...am", x, v3)
 
 
+def _qah_objective(state: BipartiteState):
+    return partial(_basis_qfi_core, *_qfi_spectrum(state))
+
+
+def _qah_qubit(state: BipartiteState) -> QuantifierResult:
+    # lambda_min(K) / 2 at the basis of the bottom eigenvector (see observable_correlation)
+    w, v3 = _qfi_spectrum(state)
+    s = np.einsum("ani,kab,bnj->kij", v3.conj(), _PAULIS, v3)
+    vals, basis = _bloch_extremum(np.einsum("ij,kij,lij->kl", w, s, s.conj()).real, 0)
+    return QuantifierResult(0.5 * float(vals[0]), basis, "closed-form")
+
+
 def observable_correlation(
     state: BipartiteState, config: OptimizerConfig | None = None, method: str = "auto"
 ) -> QuantifierResult:
@@ -308,12 +313,8 @@ def observable_correlation(
     Minimizes, over all orthonormal bases {phi_n} of H^a, the summed QFI of
     the rank-1 drivings ``|phi_n><phi_n| (x) 1``. Zero exactly on CQ/CC
     states; equal to ``1 - tr rho_a^2`` on pure states
-    (:func:`pure_state_correlation`). A state with ``1 - purity`` at most
-    ``min(PURITY_TOL, tolerance / 100)`` takes that closed form first,
-    attained by the eigenbasis of rho_a (a Schmidt basis), with
-    ``method="closed-form"`` and no report; on a nearly pure state it is
-    off by an amount of order ``1 - purity``, within the configured
-    tolerance (see ``_pure_closed_form``).
+    (:func:`pure_state_correlation`), attained by the eigenbasis of rho_a (a
+    Schmidt basis).
 
     For a mixed state with a qubit party a the minimum has a closed form,
     the structure of the local quantum uncertainty (Girolami, Tufarelli and
@@ -322,26 +323,27 @@ def observable_correlation(
     Re(<psi_i|s_k|psi_j> <psi_j|s_l|psi_i>)``, ``s_k = sigma_k (x) 1``, over
     the eigenpairs of rho and their QFI weights w. So the value is
     ``lambda_min(K) / 2``, attained by the eigenbasis of ``n.sigma`` for the
-    bottom eigenvector n, and the result has ``method="closed-form"`` and no
-    report. Other mixed states run the gradient search of
-    :func:`optimize_basis` from the eigenbasis of rho_a
-    (``method="optimized"``), unless the value is certified within
-    tolerance of zero first (``method="certified-zero"``, see ``_search``).
-    Pass ``method="optimized"`` to run the search on a pure state, a qubit
-    party a and a certifiable state too (used to cross-check the closed
-    forms and the certificate).
+    bottom eigenvector n.
+
+    ``method="auto"`` takes the pure closed form on a nearly pure state (the
+    purity gate of ``_solve``), then the qubit one, with
+    ``method="closed-form"`` and no report; then a value certified within
+    tolerance of zero (``method="certified-zero"``); else the gradient
+    search of :func:`optimize_basis` from the eigenbasis of rho_a
+    (``method="optimized"``). ``method="optimized"`` always searches (used
+    to cross-check the closed forms and the certificate).
     """
-    auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, config, _linear_entropy)) is not None:
-        return pure
-    w, v3 = _qfi_spectrum(state)
-    if auto and state.dim_a == 2:
-        s = np.einsum("ani,kab,bnj->kij", v3.conj(), _PAULIS, v3)
-        vals, basis = _bloch_extremum(np.einsum("ij,kij,lij->kl", w, s, s.conj()).real, 0)
-        return QuantifierResult(0.5 * float(vals[0]), basis, "closed-form")
-    return _search(
-        state, lambda u, gradient=True: _basis_qfi_core(w, v3, u, gradient), config, auto
-    )
+    return _solve(state, config, method, _linear_entropy, _qah_objective, _qah_qubit)
+
+
+def _qapi_objective(state: BipartiteState):
+    total = total_local_qfi_b(state)
+
+    def gap(vals: np.ndarray, gradient: bool):
+        value, slopes = _mfi_spectral(vals, gradient)
+        return total - value, -slopes if gradient else None
+
+    return _measured_objective(state, gap)
 
 
 def measurement_correlation(
@@ -355,24 +357,15 @@ def measurement_correlation(
     to roundoff: the gap is a difference, which can cancel to slightly below
     zero (down to -8.9e-16 on acceptance criterion 3's CQ/CC states) where
     the minimum is 0. Equal to ``1 - tr rho_a^2`` on pure states, in every
-    basis. A state with ``1 - purity`` at most ``min(PURITY_TOL, tolerance /
-    100)`` takes that closed form (:func:`pure_state_correlation`) at the
-    eigenbasis of rho_a, with ``method="closed-form"`` and no report; on a
-    nearly pure state it is off by an amount of order ``1 - purity``, within
-    the configured tolerance (see ``_pure_closed_form``). A value certified
-    within tolerance of zero skips the search (``method="certified-zero"``,
-    see ``_search``); ``method="optimized"`` always searches.
+    basis (:func:`pure_state_correlation`).
+
+    ``method="auto"`` takes that closed form on a nearly pure state (the
+    purity gate of ``_solve``), at the eigenbasis of rho_a with
+    ``method="closed-form"`` and no report, and skips the search for a
+    value certified within tolerance of zero (``method="certified-zero"``);
+    ``method="optimized"`` always searches.
     """
-    auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, config, _linear_entropy)) is not None:
-        return pure
-    total = total_local_qfi_b(state)
-
-    def gap(vals: np.ndarray, gradient: bool):
-        value, slopes = _mfi_spectral(vals, gradient)
-        return total - value, -slopes if gradient else None
-
-    return _search(state, _measured_objective(state, gap), config, auto)
+    return _solve(state, config, method, _linear_entropy, _qapi_objective)
 
 
 def pure_state_correlation(state: BipartiteState) -> float:

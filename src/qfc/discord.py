@@ -19,10 +19,8 @@ from .correlations import (
     _block_gradient,
     _bloch_extremum,
     _linear_entropy,
-    _may_skip_search,
     _measured_objective,
-    _pure_closed_form,
-    _search,
+    _solve,
     measure_a,
 )
 
@@ -62,28 +60,7 @@ def measured_state(state: BipartiteState, measurement: np.ndarray) -> BipartiteS
     return BipartiteState(rho, state.dim_a, state.dim_b)
 
 
-def entropic_discord(
-    state: BipartiteState, config: OptimizerConfig | None = None, method: str = "auto"
-) -> QuantifierResult:
-    """Minimal loss of mutual information under measurement on party a.
-
-    ``min over measurements of I(rho) - I(measured rho)``, restricted to
-    rank-1 projective measurements. Zero exactly on CQ/CC states, and >= 0
-    up to roundoff: the loss is a difference of entropies, which can cancel
-    to slightly below zero (down to -4.4e-16 measured) where the minimum is
-    0. Equals the entanglement entropy ``S(rho_a)`` on pure states, in every
-    basis. A state with ``1 - purity`` at most ``min(PURITY_TOL, tolerance /
-    100)`` takes that closed form at the eigenbasis of rho_a, with
-    ``method="closed-form"`` and no report. On a nearly pure state it is off
-    by at most ``(1 - purity) (1 + ln(d / (1 - purity)))``, the entropy of
-    rho's small eigenvalues, which the bound keeps within the configured
-    tolerance (see ``correlations._pure_closed_form``). A value certified
-    within tolerance of zero skips the search (``method="certified-zero"``,
-    see ``correlations._search``); ``method="optimized"`` always searches.
-    """
-    auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, config, _entropy)) is not None:
-        return pure
+def _loss_objective(state: BipartiteState):
     base = _entropy(state.marginal("a")) - _entropy(state.rho)
 
     def loss(spectra: np.ndarray, gradient: bool):
@@ -102,48 +79,44 @@ def entropic_discord(
         )[..., None]
         return value, -slopes
 
-    return _search(state, _measured_objective(state, loss), config, auto)
+    return _measured_objective(state, loss)
 
 
-def geometric_discord(
-    state: BipartiteState,
-    config: OptimizerConfig | None = None,
-    method: str = "auto",
+def entropic_discord(
+    state: BipartiteState, config: OptimizerConfig | None = None, method: str = "auto"
 ) -> QuantifierResult:
-    """Minimal squared Hilbert-Schmidt distance to a state measured on party a.
+    """Minimal loss of mutual information under measurement on party a.
 
-    In the basis u the distance is the mass of rho's off-diagonal blocks,
-    ``sum_{n != k} ||r_nk||_F^2`` with ``r_nk = (<u_n| (x) 1) rho (|u_k> (x)
-    1)`` (Luo and Fu, PRA 82, 034302, 2010), a sum of squares. It equals
-    ``tr rho^2 - sum_n ||B_n||^2`` over the measured blocks ``B_n = r_nn``
-    (:func:`measure_a`), which gives the gradient, but that difference can
-    cancel to below zero. A state with ``1 - purity`` at most
-    ``min(PURITY_TOL, tolerance / 100)`` takes the closed form ``1 - tr
-    rho_a^2`` (:func:`pure_state_correlation`), attained by the eigenbasis
-    of rho_a, a Schmidt basis; on a nearly pure state it is off by an
-    amount of order ``1 - purity``, within the configured tolerance (see
-    ``correlations._pure_closed_form``). Mixed inputs with
-    a qubit party a take another: with
-    ``R_l = tr_a[(sigma_l (x) 1) rho]`` and ``K_lk = Re tr(R_l R_k)``, the
-    distance in the basis ``(1 +- n.sigma)/2`` is ``(tr K - n^T K n) / 2``,
-    so the minimum is half the sum of the two smaller eigenvalues of K,
-    attained by the eigenbasis of ``n.sigma`` for the top eigenvector n.
-    Both give ``method="closed-form"`` and no report. Other inputs search
-    (``method="optimized"``), unless a value certified within tolerance of
-    zero skips the search (``method="certified-zero"``, see
-    ``correlations._search``); ``method="optimized"`` always searches (used
-    to cross-check the closed forms and the certificate).
+    ``min over measurements of I(rho) - I(measured rho)``, restricted to
+    rank-1 projective measurements. Zero exactly on CQ/CC states, and >= 0
+    up to roundoff: the loss is a difference of entropies, which can cancel
+    to slightly below zero (down to -4.4e-16 measured) where the minimum is
+    0. Equals the entanglement entropy ``S(rho_a)`` on pure states, in every
+    basis.
+
+    ``method="auto"`` takes that closed form on a nearly pure state (the
+    purity gate of ``correlations._solve``), at the eigenbasis of rho_a with
+    ``method="closed-form"`` and no report; it is off by at most ``(1 -
+    purity) (1 + ln(d / (1 - purity)))``, the entropy of rho's small
+    eigenvalues, which the gate keeps within the configured tolerance. A
+    value certified within tolerance of zero skips the search
+    (``method="certified-zero"``); ``method="optimized"`` always searches.
     """
-    auto = _may_skip_search(method)
-    if (pure := _pure_closed_form(state, auto, config, _linear_entropy)) is not None:
-        return pure
+    return _solve(state, config, method, _entropy, _loss_objective)
 
+
+def _dg_qubit(state: BipartiteState) -> QuantifierResult:
+    # half the two smaller eigenvalues of K at the basis of the top eigenvector
+    # (see geometric_discord)
+    m, n = state.dims
+    r_l = np.einsum("lab,biaj->lij", _PAULIS, state.rho.reshape(m, n, m, n))
+    vals, basis = _bloch_extremum(np.einsum("lij,kji->lk", r_l, r_l).real, -1)
+    return QuantifierResult(0.5 * float(vals[0] + vals[1]), basis, "closed-form")
+
+
+def _distance_objective(state: BipartiteState):
     m, n = state.dims
     rho_ab = state.rho.reshape(m, n, m, n)
-    if auto and m == 2:
-        r_l = np.einsum("lab,biaj->lij", _PAULIS, rho_ab)
-        vals, basis = _bloch_extremum(np.einsum("lij,kji->lk", r_l, r_l).real, -1)
-        return QuantifierResult(0.5 * float(vals[0] + vals[1]), basis, "closed-form")
     off = ~np.eye(m, dtype=bool)[:, :, None, None]
 
     def distance(u: np.ndarray, gradient: bool = True):
@@ -157,4 +130,32 @@ def geometric_discord(
             return value, None
         return value, _block_gradient(state, -2.0 * np.einsum("...nnij->...nij", r), u)
 
-    return _search(state, distance, config, auto)
+    return distance
+
+
+def geometric_discord(
+    state: BipartiteState, config: OptimizerConfig | None = None, method: str = "auto"
+) -> QuantifierResult:
+    """Minimal squared Hilbert-Schmidt distance to a state measured on party a.
+
+    In the basis u the distance is the mass of rho's off-diagonal blocks,
+    ``sum_{n != k} ||r_nk||_F^2`` with ``r_nk = (<u_n| (x) 1) rho (|u_k> (x)
+    1)`` (Luo and Fu, PRA 82, 034302, 2010), a sum of squares. It equals
+    ``tr rho^2 - sum_n ||B_n||^2`` over the measured blocks ``B_n = r_nn``
+    (:func:`measure_a`), which gives the gradient, but that difference can
+    cancel to below zero. On pure states it is ``1 - tr rho_a^2``
+    (:func:`pure_state_correlation`), attained by the eigenbasis of rho_a, a
+    Schmidt basis. With a qubit party a, ``R_l = tr_a[(sigma_l (x) 1) rho]``
+    and ``K_lk = Re tr(R_l R_k)``, the distance in the basis ``(1 +-
+    n.sigma)/2`` is ``(tr K - n^T K n) / 2``, so the minimum is half the sum
+    of the two smaller eigenvalues of K, attained by the eigenbasis of
+    ``n.sigma`` for the top eigenvector n.
+
+    ``method="auto"`` takes the pure closed form on a nearly pure state (the
+    purity gate of ``correlations._solve``), then the qubit one, with
+    ``method="closed-form"`` and no report; then a value certified within
+    tolerance of zero (``method="certified-zero"``); else it searches
+    (``method="optimized"``). ``method="optimized"`` always searches (used
+    to cross-check the closed forms and the certificate).
+    """
+    return _solve(state, config, method, _linear_entropy, _distance_objective, _dg_qubit)

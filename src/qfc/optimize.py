@@ -24,7 +24,7 @@ down leaves in a few doublings rather than in many unit steps. Every search
 minimizes: each quantifier is a minimum over bases, and its objective
 returns the quantifier itself. Restart 0 starts at a given basis, which
 every solver of party a sets to the eigenbasis of rho_a in one place,
-``correlations._search``; restart k >= 1 starts from random generator
+``correlations._solve``; restart k >= 1 starts from random generator
 coefficients, row k - 1 of one ``(R - 1, d^2)`` normal draw from
 ``np.random.default_rng(seed)``, which does not depend on the restart count
 R. The random starts of one ``(seed, R, d)`` are drawn once per process and
@@ -72,8 +72,9 @@ START_CACHE_SIZE = 128
 class OptimizerConfig:
     """Multistart settings: restart count, objective tolerance and base seed.
 
-    ``tolerance`` is the threshold below which a solver certifies a zero
-    (``correlations._search``), and the polish runs to ``min(tolerance,
+    ``tolerance`` is the threshold below which a solver certifies a zero,
+    and a hundredth of it bounds ``1 - purity`` at the purity gate (both in
+    ``correlations._solve``); the polish runs to ``min(tolerance,
     POLISH_TOLERANCE)``; the screen runs to :data:`SCREEN_TOLERANCE` whatever
     it is. ``seed`` seeds the one generator of the random starts.
     """
@@ -406,7 +407,7 @@ def optimize_basis(objective, start, *, config=None):
     Euclidean gradients of shape ``(..., d, d)``, ``df = Re tr(G^dag du)``
     for each unitary. It must be invariant under ``u -> u diag(e^{i phi})``.
     ``start`` is a d x d unitary, the start of restart 0; every solver of
-    party a calls this through ``correlations._search``, which passes the
+    party a calls this through ``correlations._solve``, which passes the
     eigenbasis of rho_a. Restart k >= 1 starts from the unitary of random
     generator coefficients, row k - 1 of one normal draw from
     ``np.random.default_rng(config.seed)``, drawn once per process for each

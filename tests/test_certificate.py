@@ -1,9 +1,9 @@
 """Certified zeros: one check at the eigenbasis of S = tr_b[(1 (x) Y) rho] before any search.
 
-A solve with ``method="auto"`` that reaches ``correlations._search`` first
-evaluates its objective's value at the eigenbasis of ``S``; a value within
-the tolerance is returned as ``"certified-zero"`` without a search, with a
-report of that one evaluation.
+A solve with ``method="auto"`` that passes the closed forms of
+``correlations._solve`` evaluates its objective's value at the eigenbasis of
+``S``; a value within the tolerance is returned as ``"certified-zero"``
+without a search, with a report of that one evaluation.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from qfc.states import haar_unitary, random_density
 from qfc.verify import _MIXED_DIMS, _noisy_entangled, _random_cc, _random_cq, state_seed
 
 from oracles import basis_qfi_sum
+from test_pure_gate import near_pure
 
 SOLVERS = {
     "qah": observable_correlation,
@@ -209,5 +210,33 @@ def test_optimized_always_reports(kind):
 @pytest.mark.parametrize("kind", SOLVERS)
 @pytest.mark.parametrize("method", ["fast", "Auto", "certified-zero", "closed-form", None])
 def test_unknown_method_raises(kind, method):
-    with pytest.raises(ValueError, match="method must be"):
-        SOLVERS[kind](degenerate_cq(0), CFG, method=method)
+    # a certifiable, a pure and a mixed qubit-a state: the check comes before every shortcut
+    for state in (degenerate_cq(0), random_pure((2, 2), 3), criterion_3_noisy(0)):
+        with pytest.raises(ValueError, match="method must be"):
+            SOLVERS[kind](state, CFG, method=method)
+
+
+def result_bits(result):
+    """The method, value, basis and report arrays of a result, as comparable bytes."""
+    bits = [result.method, result.value.hex(), result.argopt.tobytes()]
+    report = result.report
+    if report is not None:
+        bits += [a.tobytes() for a in (report.restart_values, report.restart_evaluations,
+                                       report.restart_iterations, report.restart_converged,
+                                       report.best_unitary)]
+    return bits
+
+
+@pytest.mark.parametrize("kind", SOLVERS)
+def test_omitted_config_is_the_default_config_bit_for_bit(kind):
+    # one None normalization feeds the purity gate, the certificate and the search;
+    # the gate edge (1 - purity about 5e-9) passes the gate at the default tolerance only
+    states = {"pure": random_pure((2, 2), 3), "mixed 2x2": criterion_3_noisy(0),
+              "certificate": criterion_3_classical(2), "search 3x2": criterion_3_noisy(2),
+              "gate edge": near_pure((3, 2), 5, 3e-9)}
+    methods = set()
+    for name, state in states.items():
+        omitted, default = SOLVERS[kind](state), SOLVERS[kind](state, OptimizerConfig())
+        assert result_bits(omitted) == result_bits(default), name
+        methods.add(omitted.method)
+    assert {"closed-form", "certified-zero", "optimized"} <= methods

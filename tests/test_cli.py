@@ -550,6 +550,17 @@ class TestExitCodes:
         assert code == 2 and not out
         assert "unknown quantity 'qfi'" in err
 
+    @pytest.mark.parametrize("quantities", [",", "", " , "])
+    def test_empty_sweep_quantity_list_exits_two(self, capsys, tmp_path, quantities):
+        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--state", path, "--param", "w",
+            "--start", "0.1", "--stop", "0.3", "--step", "0.1", f"--quantities={quantities}",
+        )
+        assert code == 2 and not out
+        assert "no quantity to sweep" in err and "'qah', 'qapi', 'dq', 'dg'" in err
+
     def test_unknown_sweep_param_exits_two(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})
         code, _, err = run_cli(

@@ -374,17 +374,21 @@ def test_one_objective_call_per_round():
 
 
 def test_every_solver_enters_the_search_in_one_place():
-    # restart 0 and the QuantifierResult of every search are set in one function
-    callers = []
+    # restart 0, the certificate's report and the QuantifierResult of every
+    # search are set in one function
+    callers = {"optimize_basis": [], "multistart": []}
     for path in sorted(Path(qfc.__file__).parent.glob("*.py")):
         if path.name == "optimize.py":
             continue
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, ast.FunctionDef):
-                callers += [(path.name, fn.name) for node in ast.walk(fn)
-                            if isinstance(node, ast.Call)
-                            and ast.unparse(node.func).split(".")[-1] == "optimize_basis"]
-    assert callers == [("correlations.py", "_search")]
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        name = ast.unparse(node.func).split(".")[-1]
+                        if name in callers:
+                            callers[name].append((path.name, fn.name))
+    assert callers == {"optimize_basis": [("correlations.py", "_solve")],
+                       "multistart": [("correlations.py", "_solve")]}
 
 
 class TestMultistart:
