@@ -391,6 +391,9 @@ def _cmd_sweep(args) -> int:
             raise SchemaError(f"unknown quantity {q!r}; expected one of {tuple(SOLVERS)}")
     if not (np.isfinite(args.start) and np.isfinite(args.stop)):
         raise SchemaError("sweep start and stop must be finite")
+    if not args.start <= args.stop + SWEEP_MIN_STEP:
+        # the grid's first point, start, would already be past stop
+        raise SchemaError(f"sweep grid is empty: start {args.start:g} is above stop {args.stop:g}")
     if not SWEEP_MIN_STEP <= args.step < np.inf:
         # points are rounded to 12 decimals, so a smaller step repeats them
         raise SchemaError(f"sweep step must be finite and at least {SWEEP_MIN_STEP:g}")

@@ -33,8 +33,9 @@ def _spectral_entropy(values: np.ndarray) -> np.ndarray:
 
 
 def _entropy(rho: np.ndarray) -> float:
-    # unchecked: for a state's rho and marginals, valid by construction
-    return float(_spectral_entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2)))
+    # unchecked: for a state's rho and marginals, valid by construction. Adding
+    # 0.0 turns the -0.0 of a pure spectrum into 0.0 and keeps every other float.
+    return float(_spectral_entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2))) + 0.0
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -237,112 +237,117 @@ def _evaluate(objective, v: np.ndarray):
     return values, g
 
 
-class _Restart:
-    """One restart of :func:`_bfgs` and everything it carries between searches.
+def _search(u: np.ndarray, f: float, g: np.ndarray):
+    """The search of one :class:`_Restart`, over every round it runs in.
 
-    Its point ``u``, value ``f`` and tangent gradient ``g``; the inverse
-    Hessian estimate ``h`` (None, the identity, until the first update); the
-    first trial ``t_sd`` of a steepest-descent line search; the value's
-    ``decrease`` over the last step (the start counts as a step of 0); its
-    evaluations and iterations; and how its last search stopped:
-    ``converged``, and ``stalled`` once a line search found no lower value.
-    :meth:`search` goes on from where the last search stopped.
+    A generator, primed by :class:`_Restart` and sent each round's tolerance
+    by :func:`_lockstep`. It yields ``(u, step)`` for each trial point ``u
+    exp(i A(0, step))`` and is sent ``(trial, value, gradient)`` back. When it
+    stops (see :func:`_bfgs` for the steps and stops) it yields its
+    ``(unitary, value, evaluations, iterations, converged)`` run and waits
+    for the next round's tolerance. A stalled restart is not searched again:
+    it only checks its stop. It holds no reference to its :class:`_Restart`,
+    so a search leaves no reference cycle behind.
+    """
+    h, t_sd, decrease = None, 1.0, 0.0
+    evaluations, iterations, stalled = 1, 0, False
+    tolerance = yield
+    while True:
+        # Scalars are Python floats. A steepest-descent step reuses g.g
+        # for -g.p and p.p, which negation leaves the same bits.
+        gg = float(g @ g)
+        if h is not None:
+            p = -(h @ g)
+            slope = float(g @ p)
+        if h is None or slope >= 0.0:
+            p, slope, pp = -g, -gg, gg
+        else:
+            pp = float(p @ p)
+        if gg <= tolerance and (decrease <= tolerance or -slope <= tolerance):
+            tolerance = yield u, f, evaluations, iterations, True
+            continue
+        if stalled or iterations == MAX_ITERATIONS:
+            # Once no step lowers the value the decrease is 0, so a stalled
+            # restart is at a stationary point to working precision unless
+            # g is still large; at the cap it is unconverged.
+            tolerance = yield u, f, evaluations, iterations, bool(stalled and gg <= tolerance)
+            continue
+        # |t p| <= pi keeps the generator's eigenvalues from wrapping.
+        t = first = min(t_sd if h is None else 1.0, np.pi / math.sqrt(pp))
+        for _ in range(MAX_HALVINGS):
+            s = t * p
+            trial, f_new, g_new = yield u, s
+            evaluations += 1
+            if f_new <= f + ARMIJO * t * slope:
+                break
+            t /= 2.0
+        else:
+            stalled = True
+            continue
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if h is None:
+                h = (sy / float(y @ y)) * np.eye(s.size)
+            hy = h @ y
+            hys = hy[:, None] * s
+            h += ((sy + float(y @ hy)) * (s[:, None] * s) / sy - hys - hys.T) / sy
+        t_sd = 2.0 * t if t == first else t
+        iterations += 1
+        decrease = f - f_new
+        u, f, g = trial, f_new, g_new
+
+
+class _Restart:
+    """One restart of :func:`_bfgs`: its search, and the run it stopped at last.
+
+    ``search`` is the restart's one :func:`_search` generator, created and
+    primed here and resumed by every :func:`_lockstep` round the restart
+    runs in. Between rounds the restart's state lives in that suspended
+    generator's frame, and nowhere else: its point ``u``, value ``f`` and
+    tangent gradient ``g``; the inverse Hessian estimate ``h`` (None, the
+    identity, until the first update); the first trial ``t_sd`` of a
+    steepest-descent line search; the value's ``decrease`` over the last step
+    (the start counts as a step of 0); its evaluations and iterations; and
+    ``stalled``, set once a line search found no lower value. ``run`` is the
+    ``(unitary, value, evaluations, iterations, converged)`` run that
+    :func:`_lockstep` stored at the last stop, for :func:`multistart`; before
+    the first round it is the start, after one evaluation and unconverged.
     """
 
     def __init__(self, u: np.ndarray, f: float, g: np.ndarray):
-        self.u, self.f, self.g = u, f, g
-        self.h, self.t_sd, self.decrease = None, 1.0, 0.0
-        self.evaluations, self.iterations = 1, 0
-        self.converged = self.stalled = False
-
-    @property
-    def run(self):
-        """``(unitary, value, evaluations, iterations, converged)``, for :func:`multistart`."""
-        return self.u, self.f, self.evaluations, self.iterations, self.converged
-
-    def search(self, tolerance: float):
-        """Search on to ``tolerance``; see :func:`_bfgs` for the steps and stops.
-
-        A generator that yields ``(u, step)`` for each trial point ``u exp(i
-        A(0, step))`` and is sent ``(trial, value, gradient)`` back. A
-        stalled restart is not searched again: it only checks its stop.
-        """
-        u, f, g, h, t_sd, decrease = self.u, self.f, self.g, self.h, self.t_sd, self.decrease
-        evaluations, iterations, stalled = self.evaluations, self.iterations, self.stalled
-        while True:
-            # Scalars are Python floats. A steepest-descent step reuses g.g
-            # for -g.p and p.p, which negation leaves the same bits.
-            gg = float(g @ g)
-            if h is not None:
-                p = -(h @ g)
-                slope = float(g @ p)
-            if h is None or slope >= 0.0:
-                p, slope, pp = -g, -gg, gg
-            else:
-                pp = float(p @ p)
-            if gg <= tolerance and (decrease <= tolerance or -slope <= tolerance):
-                converged = True
-                break
-            if stalled or iterations == MAX_ITERATIONS:
-                # Once no step lowers the value the decrease is 0, so a stalled
-                # restart is at a stationary point to working precision unless
-                # g is still large; at the cap it is unconverged.
-                converged = bool(stalled and gg <= tolerance)
-                break
-            # |t p| <= pi keeps the generator's eigenvalues from wrapping.
-            t = first = min(t_sd if h is None else 1.0, np.pi / math.sqrt(pp))
-            for _ in range(MAX_HALVINGS):
-                s = t * p
-                trial, f_new, g_new = yield u, s
-                evaluations += 1
-                if f_new <= f + ARMIJO * t * slope:
-                    break
-                t /= 2.0
-            else:
-                stalled = True
-                continue
-            y = g_new - g
-            sy = float(s @ y)
-            if sy > 0.0:
-                if h is None:
-                    h = (sy / float(y @ y)) * np.eye(s.size)
-                hy = h @ y
-                hys = hy[:, None] * s
-                h += ((sy + float(y @ hy)) * (s[:, None] * s) / sy - hys - hys.T) / sy
-            t_sd = 2.0 * t if t == first else t
-            iterations += 1
-            decrease = f - f_new
-            u, f, g = trial, f_new, g_new
-        self.u, self.f, self.g, self.h, self.t_sd, self.decrease = u, f, g, h, t_sd, decrease
-        self.evaluations, self.iterations = evaluations, iterations
-        self.converged, self.stalled = converged, stalled
+        self.run = u, f, 1, 0, False
+        self.search = _search(u, f, g)
+        next(self.search)  # to the wait for the first round's tolerance
 
 
 def _lockstep(objective, restarts, tolerance: float):
     """Search each of ``restarts`` on to ``tolerance``, in lockstep: one round.
 
-    Each step of the round makes one chart call and one objective call on
-    the stack of the trial points of the restarts still searching, and a
-    restart that stops drops out of the stack. The chart call is
-    :func:`_step_chart`, which maps the steps' off-diagonal coordinates
-    straight to ``exp(i A(0, step))``, as :func:`unitary_from_params` maps
-    the zero-padded step, bit for bit. Each restart keeps its own state, so
-    it takes the steps it would take alone.
+    Each restart's search generator (see :class:`_Restart`) is sent
+    ``tolerance`` and goes on from where its last round stopped. Each step of
+    the round makes one chart call and one objective call on the stack of the
+    trial points of the restarts still searching. A restart that stops hands
+    over its run, stored as ``restart.run``, and drops out of the stack; its
+    generator stays suspended, holding the restart's state for the next
+    round. The chart call is :func:`_step_chart`, which maps the steps'
+    off-diagonal coordinates straight to ``exp(i A(0, step))``, as
+    :func:`unitary_from_params` maps the zero-padded step, bit for bit. Each
+    restart keeps its own state, so it takes the steps it would take alone.
     """
-    searches = [restart.search(tolerance) for restart in restarts]
-    dim = restarts[0].u.shape[-1]
-    active, replies = range(len(searches)), [None] * len(searches)  # None starts a generator
+    replies = [tolerance] * len(restarts)
     while True:
-        requests = []
-        for k, reply in zip(active, replies):
-            try:
-                requests.append((k, *searches[k].send(reply)))
-            except StopIteration:
-                pass
-        if not requests:
+        searching = []
+        for restart, reply in zip(restarts, replies):
+            request = restart.search.send(reply)
+            if len(request) == 2:  # a trial point (u, step); a stop yields the run
+                searching.append((restart, *request))
+            else:
+                restart.run = request
+        if not searching:
             return
-        active, bases, steps = zip(*requests)
-        trials = np.array(bases) @ _step_chart(np.array(steps), dim)
+        restarts, bases, steps = zip(*searching)
+        trials = np.array(bases) @ _step_chart(np.array(steps), len(bases[0]))
         values, grads = _evaluate(objective, trials)
         replies = list(zip(trials, values.tolist(), grads))
 
@@ -363,8 +368,10 @@ def _bfgs(objective, starts: np.ndarray, tolerance: float):
       POLISH_TOLERANCE)``.
 
     A restart goes on from where its last round stopped, with its point,
-    value, gradient, inverse Hessian and step memory, and its counts hold
-    the work of every round it ran in. Stopping and going on does not change
+    value, gradient, inverse Hessian and step memory, which its one search
+    generator holds between rounds (see :class:`_Restart`), and its counts
+    hold the work of every round it ran in; the field is ranked by the value
+    of each restart's ``run``. Stopping and going on does not change
     its path: the polished restart ends exactly where it would end searched
     alone to the polish tolerance, and every other restart holds its value
     only to the tolerance of the last round it ran in.
@@ -392,7 +399,7 @@ def _bfgs(objective, starts: np.ndarray, tolerance: float):
     field, screen = range(len(restarts)), SCREEN_TOLERANCE
     while len(field) > 1:
         _lockstep(objective, [restarts[k] for k in field], screen)
-        field = sorted(field, key=lambda k: (restarts[k].f, k))[: (len(field) + 1) // 2]
+        field = sorted(field, key=lambda k: (restarts[k].run[1], k))[: (len(field) + 1) // 2]
         screen = max(screen * SCREEN_TOLERANCE, polish)
     _lockstep(objective, [restarts[field[0]]], polish)
     return [restart.run for restart in restarts]

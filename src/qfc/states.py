@@ -29,6 +29,9 @@ class BipartiteState:
     The constructor checks the matrix with :func:`validate_density`, so an
     unnormalized, non-Hermitian or non-positive matrix raises a
     :class:`ValidationError` here rather than giving a wrong number later.
+    ``dim_a`` and ``dim_b`` must be integers >= 1 (numpy integers are
+    stored as ``int``; bools are refused) whose product is rho's size, or it
+    raises :class:`ShapeError`.
     """
 
     rho: np.ndarray
@@ -36,6 +39,11 @@ class BipartiteState:
     dim_b: int
 
     def __post_init__(self):
+        for name in ("dim_a", "dim_b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ShapeError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
         rho = validate_density(self.rho)
         object.__setattr__(self, "rho", rho)
         if self.dim_a * self.dim_b != rho.shape[0]:

@@ -220,6 +220,12 @@ class TestCommands:
         assert abs(values["entropic_discord"] - np.log(2)) <= 1e-4
         assert abs(values["geometric_discord"] - 0.5) <= 1e-6
 
+    def test_discord_of_a_product_state_prints_zero_not_minus_zero(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "pure_schmidt", "coeffs": [1.0], "dims": [2, 2]})
+        code, out, _ = run_cli(capsys, "discord", "--state", path)
+        assert code == 0
+        assert "entropic_discord: 0\n" in out and "-0" not in out
+
     def test_discord_reports_geometric_method(self, capsys, tmp_path):
         mixed = write_spec(tmp_path, {"kind": "random", "dims": [3, 2], "seed": 1, "rank": 6})
         code, out, _ = run_cli(
@@ -560,6 +566,27 @@ class TestExitCodes:
         )
         assert code == 2 and not out
         assert "no quantity to sweep" in err and "'qah', 'qapi', 'dq', 'dg'" in err
+
+    def test_sweep_grid_without_a_point_exits_two(self, capsys, tmp_path):
+        # start above stop: the grid is empty, which printed only the header and exited 0
+        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--state", path, "--param", "w",
+            "--start", "0.5", "--stop", "0.1", "--step", "0.1",
+        )
+        assert code == 2 and not out
+        assert "sweep grid is empty" in err
+
+    def test_sweep_of_one_point_is_not_empty(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "werner", "w": 0.5})
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--state", path, "--param", "w",
+            "--start", "0.3", "--stop", "0.3", "--step", "0.1", "--quantities", "dg",
+        )
+        assert code == 0
+        assert [row[0] for row in csv.reader(io.StringIO(out))] == ["w", "0.3"]
 
     def test_unknown_sweep_param_exits_two(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "max_entangled", "dims": [2, 2]})

@@ -1,5 +1,7 @@
 """Entropic and geometric discord baselines."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,10 @@ class TestEntropy:
         psi = np.array([1.0, 0.0], dtype=complex)
         assert abs(von_neumann_entropy(np.outer(psi, psi.conj()))) <= 1e-12
 
+    def test_pure_spectrum_gives_plus_zero(self):
+        # -sum l ln l over the spectrum (1, 0) is -0.0 before the kernel adds 0.0
+        assert math.copysign(1.0, von_neumann_entropy(np.diag([1.0, 0.0]))) == 1.0
+
     def test_maximally_mixed_qubit(self):
         assert abs(von_neumann_entropy(np.eye(2) / 2) - LN2) <= 1e-12
 
@@ -79,6 +85,12 @@ class TestMutualInformation:
 
 
 class TestEntropicDiscord:
+    def test_pure_product_state_gives_plus_zero(self):
+        state = pure_from_schmidt([1.0], (2, 2))
+        result = entropic_discord(state)
+        assert result.method == "closed-form"
+        assert result.value == 0.0 and math.copysign(1.0, result.value) == 1.0
+
     def test_product_state_gives_zero(self):
         rho = np.kron(random_density(2, 2, 5), random_density(2, 2, 6))
         result = entropic_discord(BipartiteState(rho, 2, 2), CFG)

@@ -8,6 +8,8 @@ every objective of the library.
 
 import ast
 import dataclasses
+import gc
+import inspect
 import json
 import os
 import subprocess
@@ -328,6 +330,28 @@ class TestLockstep:
         for field in PER_RESTART + ("best_unitary",):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert a.best_value == b.best_value
+
+    @SOLVERS
+    def test_a_search_leaves_nothing_for_the_cyclic_gc(self, solver):
+        # Reference counting alone frees every restart and its search once the
+        # search returns: a search generator that held its restart would keep
+        # both alive in a reference cycle until the cyclic GC ran.
+        def leftovers():
+            return [obj for obj in gc.get_objects()
+                    if isinstance(obj, optimize._Restart)
+                    or (inspect.isgenerator(obj) and obj.gi_frame is not None
+                        and obj.gi_code.co_filename == optimize.__file__)]
+
+        gc.collect()
+        assert leftovers() == []
+        gc.disable()
+        try:
+            result = solver(self.STATE, OptimizerConfig(restarts=4, seed=9), method="optimized")
+            left = leftovers()
+        finally:
+            gc.enable()
+        assert result.report.restart_values.size == 4
+        assert left == []
 
 
 @SOLVERS

@@ -87,6 +87,16 @@ class TestBipartiteState:
         with pytest.raises(ShapeError):
             BipartiteState(np.eye(4) / 4, 2, 3)
 
+    @pytest.mark.parametrize("dims", [(-2, -2), (2.0, 2.0), (True, 4)], ids=["negative", "float", "bool"])
+    def test_dims_must_be_positive_integers(self, dims):
+        # each product matches rho's size, so only the type and sign check refuses them
+        with pytest.raises(ShapeError, match="must be an integer >= 1"):
+            BipartiteState(np.eye(4) / 4, *dims)
+
+    def test_numpy_integer_dims_are_stored_as_int(self):
+        state = BipartiteState(np.eye(4) / 4, np.int64(2), np.int32(2))
+        assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
+
     @pytest.mark.parametrize(
         "rho, error",
         [
