@@ -12,8 +12,11 @@
 States are described by JSON documents (see ``KIND_SCHEMAS``); complex
 matrix entries are nested ``[re, im]`` pairs in row-major order, and a
 spec's ``dims`` bind every matrix in it (each ``cq`` sigma is ``dims[1]`` x
-``dims[1]``). Each command takes only the flags it reads; ``--seed``,
-``--restarts`` and ``--tol`` accept exactly what ``OptimizerConfig`` accepts.
+``dims[1]``, a ``raw_matrix`` is ``dims[0] * dims[1]`` square). A spec is the
+JSON object itself, once ``parse_state_spec`` has checked it against the
+schema; ``build_state`` constructs its state, and the reports echo it. Each
+command takes only the flags it reads; ``--seed``, ``--restarts`` and
+``--tol`` accept exactly what ``OptimizerConfig`` accepts.
 Exit codes: 0 success, 1 physics/verification failure or non-convergence, 2
 usage error (a flag the command does not take, a schema violation, a missing
 file, or a state above the dimension guard without ``--allow-large``).
@@ -26,7 +29,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,14 +79,6 @@ KIND_SCHEMAS = {
 }
 
 
-@dataclass(frozen=True)
-class StateSpec:
-    """A validated state description (schema-checked, not yet constructed)."""
-
-    kind: str
-    data: dict
-
-
 def _is_int(x) -> bool:
     # Python reads the JSON literals true and false as the ints 1 and 0
     return isinstance(x, int) and not isinstance(x, bool)
@@ -125,6 +119,13 @@ def _complex_matrix(entries, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _require_size(matrix: np.ndarray, n: int, path: str, source: str) -> np.ndarray:
+    """Return ``matrix``, raising unless it is ``n x n``, the size ``source`` sets."""
+    if matrix.shape != (n, n):
+        raise SchemaError(f"{path} must be {n}x{n} ({source}), got {matrix.shape}")
+    return matrix
+
+
 def _parse_json(text: str):
     try:
         return json.loads(text)
@@ -132,12 +133,14 @@ def _parse_json(text: str):
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
-def parse_state_spec(text: str) -> StateSpec:
-    """Parse and schema-check a JSON state specification.
+def parse_state_spec(text: str) -> dict:
+    """Parse and schema-check a JSON state specification; the checked JSON object.
 
-    Unknown fields are rejected with the offending path; physical
-    constraints (e.g. coefficient sums) are enforced later by the state
-    constructors.
+    The object returned is the spec: its ``kind`` is known, its fields are
+    the ones ``KIND_SCHEMAS`` allows for that kind, and its ``dims``, when
+    present, are two positive integers. Unknown fields are rejected with the
+    offending path; physical constraints (e.g. coefficient sums) are
+    enforced later by the state constructors.
     """
     doc = _parse_json(text)
     if not isinstance(doc, dict):
@@ -154,7 +157,7 @@ def parse_state_spec(text: str) -> StateSpec:
         raise SchemaError(f"missing field '{kind}.{name}'")
     for name in sorted(fields - schema["required"] - schema["optional"]):
         raise SchemaError(f"unknown field '{kind}.{name}'")
-    if "dims" in schema["required"] or "dims" in doc:
+    if "dims" in doc:
         _require_dims(doc, kind)
     for name in ("coeffs", "probs"):
         if name in doc and not (
@@ -163,61 +166,65 @@ def parse_state_spec(text: str) -> StateSpec:
             raise SchemaError(f"{kind}.{name} must be a list of numbers")
     if "sigmas" in doc and not isinstance(doc["sigmas"], list):
         raise SchemaError(f"{kind}.sigmas must be a list of matrices")
-    return StateSpec(kind, doc)
+    return doc
 
 
-def build_state(spec: StateSpec, allow_large: bool = False) -> BipartiteState:
-    """Construct the bipartite state a spec describes."""
-    doc = spec.data
-    kind = spec.kind
-    dims = _require_dims(doc, kind) if "dims" in doc else (2, 2)
+def build_state(spec: dict, allow_large: bool = False) -> BipartiteState:
+    """Construct the bipartite state a spec describes.
+
+    ``spec`` is the checked JSON object that ``parse_state_spec`` returns, so
+    its ``dims``, when present, are already two positive integers.
+    """
+    kind = spec["kind"]
+    dims = tuple(spec.get("dims", (2, 2)))
     if dims[0] * dims[1] > DIMENSION_GUARD and not allow_large:
         raise DimensionGuardError(
             f"total dimension {dims[0] * dims[1]} exceeds {DIMENSION_GUARD}; "
             "pass --allow-large to override"
         )
     if kind == "pure_schmidt":
-        return pure_from_schmidt(doc["coeffs"], dims)
+        return pure_from_schmidt(spec["coeffs"], dims)
     if kind == "cq":
         sigmas = [
-            _complex_matrix(m, f"cq.sigmas[{i}]") for i, m in enumerate(doc["sigmas"])
+            _complex_matrix(m, f"cq.sigmas[{i}]") for i, m in enumerate(spec["sigmas"])
         ]
         n = dims[1]
         for i, sigma in enumerate(sigmas):
-            if sigma.shape != (n, n):
-                raise SchemaError(f"cq.sigmas[{i}] must be {n}x{n} (cq.dims), got {sigma.shape}")
-        a_basis = np.eye(dims[0], dtype=complex)[:, : len(doc["probs"])]
-        return make_cq(doc["probs"], a_basis, sigmas)
+            _require_size(sigma, n, f"cq.sigmas[{i}]", "cq.dims")
+        a_basis = np.eye(dims[0], dtype=complex)[:, : len(spec["probs"])]
+        return make_cq(spec["probs"], a_basis, sigmas)
     if kind == "cc":
-        return make_cc(doc["probs"], dims)
+        return make_cc(spec["probs"], dims)
     if kind == "max_entangled":
         if dims[0] != dims[1]:
             raise SchemaError("max_entangled.dims must be [M, M]")
         return max_entangled(dims[0])
     if kind == "werner":
-        if "dims" in doc and tuple(doc["dims"]) != (2, 2):
+        if dims != (2, 2):
             raise SchemaError("werner.dims must be [2, 2]")
-        w = doc["w"]
+        w = spec["w"]
         if not _is_number(w):
             raise SchemaError("werner.w must be a number")
         return werner(float(w))
     if kind == "example1":
         kwargs = {"dims": dims}
         for name in ("a", "b"):
-            if name in doc:
-                vec = doc[name]
+            if name in spec:
+                vec = spec[name]
                 if not isinstance(vec, list) or len(vec) != 2:
                     raise SchemaError(f"example1.{name} must hold two amplitudes")
                 kwargs[name] = [
                     _complex_scalar(x, f"example1.{name}[{i}]") for i, x in enumerate(vec)
                 ]
-        if "probs" in doc:
-            kwargs["probs"] = doc["probs"]
+        if "probs" in spec:
+            kwargs["probs"] = spec["probs"]
         return make_witness_state(**kwargs)
     if kind == "raw_matrix":
-        return BipartiteState(_complex_matrix(doc["matrix"], "raw_matrix.matrix"), *dims)
+        matrix = _complex_matrix(spec["matrix"], "raw_matrix.matrix")
+        _require_size(matrix, dims[0] * dims[1], "raw_matrix.matrix", "raw_matrix.dims")
+        return BipartiteState(matrix, *dims)
     # "random", the last kind parse_state_spec admits
-    seed, rank = doc["seed"], doc.get("rank", 0)
+    seed, rank = spec["seed"], spec.get("rank", 0)
     for name, value in (("seed", seed), ("rank", rank)):
         if not _is_int(value) or value < 0:
             raise SchemaError(f"random.{name} must be a nonnegative integer")
@@ -226,7 +233,7 @@ def build_state(spec: StateSpec, allow_large: bool = False) -> BipartiteState:
     return BipartiteState(random_density(dims[0] * dims[1], rank, seed), *dims)
 
 
-def _read_spec(path: str) -> StateSpec:
+def _read_spec(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return parse_state_spec(fh.read())
 
@@ -235,13 +242,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _optimizer_summary(report) -> dict:
+def _optimizer_summary(report, unit: float) -> dict:
+    # values in the display unit of the quantity's value (see _solve)
     return {
         "restarts": int(report.restart_values.size),
-        "best": report.best_value,
+        "best": report.best_value / unit,
         # a screened value, precise only to the screen; None (JSON null) for
         # a single restart: strict JSON has no NaN
-        "second_best": None if report.restart_values.size < 2 else report.second_best_value,
+        "second_best": None if report.restart_values.size < 2 else report.second_best_value / unit,
         "converged": bool(report.converged),
         "evaluations": int(report.n_evaluations),
         "iterations": int(report.n_iterations),
@@ -270,14 +278,14 @@ def _emit(report: dict, fmt: str) -> None:
     print(f"wall_time_s: {report['wall_time_s']:.3f}")
 
 
-def _base_report(spec: StateSpec, args) -> dict:
+def _base_report(spec: dict, args) -> dict:
     return {
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
         "restarts": args.restarts,
         "tolerance": args.tol,
-        "spec": spec.data,
+        "spec": spec,
     }
 
 
@@ -295,10 +303,9 @@ def _cmd_qfi(args) -> int:
     party = doc["party"]
     if party not in ("a", "b", "ab"):
         raise SchemaError("observable.party must be 'a', 'b', or 'ab'")
-    h = _complex_matrix(doc["matrix"], "observable.matrix")
     n = {"a": state.dim_a, "b": state.dim_b, "ab": state.dim}[party]
-    if h.shape != (n, n):
-        raise SchemaError(f"observable.matrix must be {n}x{n} (party {party}), got {h.shape}")
+    h = _require_size(_complex_matrix(doc["matrix"], "observable.matrix"), n,
+                      "observable.matrix", f"party {party}")
     if party == "a":
         h = lift_a(h, state.dim_b)
     elif party == "b":
@@ -339,11 +346,13 @@ SOLVERS = {
 
 
 def _solve(name: str, state: BipartiteState, args):
-    """Solve one quantity: its result, and its value (entropic discord in bits for base 2)."""
-    result = SOLVERS[name].solve(state, _config(args))
-    if name == "dq" and args.log_base == "2":
-        return result, result.value / LN2
-    return result, result.value
+    """Solve one quantity: its result, and the unit its values are displayed in.
+
+    The unit divides every value of the quantity the command prints: ln 2 for
+    entropic discord in bits (``--log-base 2``), else 1.
+    """
+    unit = LN2 if name == "dq" and args.log_base == "2" else 1.0
+    return SOLVERS[name].solve(state, _config(args)), unit
 
 
 def _cmd_solve(args) -> int:
@@ -354,12 +363,12 @@ def _cmd_solve(args) -> int:
     report = _base_report(spec, args)
     if "log_base" in args:
         report["log_base"] = args.log_base
-    report["values"] = {q.value_key: value for q, _, value in solved}
+    report["values"] = {q.value_key: result.value / unit for q, result, unit in solved}
     for q, result, _ in solved:
         report[q.method_key] = result.method
-    for q, result, _ in solved:
+    for q, result, unit in solved:
         if result.method == "optimized":  # a certified zero's report is not a search
-            report[q.section_key] = _optimizer_summary(result.report)
+            report[q.section_key] = _optimizer_summary(result.report, unit)
     report["wall_time_s"] = time.perf_counter() - start
     _emit(report, args.format)
     return 0 if all(result.converged for _, result, _ in solved) else 1
@@ -377,10 +386,10 @@ SWEEP_PARAMS = {
 
 def _cmd_sweep(args) -> int:
     spec = _read_spec(args.state)
-    expected, fields = SWEEP_PARAMS.get(spec.kind, (None, None))
+    expected, fields = SWEEP_PARAMS.get(spec["kind"], (None, None))
     if expected is None or args.param != expected:
         raise SchemaError(
-            f"kind '{spec.kind}' supports sweeping "
+            f"kind '{spec['kind']}' supports sweeping "
             f"{'nothing' if expected is None else 'parameter ' + repr(expected)}"
         )
     quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
@@ -403,12 +412,12 @@ def _cmd_sweep(args) -> int:
     i = 0
     while (point := args.start + i * args.step) <= args.stop + SWEEP_MIN_STEP:
         value = round(point, 12)
-        state = build_state(StateSpec(spec.kind, {**spec.data, **fields(value)}), args.allow_large)
+        state = build_state({**spec, **fields(value)}, args.allow_large)
         row = [_fmt(value)]
         for q in quantities:
-            result, x = _solve(q, state, args)
+            result, unit = _solve(q, state, args)
             converged = converged and result.converged
-            row.append(_fmt(x))
+            row.append(_fmt(result.value / unit))
         writer.writerow(row)
         i += 1
     return 0 if converged else 1

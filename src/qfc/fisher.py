@@ -4,7 +4,9 @@ Conventions: for a state rho driven as ``rho_theta = exp(-i theta H) rho
 exp(i theta H)`` the QFI carries the 1/4 normalization under which the QFI
 of a pure state equals the plain variance of H. The symmetric logarithmic
 derivative L is the Hermitian solution of ``i[rho, H] = (L rho + rho L)/2``
-on the support of rho, and QFI = (1/4) tr(rho L^2).
+on the support of rho, and QFI = (1/4) tr(rho L^2). Every function here
+that takes rho checks that it is a density matrix (Hermitian, unit trace,
+positive) and raises a typed ``ValidationError`` otherwise.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import DegeneratePointError, ShapeError, ValidationError
+from .errors import DegeneratePointError, ShapeError, TraceError, ValidationError
 from .linalg import SUPPORT_CUTOFF, dag
 
 #: Outcome probabilities below this floor are treated as vanishing.
@@ -22,21 +24,20 @@ DERIVATIVE_FLOOR = 1e-8
 
 
 def _operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The state and the Hermitian observable as complex arrays of one shape."""
+    """The density matrix and the Hermitian observable as complex arrays of one shape."""
     h = linalg.require_hermitian(h, "observable")
     rho = linalg.require_hermitian(rho, "state")
     if rho.shape != h.shape:
         raise ShapeError(f"state shape {rho.shape} does not match observable {h.shape}")
+    linalg.require_close(np.trace(rho), 1.0, TraceError, "state trace is not 1: |tr - 1|")
+    linalg.require_positive(rho, "state")
     return rho, h
 
 
 def _spectral_operands(rho: np.ndarray, h: np.ndarray):
-    # rho's spectrum and h in its eigenbasis, checked as _operands checks them
-    h = linalg.require_hermitian(h, "observable")
-    spectrum = linalg.eigh(rho, "state")  # the one check of rho
-    shape = spectrum.vectors.shape
-    if shape != h.shape:
-        raise ShapeError(f"state shape {shape} does not match observable {h.shape}")
+    # rho's spectrum and h in its eigenbasis, both checked by _operands
+    rho, h = _operands(rho, h)
+    spectrum = linalg._spectrum(rho)
     return spectrum, dag(spectrum.vectors) @ h @ spectrum.vectors
 
 

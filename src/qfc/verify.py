@@ -5,7 +5,9 @@ library (closed-form coincidences, exact zeros on classically correlated
 states, spectral identities, information hierarchies) that returns its
 margins as ``(label, value, sense, bound)`` tuples with ``sense`` ``"<="`` or
 ``">="``. It passes when every value keeps to its bound; a NaN never does.
-``run_verification`` prints one line per criterion, each margin rendered as
+A criterion does not read the clock: ``run_criterion`` times it and fills in
+its ``seconds``. ``run_verification`` runs every criterion through
+``run_criterion`` and prints one line per criterion, each margin rendered as
 ``label value (<= bound)``; the same checks back ``qfc verify`` and the
 pytest acceptance module.
 """
@@ -51,7 +53,7 @@ class CriterionResult:
     number: int
     name: str
     margins: tuple[tuple[str, float, str, float], ...]
-    seconds: float
+    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -74,10 +76,6 @@ def state_seed(seed: int, criterion: int, index: int) -> int:
     return seed + 10_000 * criterion + index
 
 
-def _done(number: int, name: str, margins, start: float) -> CriterionResult:
-    return CriterionResult(number, name, tuple(margins), time.perf_counter() - start)
-
-
 _PURE_DIMS = [(2, 2)] * 8 + [(2, 3)] * 8 + [(3, 3)] * 7 + [(3, 4)] * 7
 _MIXED_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
@@ -89,7 +87,6 @@ def check_pure_coincidence(cfg: OptimizerConfig) -> CriterionResult:
     returns the closed form itself on pure input, and this criterion checks
     that the search reaches it.
     """
-    start = time.perf_counter()
     obs, meas = [], []
     for i, dims in enumerate(_PURE_DIMS):
         state = random_pure(dims, state_seed(cfg.seed, 1, i))
@@ -101,7 +98,7 @@ def check_pure_coincidence(cfg: OptimizerConfig) -> CriterionResult:
          np.max(obs), "<=", 1e-4),
         ("max |measurement - closed form|", np.max(meas), "<=", 1e-4),
     ]
-    return _done(1, "pure-state coincidence with closed form", margins, start)
+    return CriterionResult(1, "pure-state coincidence with closed form", tuple(margins))
 
 
 def check_maximal_values(cfg: OptimizerConfig) -> CriterionResult:
@@ -112,7 +109,6 @@ def check_maximal_values(cfg: OptimizerConfig) -> CriterionResult:
     here, so its eigenbasis, the search's first start, is arbitrary, and
     this criterion checks that the search still reaches the ceiling.
     """
-    start = time.perf_counter()
     deviations = []
     for m in (2, 3):
         state = max_entangled(m)
@@ -120,7 +116,7 @@ def check_maximal_values(cfg: OptimizerConfig) -> CriterionResult:
         for solve in (observable_correlation, measurement_correlation):
             deviations.append(abs(solve(state, cfg, method="optimized").value - target))
     margins = [("targets 0.5 and 2/3: max deviation", np.max(deviations), "<=", 1e-4)]
-    return _done(2, "maximal values on maximally entangled states", margins, start)
+    return CriterionResult(2, "maximal values on maximally entangled states", tuple(margins))
 
 
 def _random_cq(dims: tuple[int, int], seed: int) -> BipartiteState:
@@ -142,6 +138,11 @@ def _random_cc(dims: tuple[int, int], seed: int) -> BipartiteState:
     return make_cc(probs, dims, a_basis, b_basis)
 
 
+def _random_mixed(dims: tuple[int, int], seed: int) -> BipartiteState:
+    d = dims[0] * dims[1]
+    return BipartiteState(random_density(d, d, seed), *dims)
+
+
 def _noisy_entangled(dims: tuple[int, int], seed: int) -> BipartiteState:
     pure = random_pure(dims, seed)
     d = pure.dim
@@ -156,7 +157,6 @@ def check_zero_discord_detection(cfg: OptimizerConfig) -> CriterionResult:
     would certify them (or take the qubit-a closed form of qah) without a
     search, and this criterion checks that the search finds their zeros.
     """
-    start = time.perf_counter()
     tight = replace(cfg, tolerance=min(cfg.tolerance, 1e-8))
     zeros, nonzeros = [], []
     for i in range(20):
@@ -171,12 +171,11 @@ def check_zero_discord_detection(cfg: OptimizerConfig) -> CriterionResult:
         ("20 CQ/CC states: max |value|", np.max(zeros), "<=", 1e-6),
         ("20 noisy entangled states: min value", np.min(nonzeros), ">=", 1e-3),
     ]
-    return _done(3, "zero on classical states, nonzero off them", margins, start)
+    return CriterionResult(3, "zero on classical states, nonzero off them", tuple(margins))
 
 
 def check_commuting_witness(cfg: OptimizerConfig) -> CriterionResult:
     """A single commuting local projector does not certify zero correlation."""
-    start = time.perf_counter()
     state = make_witness_state()
     proj = np.zeros((state.dim_a, state.dim_a), dtype=complex)
     proj[0, 0] = 1.0
@@ -186,12 +185,11 @@ def check_commuting_witness(cfg: OptimizerConfig) -> CriterionResult:
         ("projector driving QFI", local_qfi, "<=", 1e-12),
         ("witness correlation", value, ">=", 1e-3),
     ]
-    return _done(4, "commuting-projector witness state", margins, start)
+    return CriterionResult(4, "commuting-projector witness state", tuple(margins))
 
 
 def check_qfi_bounds(cfg: OptimizerConfig) -> CriterionResult:
     """0 <= QFI <= variance, convexity in the state, and QFI = variance when pure."""
-    start = time.perf_counter()
     dims = (2, 3, 4)
     lows, excesses = [], []
     for i in range(200):
@@ -227,12 +225,11 @@ def check_qfi_bounds(cfg: OptimizerConfig) -> CriterionResult:
         ("100 mixtures: max convexity gap", np.max(gaps), "<=", 1e-9),
         ("50 pure: max |QFI-V|", np.max(pure), "<=", 1e-10),
     ]
-    return _done(5, "QFI bounds, convexity, pure-state variance", margins, start)
+    return CriterionResult(5, "QFI bounds, convexity, pure-state variance", tuple(margins))
 
 
 def check_sld_consistency(cfg: OptimizerConfig) -> CriterionResult:
     """The SLD solves its defining equation and reproduces the spectral QFI."""
-    start = time.perf_counter()
     dims = (2, 3, 4)
     resids, disagreements = [], []
     for i in range(100):
@@ -249,19 +246,16 @@ def check_sld_consistency(cfg: OptimizerConfig) -> CriterionResult:
         ("100 pairs: max defining-equation residual", np.max(resids), "<=", 1e-9),
         ("max |tr(rho L^2)/4 - QFI|", np.max(disagreements), "<=", 1e-8),
     ]
-    return _done(6, "SLD consistency", margins, start)
+    return CriterionResult(6, "SLD consistency", tuple(margins))
 
 
 def check_basis_sum_invariance(cfg: OptimizerConfig) -> CriterionResult:
     """The basis-free local QFI on party b equals its sum over any observable basis."""
-    start = time.perf_counter()
     spreads = []
     for i in range(20):
         dims = _MIXED_DIMS[i % len(_MIXED_DIMS)]
         seed = state_seed(cfg.seed, 7, i)
-        state = BipartiteState(
-            random_density(dims[0] * dims[1], dims[0] * dims[1], seed), *dims
-        )
+        state = _random_mixed(dims, seed)
         n = state.dim_b
         canonical = hermitian_basis(n)
         rng = np.random.default_rng(seed + 1)
@@ -277,19 +271,16 @@ def check_basis_sum_invariance(cfg: OptimizerConfig) -> CriterionResult:
         ("20 states: max spread of the basis-free value and the sums over 5 observable bases",
          np.max(spreads), "<=", 1e-9),
     ]
-    return _done(7, "observable-basis-sum invariance", margins, start)
+    return CriterionResult(7, "observable-basis-sum invariance", tuple(margins))
 
 
 def check_mfi_hierarchy(cfg: OptimizerConfig) -> CriterionResult:
     """Measured information never beats the local QFI; equality for CQ states."""
-    start = time.perf_counter()
     excesses = []
     for i in range(100):
         dims = _MIXED_DIMS[i % len(_MIXED_DIMS)]
         seed = state_seed(cfg.seed, 8, i)
-        state = BipartiteState(
-            random_density(dims[0] * dims[1], dims[0] * dims[1], seed), *dims
-        )
+        state = _random_mixed(dims, seed)
         measurement = haar_unitary(state.dim_a, seed + 1)
         excesses.append(total_mfi(state, measurement) - total_local_qfi_b(state))
     deviations = []
@@ -306,12 +297,11 @@ def check_mfi_hierarchy(cfg: OptimizerConfig) -> CriterionResult:
         ("100 pairs: max MFI excess", np.max(excesses), "<=", 1e-9),
         ("20 CQ states at the classical basis: max |MFI - lQFI|", np.max(deviations), "<=", 1e-8),
     ]
-    return _done(8, "measured-information hierarchy", margins, start)
+    return CriterionResult(8, "measured-information hierarchy", tuple(margins))
 
 
 def check_measurement_achievability(cfg: OptimizerConfig) -> CriterionResult:
     """Measuring in the SLD eigenbasis attains the QFI classically."""
-    start = time.perf_counter()
     dims = (2, 3, 4)
     deviations = []
     for i in range(50):
@@ -323,25 +313,22 @@ def check_measurement_achievability(cfg: OptimizerConfig) -> CriterionResult:
         povm = measurement_projectors(basis)
         deviations.append(abs(classical_fi(rho, h, povm) - qfi(rho, h)))
     margins = [("50 full-rank states: max |classical FI - QFI|", np.max(deviations), "<=", 1e-6)]
-    return _done(9, "optimal-measurement achievability", margins, start)
+    return CriterionResult(9, "optimal-measurement achievability", tuple(margins))
 
 
 def check_channel_contractivity(cfg: OptimizerConfig) -> CriterionResult:
     """Channels on party b never increase the observable quantifier."""
-    start = time.perf_counter()
     increases = []
     for i in range(10):
         dims = (2, 2) if i % 2 == 0 else (2, 3)
         seed = state_seed(cfg.seed, 10, i)
-        state = BipartiteState(
-            random_density(dims[0] * dims[1], dims[0] * dims[1], seed), *dims
-        )
+        state = _random_mixed(dims, seed)
         channel = random_kraus_channel(dims[1], 2 + i % 2, seed + 1)
         before = observable_correlation(state, cfg).value
         after = observable_correlation(apply_channel_b(state, channel), cfg).value
         increases.append(after - before)
     margins = [("10 state/channel pairs: max increase", np.max(increases), "<=", 2e-4)]
-    return _done(10, "contractivity under channels on party b", margins, start)
+    return CriterionResult(10, "contractivity under channels on party b", tuple(margins))
 
 
 def _bloch_measurement(theta: float, phi: float) -> np.ndarray:
@@ -365,7 +352,6 @@ def check_discord_baselines(cfg: OptimizerConfig) -> CriterionResult:
     Every "optimized" margin solves with ``method="optimized"``, since the
     default takes the closed form on these pure states.
     """
-    start = time.perf_counter()
     geo = []
     for i, dims in enumerate([(2, 2)] * 3 + [(2, 3)] * 3):
         state = random_pure(dims, state_seed(cfg.seed, 11, i))
@@ -381,12 +367,11 @@ def check_discord_baselines(cfg: OptimizerConfig) -> CriterionResult:
         ("optimizer", abs(entropic_discord(bell, cfg, method="optimized").value - ln2),
          "<=", 1e-4),
     ]
-    return _done(11, "discord baselines cross-check", margins, start)
+    return CriterionResult(11, "discord baselines cross-check", tuple(margins))
 
 
 def check_qubit_a_search(cfg: OptimizerConfig) -> CriterionResult:
     """The basis search meets the qubit-a closed forms of qah and geometric discord."""
-    start = time.perf_counter()
     qah, dg = [], []
     for i in range(20):
         n = 2 + i % 3
@@ -399,7 +384,7 @@ def check_qubit_a_search(cfg: OptimizerConfig) -> CriterionResult:
         ("20 mixed states 2x2 to 2x4: max |searched - closed form| qah", np.max(qah), "<=", 1e-6),
         ("geometric discord", np.max(dg), "<=", 1e-6),
     ]
-    return _done(12, "basis search against the qubit-a closed forms", margins, start)
+    return CriterionResult(12, "basis search against the qubit-a closed forms", tuple(margins))
 
 
 ALL_CRITERIA = (
@@ -418,16 +403,25 @@ ALL_CRITERIA = (
 )
 
 
+def run_criterion(check, cfg: OptimizerConfig) -> CriterionResult:
+    """Run one criterion at ``cfg``; its result, with the seconds the run took."""
+    start = time.perf_counter()
+    result = check(cfg)
+    return replace(result, seconds=time.perf_counter() - start)
+
+
 def run_verification(config: OptimizerConfig | None = None) -> list[CriterionResult]:
-    """Run every acceptance criterion, printing one pass/fail line each.
+    """Run every acceptance criterion, timing each, and print one pass/fail line each.
 
     ``config`` (default :class:`OptimizerConfig`) sets the optimizer of every
-    search and, through its seed, the seed of every state.
+    search and, through its seed, the seed of every state. Each criterion
+    runs through :func:`run_criterion`, so the seconds printed are the ones
+    the runner measured.
     """
     cfg = config if config is not None else OptimizerConfig()
     results = []
     for check in ALL_CRITERIA:
-        result = check(cfg)
+        result = run_criterion(check, cfg)
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         print(

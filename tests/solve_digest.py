@@ -1,4 +1,4 @@
-"""Print one digest per in-process benchmark workload and one for the reach states.
+"""Print one digest per in-process benchmark workload, one for the reach states and one for verify.
 
     PYTHONPATH=<tree>/src python tests/solve_digest.py --seed N
 
@@ -12,10 +12,14 @@ all four solvers, with the default config and with ``short_config(i)``, and
 prints the total evaluations of each config; it does not depend on
 ``--seed``. On every searching solve of the workloads restart 0 is optimal
 at its first evaluation, so the reach solves are the ones that run the
-screen rounds. The ``qfc`` package solved is the one on ``PYTHONPATH``, so
-running this script against a copy of another commit's ``src`` compares
-that commit's solves with this one's; equal digests mean equal bits. Not a
-test module: pytest does not collect it.
+screen rounds. The ``verify`` line runs every criterion of
+``qfc.verify.ALL_CRITERIA`` at ``OptimizerConfig(seed=N)``, as ``qfc verify
+--seed N`` does, and hashes each criterion's number, name and margins
+(label, ``value.hex()``, sense, bound), but not its seconds. The ``qfc``
+package solved is the one on ``PYTHONPATH``, so running this script against
+a copy of another commit's ``src`` compares that commit's solves with this
+one's; equal digests mean equal bits. Not a test module: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from qfc import verify
+from qfc.optimize import OptimizerConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -97,6 +104,15 @@ def main(argv=None) -> int:
     print(f"reach solves={sum(map(len, runs.values()))} evaluations="
           + ",".join(f"{run}:{count}" for run, count in evaluations.items())
           + f" sha256={digest.hexdigest()}")
+    config, digest = OptimizerConfig(seed=args.seed), hashlib.sha256()
+    results = [check(config) for check in verify.ALL_CRITERIA]
+    for result in results:
+        digest.update(f"{result.number}|{result.name}|".encode())
+        for label, value, sense, bound in result.margins:
+            fields = (label, float(value).hex(), sense, float(bound).hex())
+            digest.update(("|".join(fields) + "|").encode())
+    print(f"verify seed={args.seed} criteria={len(results)} "
+          f"passed={sum(r.passed for r in results)} sha256={digest.hexdigest()}")
     return 0
 
 

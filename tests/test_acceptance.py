@@ -21,7 +21,7 @@ CONFIG = OptimizerConfig(seed=0, restarts=16, tolerance=1e-6)
 
 @functools.cache
 def run(check):
-    return check(CONFIG)
+    return verify.run_criterion(check, CONFIG)
 
 
 @pytest.mark.parametrize("check", ALL_CRITERIA, ids=lambda fn: fn.__name__)

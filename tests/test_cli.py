@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ def run_cli(capsys, *argv):
 class TestParseStateSpec:
     def test_max_entangled_roundtrip(self):
         spec = parse_state_spec('{"kind": "max_entangled", "dims": [2, 2]}')
-        assert spec.kind == "max_entangled"
+        assert spec["kind"] == "max_entangled"
         state = build_state(spec)
         np.testing.assert_allclose(state.rho, qfc.max_entangled(2).rho, atol=1e-14)
 
@@ -274,6 +275,21 @@ class TestCommands:
         assert code == 0
         assert abs(json.loads(out)["values"]["entropic_discord"] - 1.0) <= 1e-4
 
+    def test_discord_log_base_two_scales_the_optimizer_section(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"kind": "random", "dims": [2, 3], "seed": 4, "rank": 6})
+        argv = ["discord", "--state", path, "--restarts", "4", "--format", "json"]
+        reports = {}
+        for base in ("e", "2"):
+            code, out, _ = run_cli(capsys, *argv, "--log-base", base)
+            assert code == 0
+            reports[base] = json.loads(out)
+        for report in reports.values():
+            assert report["entropic_method"] == "optimized"  # the state is searched
+            assert report["optimizer_dq"]["best"] == report["values"]["entropic_discord"]
+        e, bits = reports["e"]["optimizer_dq"], reports["2"]["optimizer_dq"]
+        assert bits["best"] == e["best"] / np.log(2.0)
+        assert bits["second_best"] == e["second_best"] / np.log(2.0)
+
     def test_sweep_matches_closed_form(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"kind": "pure_schmidt", "coeffs": [0.5, 0.5], "dims": [2, 2]})
         code, out, _ = run_cli(
@@ -480,10 +496,16 @@ class TestExitCodes:
              "raw_matrix.matrix must be a nested list of [re, im] pairs"),
             ({"kind": "raw_matrix", "dims": [1, 2], "matrix": [1, 2]},
              "raw_matrix.matrix must be a nested list of [re, im] pairs"),
+            ({"kind": "raw_matrix", "dims": [2, 2],
+              "matrix": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]]},
+             "raw_matrix.matrix must be 4x4 (raw_matrix.dims), got (3, 3)"),
+            ({"kind": "raw_matrix", "dims": [1, 2], "matrix": [[0.5, 0, 0], [0, 0.5, 0]]},
+             "raw_matrix.matrix must be 2x2 (raw_matrix.dims), got (2, 3)"),
         ],
         ids=["entry-not-re-im", "ragged-matrix", "not-an-object", "no-kind",
              "max-entangled-not-square", "werner-dims", "werner-w-string", "example1-a-length",
-             "matrix-empty", "matrix-number", "matrix-flat"],
+             "matrix-empty", "matrix-number", "matrix-flat", "matrix-not-dims",
+             "matrix-not-square"],
     )
     def test_malformed_spec_exits_two(self, capsys, tmp_path, doc, message):
         path = write_spec(tmp_path, doc)
@@ -764,6 +786,16 @@ class TestVerifyCommand:
             "1/2 criteria passed in 0.0s",
         ]
         assert [(cfg.seed, cfg.restarts) for cfg in seen] == [(3, 2), (3, 2)]
+
+    def test_the_runner_times_every_criterion(self, monkeypatch):
+        def slow(cfg):
+            time.sleep(0.05)
+            # the check's own seconds, 0.0, are not what the runner reports
+            return verify.CriterionResult(1, "slow", (("gap", 0.0, "<=", 1e-2),), 0.0)
+
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (slow,))
+        [result] = verify.run_verification()
+        assert result.seconds >= 0.05
 
     def test_exits_zero_when_every_criterion_passes(self, capsys, monkeypatch):
         seen = []

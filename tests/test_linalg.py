@@ -15,7 +15,9 @@ from qfc import (
     NormalizationError,
     OptimizerConfig,
     OrthonormalityError,
+    PositivityError,
     ShapeError,
+    TraceError,
     ValidationError,
     dag,
     eigh,
@@ -121,6 +123,14 @@ NON_FINITE_INPUTS = {
 def test_non_finite_input_raises_a_validation_error(entry, bad):
     with pytest.raises(ValidationError):
         NON_FINITE_INPUTS[entry](bad)
+
+
+@pytest.mark.parametrize("name", FISHER)
+def test_a_matrix_that_is_not_a_state_raises(name):
+    with pytest.raises(TraceError, match="state"):
+        FISHER[name](2 * RHO, SX)
+    with pytest.raises(PositivityError, match="state"):
+        FISHER[name](np.diag([1.25, -0.25]).astype(complex), SX)
 
 
 class TestPartialTrace:
