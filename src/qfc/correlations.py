@@ -89,12 +89,14 @@ def _bloch_extremum(k: np.ndarray, index: int):
     # A quantity that is n^T k n on the qubit basis {(1 +- n.sigma)/2} of
     # each unit vector n takes that eigenvalue there. k is decomposed as a
     # complex matrix because the real LAPACK path costs the process about
-    # 0.5 MB of resident memory when first used.
+    # 0.5 MB of resident memory when first used. Both callers pass a Gram
+    # matrix, positive semidefinite, so its eigenvalues are clipped at +0.0:
+    # roundoff would otherwise put a zero slightly below it.
     vals, vecs = np.linalg.eigh(k.astype(complex))
     n = vecs[:, index]
     lead = n[np.argmax(abs(n))]
     n = (n * abs(lead) / lead).real  # the eigenvector without its phase
-    return vals, np.linalg.eigh((n @ _PAULIS.reshape(3, 4)).reshape(2, 2))[1]
+    return np.maximum(vals, 0.0), np.linalg.eigh((n @ _PAULIS.reshape(3, 4)).reshape(2, 2))[1]
 
 
 def _start_basis(rho_a: np.ndarray) -> np.ndarray:
@@ -202,11 +204,13 @@ def lift_b(h: np.ndarray, dim_a: int) -> np.ndarray:
 
 
 def _qfi_spectrum(state: BipartiteState):
-    # QFI weights w of rho's spectrum and its eigenvectors as v3[a, b, i];
-    # unchecked, since the state's constructor checked rho.
+    # QFI weights w of rho's spectrum and its eigenvectors as v3[a, b, i],
+    # unchecked, since the state's constructor checked rho. The eigenpairs
+    # are in LAPACK's ascending order: w and every sum over the eigenpairs
+    # do not depend on the order.
     m, n = state.dims
-    spectrum = linalg._spectrum(state.rho)
-    return qfi_weight_matrix(spectrum.values), spectrum.vectors.reshape(m, n, m * n)
+    vals, vecs = np.linalg.eigh((state.rho + state.rho.conj().T) / 2)
+    return qfi_weight_matrix(vals), vecs.reshape(m, n, m * n)
 
 
 def total_local_qfi_b(state: BipartiteState) -> float:
@@ -218,8 +222,12 @@ def total_local_qfi_b(state: BipartiteState) -> float:
     randomly rotated bases.
     """
     w, v3 = _qfi_spectrum(state)
-    reduced = np.einsum("abj,aci->jibc", v3, v3.conj())
-    return float(np.sum(w[:, :, None, None] * (reduced.real**2 + reduced.imag**2)))
+    m, n, d = v3.shape
+    # one Gram matrix of all the reduced operators: x.T @ x.conj() holds
+    # (tr_a |psi_j><psi_i|)[b, c] at [(b, j), (c, i)]
+    x = v3.reshape(m, n * d)
+    reduced = (x.T @ x.conj()).reshape(n, d, n, d)
+    return float((w * (reduced.real**2 + reduced.imag**2).sum(axis=(0, 2))).sum())
 
 
 def _block_gradient(state: BipartiteState, d: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -250,19 +258,19 @@ def _measured_objective(state: BipartiteState, spectral):
 
 def _mfi_spectral(vals: np.ndarray, gradient: bool):
     # sum_n sum_ij (l_i - l_j)^2 / (2 (l_i + l_j)) and, with gradient, its
-    # slopes in l_i (else None), pairs below the support cutoff dropped. The
-    # weights are homogeneous of degree one, so p_n w(spectrum of B_n / p_n)
-    # is w(spectrum of B_n): no normalization and no 0/0 at a dark outcome.
-    value = np.sum(qfi_weight_matrix(vals), axis=(-3, -2, -1))
+    # slopes in l_i (else None), pairs at or below the support cutoff
+    # dropped. The weights are homogeneous of degree one, so p_n w(spectrum
+    # of B_n / p_n) is w(spectrum of B_n): no normalization and no 0/0 at a
+    # dark outcome.
+    value = qfi_weight_matrix(vals).sum(axis=(-3, -2, -1))
     if not gradient:
         return value, None
     li, lj = vals[..., :, None], vals[..., None, :]
     sums = li + lj
-    slopes = np.zeros_like(sums)
-    np.divide(
-        (li - lj) * (li + 3.0 * lj), sums**2, out=slopes, where=sums > linalg.SUPPORT_CUTOFF
-    )
-    return value, slopes.sum(axis=-1)
+    # a pair at or below the cutoff divides by inf, to a zero whose sign
+    # + 0.0 clears from the row sum
+    slopes = (li - lj) * (li + 3.0 * lj) / np.where(sums > linalg.SUPPORT_CUTOFF, sums, np.inf)**2
+    return value, slopes.sum(axis=-1) + 0.0
 
 
 def total_mfi(state: BipartiteState, measurement: np.ndarray) -> float:
@@ -270,10 +278,10 @@ def total_mfi(state: BipartiteState, measurement: np.ndarray) -> float:
 
     Basis free by Parseval's relation: ``sum_n sum_ij (l_i - l_j)^2 /
     (2 (l_i + l_j))`` over the eigenvalues ``l`` of each unnormalized
-    measured block (:func:`measure_a`), pairs below the support cutoff
-    dropped. Equals the sum of the measurement-induced Fisher information
-    ``sum_n p(n) F(rho_b|n, h)`` over any trace-orthonormal Hermitian basis
-    ``h`` of b and is nonnegative by construction.
+    measured block (:func:`measure_a`), pairs at or below the support
+    cutoff dropped. Equals the sum of the measurement-induced Fisher
+    information ``sum_n p(n) F(rho_b|n, h)`` over any trace-orthonormal
+    Hermitian basis ``h`` of b and is nonnegative by construction.
     """
     u = linalg.require_unitary(measurement, state.dim_a, "measurement")
     return float(_measured_objective(state, _mfi_spectral)(u, gradient=False)[0])
@@ -284,7 +292,7 @@ def _basis_qfi_core(w: np.ndarray, v3: np.ndarray, u: np.ndarray, gradient: bool
     # Psi_k[:, nb]>, so e[m, i, j] = <psi_i| P_m (x) 1 |psi_j>.
     c = np.einsum("...am,ank->...mnk", u.conj(), v3)
     e = np.einsum("...mni,...mnj->...mij", c.conj(), c)
-    value = np.sum(w * (e.real**2 + e.imag**2), axis=(-3, -2, -1))
+    value = (w * (e.real**2 + e.imag**2)).sum(axis=(-3, -2, -1))
     if not gradient:
         return value, None
     # The value is quartic in u: with W_m = w o e_m (Hermitian),
@@ -300,8 +308,11 @@ def _qah_objective(state: BipartiteState):
 def _qah_qubit(state: BipartiteState) -> QuantifierResult:
     # lambda_min(K) / 2 at the basis of the bottom eigenvector (see observable_correlation)
     w, v3 = _qfi_spectrum(state)
-    s = np.einsum("ani,kab,bnj->kij", v3.conj(), _PAULIS, v3)
-    vals, basis = _bloch_extremum(np.einsum("ij,kij,lij->kl", w, s, s.conj()).real, 0)
+    m, n, d = v3.shape
+    # s[k] = V^dag (sigma_k (x) 1) V row by row, and K = sum_ij w_ij s_k[i, j] conj(s_l[i, j])
+    lifted = (_PAULIS.reshape(3 * m, m) @ v3.reshape(m, n * d)).reshape(3, m * n, d)
+    s = (v3.reshape(m * n, d).conj().T @ lifted).reshape(3, d * d)
+    vals, basis = _bloch_extremum(((s * w.reshape(-1)) @ s.conj().T).real, 0)
     return QuantifierResult(0.5 * float(vals[0]), basis, "closed-form")
 
 
@@ -323,7 +334,8 @@ def observable_correlation(
     Re(<psi_i|s_k|psi_j> <psi_j|s_l|psi_i>)``, ``s_k = sigma_k (x) 1``, over
     the eigenpairs of rho and their QFI weights w. So the value is
     ``lambda_min(K) / 2``, attained by the eigenbasis of ``n.sigma`` for the
-    bottom eigenvector n.
+    bottom eigenvector n. K is a Gram matrix, positive semidefinite, so the
+    value is >= 0: an eigenvalue that roundoff puts below zero reads +0.0.
 
     ``method="auto"`` takes the pure closed form on a nearly pure state (the
     purity gate of ``_solve``), then the qubit one, with

@@ -150,7 +150,9 @@ def geometric_discord(
     and ``K_lk = Re tr(R_l R_k)``, the distance in the basis ``(1 +-
     n.sigma)/2`` is ``(tr K - n^T K n) / 2``, so the minimum is half the sum
     of the two smaller eigenvalues of K, attained by the eigenbasis of
-    ``n.sigma`` for the top eigenvector n.
+    ``n.sigma`` for the top eigenvector n. K is a Gram matrix, positive
+    semidefinite, so that minimum is >= 0: an eigenvalue that roundoff puts
+    below zero reads +0.0.
 
     ``method="auto"`` takes the pure closed form on a nearly pure state (the
     purity gate of ``correlations._solve``), then the qubit one, with

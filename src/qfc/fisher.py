@@ -23,21 +23,28 @@ PROBABILITY_FLOOR = 1e-12
 DERIVATIVE_FLOOR = 1e-8
 
 
-def _operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The density matrix and the Hermitian observable as complex arrays of one shape."""
+def _unit_trace_operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Hermitian rho of unit trace and Hermitian h of its shape, positivity unchecked
     h = linalg.require_hermitian(h, "observable")
     rho = linalg.require_hermitian(rho, "state")
     if rho.shape != h.shape:
         raise ShapeError(f"state shape {rho.shape} does not match observable {h.shape}")
     linalg.require_close(np.trace(rho), 1.0, TraceError, "state trace is not 1: |tr - 1|")
+    return rho, h
+
+
+def _operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The density matrix and the Hermitian observable as complex arrays of one shape."""
+    rho, h = _unit_trace_operands(rho, h)
     linalg.require_positive(rho, "state")
     return rho, h
 
 
 def _spectral_operands(rho: np.ndarray, h: np.ndarray):
-    # rho's spectrum and h in its eigenbasis, both checked by _operands
-    rho, h = _operands(rho, h)
-    spectrum = linalg._spectrum(rho)
+    # rho's spectrum and h in its eigenbasis, checked as _operands checks
+    # them; positivity is read off the one decomposition of rho
+    rho, h = _unit_trace_operands(rho, h)
+    spectrum = linalg.positive_spectrum(rho, "state")
     return spectrum, dag(spectrum.vectors) @ h @ spectrum.vectors
 
 
@@ -67,17 +74,15 @@ def evolve(rho: np.ndarray, h: np.ndarray, theta: float) -> np.ndarray:
 def qfi_weight_matrix(values: np.ndarray) -> np.ndarray:
     """Spectral weights ``(p_i - p_j)^2 / (2 (p_i + p_j))`` with support cutoff.
 
-    Pairs whose eigenvalue sum falls below the cutoff are excluded (weight 0).
-    Broadcasts over leading axes: a ``(..., d)`` stack of spectra gives a
-    ``(..., d, d)`` stack of weight matrices.
+    Pairs whose eigenvalue sum is at or below the cutoff are excluded (weight
+    +0.0); a NaN value propagates. Broadcasts over leading axes: a ``(...,
+    d)`` stack of spectra gives a ``(..., d, d)`` stack of weight matrices.
     """
     p = np.asarray(values, dtype=float)
     sums = p[..., :, None] + p[..., None, :]
     diffs = p[..., :, None] - p[..., None, :]
-    w = np.zeros_like(sums)
-    # ~(sums <= cutoff), not sums > cutoff, so that a NaN value propagates
-    np.divide(diffs**2, 2.0 * sums, out=w, where=~(sums <= SUPPORT_CUTOFF))
-    return w
+    # an excluded pair divides its square (>= +0.0) by inf; a NaN sum is kept
+    return diffs**2 / (2.0 * np.where(sums <= SUPPORT_CUTOFF, np.inf, sums))
 
 
 def qfi(rho: np.ndarray, h: np.ndarray) -> float:

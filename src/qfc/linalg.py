@@ -17,7 +17,7 @@ from .errors import (HermiticityError, NormalizationError, OrthonormalityError,
 #: Tolerance of every input check (Hermiticity, orthonormality, unit norm, unit
 #: trace, positivity, completeness); only the ``require_*`` functions read it.
 VALIDATION_TOL = 1e-10
-#: Eigenvalue pairs whose sum falls below this cutoff are treated as lying
+#: Eigenvalue pairs whose sum is at or below this cutoff are treated as lying
 #: outside the support and are excluded from spectral sums.
 SUPPORT_CUTOFF = 1e-12
 
@@ -53,11 +53,24 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     return h
 
 
-def require_positive(h: np.ndarray, name: str) -> None:
-    """Raise unless the Hermitian ``h`` has no eigenvalue below ``-VALIDATION_TOL``."""
-    lowest = float(np.linalg.eigvalsh((h + dag(h)) / 2)[0])
+def _require_lowest(lowest: float, name: str) -> None:
     if not lowest >= -VALIDATION_TOL:
         raise PositivityError(f"{name} has eigenvalue {lowest:.3e} < 0")
+
+
+def require_positive(h: np.ndarray, name: str) -> None:
+    """Raise unless the Hermitian ``h`` has no eigenvalue below ``-VALIDATION_TOL``."""
+    _require_lowest(float(np.linalg.eigvalsh((h + dag(h)) / 2)[0]), name)
+
+
+def positive_spectrum(h: np.ndarray, name: str) -> Spectrum:
+    """The descending spectrum of the Hermitian ``h``, checked as :func:`require_positive` checks.
+
+    One decomposition gives both: the check reads its lowest eigenvalue.
+    """
+    spectrum = _spectrum(h)
+    _require_lowest(float(spectrum.values[-1]), name)
+    return spectrum
 
 
 def require_orthonormal_columns(v: np.ndarray, name: str = "basis") -> np.ndarray:

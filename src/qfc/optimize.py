@@ -192,21 +192,17 @@ def multistart(runs) -> OptimizerReport:
     best value is the smallest; ties resolve to the lowest restart index.
     """
     unitaries, values, evaluations, iterations, flags = zip(*runs)
-    values = np.array(values, dtype=float)
-    evaluations = np.array(evaluations, dtype=int)
-    iterations = np.array(iterations, dtype=int)
-    flags = np.array(flags, dtype=bool)
-    best = int(np.argmin(values))
+    best = min(range(len(values)), key=values.__getitem__)  # min keeps the first of equals
     return OptimizerReport(
         best_value=float(values[best]),
         best_unitary=unitaries[best],
-        restart_values=values,
-        restart_converged=flags,
-        restart_evaluations=evaluations,
-        restart_iterations=iterations,
+        restart_values=np.array(values, dtype=float),
+        restart_converged=np.array(flags, dtype=bool),
+        restart_evaluations=np.array(evaluations, dtype=int),
+        restart_iterations=np.array(iterations, dtype=int),
         converged=bool(flags[best]),
-        n_evaluations=int(evaluations.sum()),
-        n_iterations=int(iterations.sum()),
+        n_evaluations=int(sum(evaluations)),
+        n_iterations=int(sum(iterations)),
     )
 
 

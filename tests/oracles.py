@@ -109,6 +109,22 @@ def basis_qfi_sum(state, basis_u) -> float:
     return float(sum(qfi(state.rho, lift_a(np.outer(v, v.conj()), state.dim_b)) for v in u.T))
 
 
+def qfi_weight_matrix(values: np.ndarray) -> np.ndarray:
+    """The QFI weights ``(p_i - p_j)^2 / (2 (p_i + p_j))`` by a masked division.
+
+    The library's earlier formula, kept as the oracle of
+    :func:`qfc.qfi_weight_matrix`: a zero-filled buffer, divided into only
+    where the pair sum is not at or below the cutoff, so that a pair at the
+    cutoff weighs +0.0 and a NaN sum propagates.
+    """
+    p = np.asarray(values, dtype=float)
+    sums = p[..., :, None] + p[..., None, :]
+    diffs = p[..., :, None] - p[..., None, :]
+    w = np.zeros_like(sums)
+    np.divide(diffs**2, 2.0 * sums, out=w, where=~(sums <= SUPPORT_CUTOFF))
+    return w
+
+
 def _a_components(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """The components ``A_k = tr_b[(1 (x) Y_k) X]`` of an operator X on the joint space.
 

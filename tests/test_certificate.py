@@ -6,6 +6,8 @@ A solve with ``method="auto"`` that passes the closed forms of
 without a search, with a report of that one evaluation.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,9 +44,9 @@ CFG = OptimizerConfig(restarts=4, seed=0)
 TIGHT = OptimizerConfig(restarts=4, tolerance=1e-8, seed=0)
 
 
-def criterion_3_classical(i):
+def criterion_3_classical(i, seed=0):
     build = _random_cq if i % 2 == 0 else _random_cc
-    return build(_MIXED_DIMS[i % len(_MIXED_DIMS)], state_seed(0, 3, i))
+    return build(_MIXED_DIMS[i % len(_MIXED_DIMS)], state_seed(seed, 3, i))
 
 
 def criterion_3_noisy(i):
@@ -86,6 +88,18 @@ def test_criterion_3_classical_states_are_certified(i):
             assert result.report is None and abs(result.value) <= TIGHT.tolerance
         np.testing.assert_allclose(result.argopt.conj().T @ result.argopt,
                                    np.eye(state.dim_a), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_qubit_closed_forms_of_classical_states_are_never_below_zero(seed):
+    # Both closed forms are sums of nonnegative terms (eigenvalues of a Gram
+    # matrix), so a zero is +0.0: neither negative by roundoff nor -0.0.
+    states = [criterion_3_classical(i, seed) for i in range(20)]
+    for state in (s for s in states if s.dim_a == 2):
+        for kind in QUBIT_CLOSED_FORMS:
+            result = SOLVERS[kind](state, TIGHT)
+            assert result.method == "closed-form"
+            assert math.copysign(1.0, result.value) == 1.0 and result.value <= TIGHT.tolerance
 
 
 @pytest.mark.parametrize("i", range(20))

@@ -227,6 +227,16 @@ class TestCommands:
         assert code == 0
         assert "entropic_discord: 0\n" in out and "-0" not in out
 
+    def test_qubit_closed_forms_of_a_classical_spec_are_not_negative(self, capsys, tmp_path):
+        # criterion 3's CQ state 0 as a raw matrix: each value a sum of nonnegative terms
+        rho = verify._random_cq((2, 2), verify.state_seed(0, 3, 0)).rho
+        matrix = [[[z.real, z.imag] for z in row] for row in rho.tolist()]
+        path = write_spec(tmp_path, {"kind": "raw_matrix", "dims": [2, 2], "matrix": matrix})
+        code, out, _ = run_cli(capsys, "qah", "--state", path)
+        assert code == 0 and out.startswith("qah: ") and "qah: -" not in out
+        code, out, _ = run_cli(capsys, "discord", "--state", path)
+        assert code == 0 and "geometric_discord: " in out and "geometric_discord: -" not in out
+
     def test_discord_reports_geometric_method(self, capsys, tmp_path):
         mixed = write_spec(tmp_path, {"kind": "random", "dims": [3, 2], "seed": 1, "rank": 6})
         code, out, _ = run_cli(

@@ -31,6 +31,7 @@ from qfc import (
 )
 from qfc.linalg import eigh, partial_trace
 from qfc.states import haar_unitary, random_density, random_hermitian
+from qfc.verify import _random_cc, _random_cq
 
 from oracles import basis_qfi_sum, conditional_states, mfi, schmidt, state_vector
 from test_gradients import qah_objective
@@ -120,6 +121,21 @@ class TestTotalLocalQfiB:
         for basis in rotated_bases(3, seed, 2):
             explicit = sum(qfi(state.rho, lift_b(h, 2)) for h in basis)
             assert abs(explicit - basis_free) <= 1e-9
+
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (2, 3), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("kind", ["full rank", "rank 2", "cq", "cc"])
+    def test_matches_the_explicit_basis_sum(self, dims, kind):
+        # one QFI per element of the canonical basis of b, on states with
+        # kernels and on classical states, where many weights vanish
+        seed = 10 * dims[0] + dims[1]
+        state = {
+            "full rank": lambda: random_mixed(dims, seed),
+            "rank 2": lambda: random_mixed(dims, seed, rank=2),
+            "cq": lambda: _random_cq(dims, seed),
+            "cc": lambda: _random_cc(dims, seed),
+        }[kind]()
+        explicit = sum(qfi(state.rho, lift_b(h, dims[0])) for h in hermitian_basis(dims[1]))
+        assert abs(total_local_qfi_b(state) - explicit) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_spectral_oracle(self, seed):

@@ -20,7 +20,10 @@ from qfc import (
     variance,
 )
 from qfc.correlations import measurement_projectors
+from qfc.linalg import SUPPORT_CUTOFF
 from qfc.states import haar_unitary, random_density, random_hermitian
+
+import oracles
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -136,6 +139,18 @@ class TestQfi:
 
 
 
+@pytest.mark.parametrize("fn", [qfi, sld])
+def test_rho_is_decomposed_once(fn, monkeypatch):
+    # the positivity check reads the lowest eigenvalue of the one eigh
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, f=original, n=name, **k: calls.append(n) or f(*a, **k))
+    fn(random_density(3, 2, 4), random_hermitian(3, 5))
+    assert calls == ["eigh"]
+
+
 class TestQfiWeightMatrix:
     def test_hand_computed_weights_and_cutoff(self):
         w = qfi_weight_matrix(np.array([0.75, 0.25, 0.0]))
@@ -150,6 +165,31 @@ class TestQfiWeightMatrix:
         assert stacked.shape == (4, 3, 3)
         for k in range(4):
             np.testing.assert_array_equal(stacked[k], qfi_weight_matrix(spectra[k]))
+
+    def test_equals_the_masked_division_oracle_bit_for_bit(self):
+        # random spectra, zeros, pairs summing to exactly the cutoff and just
+        # around it, a NaN, and a stack: the same bits, the sign of every zero
+        # included
+        rng = np.random.default_rng(7)
+        half = SUPPORT_CUTOFF / 2
+        spectra = [
+            rng.random(5),
+            rng.dirichlet(np.ones(4)),
+            np.zeros(3),
+            np.array([0.5, 0.5, 0.0, -0.0]),
+            np.array([half, half, 0.25, 0.75]),
+            np.array([SUPPORT_CUTOFF, 0.0, np.nextafter(SUPPORT_CUTOFF, 1.0), 1.0]),
+            np.array([-1e-17, 1e-17, half, 1.0]),
+            np.array([np.nan, 0.25, 0.0, 0.75]),
+            rng.random((2, 3, 4)),
+        ]
+        for values in spectra:
+            got, expected = qfi_weight_matrix(values), oracles.qfi_weight_matrix(values)
+            assert got.shape == expected.shape == values.shape + values.shape[-1:]
+            np.testing.assert_array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+        w = qfi_weight_matrix(np.array([half, half, 1.0]))
+        assert w[0, 1] == 0.0 and not np.signbit(w[0, 1])  # at the cutoff: excluded, +0.0
 
     def test_nan_propagates(self):
         # a NaN eigenvalue gives NaN weights, not the zero of a pair outside the support

@@ -220,6 +220,25 @@ class TestEigh:
         with pytest.raises(ValidationError):
             eigh(np.full((2, 2), np.nan))
 
+    def test_positive_spectrum_is_the_spectrum_checked_once(self):
+        # qfi and sld read rho's positivity off its one decomposition, with
+        # require_positive's tolerance and message
+        for seed in range(10):
+            d = 2 + seed % 4
+            rho = random_density(d, 1 + seed % d, seed)
+            checked, plain = qfc.linalg.positive_spectrum(rho, "state"), qfc.linalg._spectrum(rho)
+            assert np.array_equal(checked.values, plain.values)
+            assert np.array_equal(checked.vectors, plain.vectors)
+        edge = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
+        qfc.linalg.require_positive(edge, "state")
+        qfc.linalg.positive_spectrum(edge, "state")
+        bad = np.diag([1.25, -0.25]).astype(complex)
+        with pytest.raises(PositivityError) as expected:
+            qfc.linalg.require_positive(bad, "state")
+        with pytest.raises(PositivityError) as got:
+            qfc.linalg.positive_spectrum(bad, "state")
+        assert str(got.value) == str(expected.value) == "state has eigenvalue -2.500e-01 < 0"
+
 
 class TestSchmidt:
     def test_bell_coefficients(self):

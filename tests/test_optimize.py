@@ -430,6 +430,31 @@ class TestMultistart:
         assert report.best_value == values[1]
         assert np.array_equal(report.best_unitary, np.full((2, 2), 1))
 
+    def test_ties_with_restart_0_resolve_to_it(self):
+        # restart 0 starts at the caller's basis; an equal value elsewhere,
+        # a signed zero included, does not displace it
+        for values in ([1.0, 1.0, 2.0], [2.0, 2.0, 2.0], [0.0, -0.0, 1.0], [-0.0, 0.0]):
+            report = multistart(self.runs_over(values))
+            assert report.best_value.hex() == values[0].hex()
+            assert np.array_equal(report.best_unitary, np.full((2, 2), 0))
+
+    def test_one_run_report_keeps_its_types(self):
+        # the certified report of correlations._solve: one run, one evaluation
+        u = np.eye(3, dtype=complex)
+        report = multistart([(u, 1e-17, 1, 0, True)])
+        assert report.best_unitary is u
+        assert type(report.best_value) is float and report.best_value == 1e-17
+        assert type(report.converged) is bool and report.converged
+        assert type(report.n_evaluations) is int and report.n_evaluations == 1
+        assert type(report.n_iterations) is int and report.n_iterations == 0
+        for field, dtype, value in (("restart_values", np.float64, 1e-17),
+                                    ("restart_evaluations", np.int_, 1),
+                                    ("restart_iterations", np.int_, 0),
+                                    ("restart_converged", np.bool_, True)):
+            array = getattr(report, field)
+            assert array.dtype == dtype and array.shape == (1,), field
+            assert array[0] == value, field
+
     def test_counts_are_summed_over_restarts(self):
         report = multistart(self.runs_over([2.0, 1.0, 4.0]))
         assert report.n_evaluations == 1 + 2 + 3
