@@ -88,17 +88,6 @@ def _is_number(x) -> bool:
     return _is_int(x) or isinstance(x, float)
 
 
-def _require_dims(doc: dict, path: str) -> tuple[int, int]:
-    dims = doc.get("dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(_is_int(d) and d >= 1 for d in dims)
-    ):
-        raise SchemaError(f"{path}.dims must be a list of two positive integers")
-    return (dims[0], dims[1])
-
-
 def _complex_scalar(x, path: str) -> complex:
     if _is_number(x):
         return complex(x)
@@ -157,8 +146,11 @@ def parse_state_spec(text: str) -> dict:
         raise SchemaError(f"missing field '{kind}.{name}'")
     for name in sorted(fields - schema["required"] - schema["optional"]):
         raise SchemaError(f"unknown field '{kind}.{name}'")
-    if "dims" in doc:
-        _require_dims(doc, kind)
+    dims = doc.get("dims")
+    if "dims" in doc and not (
+        isinstance(dims, list) and len(dims) == 2 and all(_is_int(d) and d >= 1 for d in dims)
+    ):
+        raise SchemaError(f"{kind}.dims must be a list of two positive integers")
     for name in ("coeffs", "probs"):
         if name in doc and not (
             isinstance(doc[name], list) and all(_is_number(x) for x in doc[name])

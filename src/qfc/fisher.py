@@ -64,8 +64,9 @@ def validate_povm(elements, dim: int | None = None) -> list[np.ndarray]:
 
 
 def evolve(rho: np.ndarray, h: np.ndarray, theta: float) -> np.ndarray:
-    """Unitary orbit ``exp(-i theta H) rho exp(i theta H)``."""
+    """Unitary orbit ``exp(-i theta H) rho exp(i theta H)``; ``theta`` must be finite."""
     rho, h = _operands(rho, h)
+    linalg.require_finite(theta, "theta")
     vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
     u = (vecs * np.exp(-1j * theta * vals)) @ dag(vecs)
     return u @ rho @ dag(u)
@@ -116,9 +117,8 @@ def sld(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     # <psi_x| i[rho,H] |psi_y> = i (p_x - p_y) <psi_x|H|psi_y>
     drho = 1j * (p[:, None] - p[None, :]) * elems
     sums = p[:, None] + p[None, :]
-    core = np.zeros_like(drho)
-    mask = sums > SUPPORT_CUTOFF
-    core[mask] = 2.0 * drho[mask] / sums[mask]
+    # a pair outside the support divides by inf, as in qfi_weight_matrix
+    core = 2.0 * drho / np.where(sums > SUPPORT_CUTOFF, sums, np.inf)
     l = spectrum.vectors @ core @ dag(spectrum.vectors)
     return (l + dag(l)) / 2
 

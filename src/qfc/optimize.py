@@ -28,11 +28,10 @@ every solver of party a sets to the eigenbasis of rho_a in one place,
 coefficients, row k - 1 of one ``(R - 1, d^2)`` normal draw from
 ``np.random.default_rng(seed)``, which does not depend on the restart count
 R. The random starts of one ``(seed, R, d)`` are drawn once per process and
-shared read-only by every search that uses them. A search screens its
-restarts at a loose tolerance and polishes only the best of them at a tight
-one (see :func:`_bfgs`); each round runs its restarts in lockstep, one
-objective call per step on the stack of those still searching.
-:func:`multistart` reports the restarts.
+shared read-only by every search that uses them. A search screens and then
+polishes its restarts in rounds (see :func:`_bfgs`); each round runs its
+restarts in lockstep, one objective call per step on the stack of those
+still searching. :func:`multistart` reports the restarts.
 """
 
 from __future__ import annotations
@@ -74,9 +73,8 @@ class OptimizerConfig:
 
     ``tolerance`` is the threshold below which a solver certifies a zero,
     and a hundredth of it bounds ``1 - purity`` at the purity gate (both in
-    ``correlations._solve``); the polish runs to ``min(tolerance,
-    POLISH_TOLERANCE)``; the screen runs to :data:`SCREEN_TOLERANCE` whatever
-    it is. ``seed`` seeds the one generator of the random starts.
+    ``correlations._solve``); :func:`_bfgs` says how the search uses it.
+    ``seed`` seeds the one generator of the random starts.
     """
 
     restarts: int = 16
@@ -110,12 +108,10 @@ class OptimizerReport:
     restarts resolve to the lowest restart index. ``best_unitary`` is the
     basis that attains ``best_value``.
 
-    After :func:`_bfgs`, only the best restart was polished: ``best_value``
-    and ``converged`` hold at the polish tolerance. Every other restart
-    stopped in a screen round, so its value is an upper bound on its basin's
-    minimum that holds only to that round's precision (its squared gradient
-    norm at most ``SCREEN_TOLERANCE**j`` in round j), and its
-    ``restart_converged`` flag says whether it met that round's tolerance.
+    After :func:`_bfgs`, ``best_value`` and ``converged`` are the polished
+    restart's, and every other restart's value and ``restart_converged``
+    flag hold only to the tolerance of its last screen round (see
+    :func:`_bfgs`).
     """
 
     best_value: float
@@ -152,11 +148,12 @@ def unitary_from_params(params: np.ndarray, dim: int) -> np.ndarray:
 
     ``A(params)`` is the Hermitian generator with the given coefficients in
     the canonical basis. ``(..., d^2)`` coefficients give a ``(..., d, d)``
-    stack.
+    stack; a non-finite coefficient raises ``ValidationError``.
     """
     p = np.asarray(params, dtype=float)
     if p.shape[-1:] != (dim * dim,):
         raise ShapeError(f"need {dim * dim} parameters for dimension {dim}, got shape {p.shape}")
+    linalg.require_finite(p, "params")
     return _exp_i(p, _generator_basis(dim))
 
 
@@ -234,115 +231,98 @@ def _evaluate(objective, v: np.ndarray):
 
 
 def _search(u: np.ndarray, f: float, g: np.ndarray):
-    """The search of one :class:`_Restart`, over every round it runs in.
+    """One restart of :func:`_bfgs`, over every round it runs in.
 
-    A generator, primed by :class:`_Restart` and sent each round's tolerance
-    by :func:`_lockstep`. It yields ``(u, step)`` for each trial point ``u
-    exp(i A(0, step))`` and is sent ``(trial, value, gradient)`` back. When it
-    stops (see :func:`_bfgs` for the steps and stops) it yields its
-    ``(unitary, value, evaluations, iterations, converged)`` run and waits
-    for the next round's tolerance. A stalled restart is not searched again:
-    it only checks its stop. It holds no reference to its :class:`_Restart`,
-    so a search leaves no reference cycle behind.
+    The generator is the restart: between rounds its state lives in its
+    suspended frame and nowhere else. That state is its point ``u``, value
+    ``f`` and tangent gradient ``g``; the inverse Hessian estimate ``h``
+    (None, the identity, until the first update); the first trial ``t_sd`` of
+    a steepest-descent line search; the value's ``decrease`` over the last
+    step (the start counts as a step of 0); its ``evaluations`` (the start is
+    one) and ``iterations``; and ``stalled``, set once a line search found no
+    lower value. It yields its ``(unitary, value, evaluations, iterations,
+    converged)`` run first at the start, unconverged, and then at every stop
+    (see :func:`_bfgs` for the steps and stops), and each time waits for the
+    next round's tolerance, which :func:`_lockstep` sends. Within a round it
+    yields ``(u, step)`` for each trial point ``u exp(i A(0, step))`` and is
+    sent ``(trial, value, gradient)`` back. A stalled restart is not searched
+    again: it only checks its stop.
     """
     h, t_sd, decrease = None, 1.0, 0.0
-    evaluations, iterations, stalled = 1, 0, False
-    tolerance = yield
+    evaluations, iterations, stalled, converged = 1, 0, False, False
     while True:
-        # Scalars are Python floats. A steepest-descent step reuses g.g
-        # for -g.p and p.p, which negation leaves the same bits.
-        gg = float(g @ g)
-        if h is not None:
-            p = -(h @ g)
-            slope = float(g @ p)
-        if h is None or slope >= 0.0:
-            p, slope, pp = -g, -gg, gg
-        else:
-            pp = float(p @ p)
-        if gg <= tolerance and (decrease <= tolerance or -slope <= tolerance):
-            tolerance = yield u, f, evaluations, iterations, True
-            continue
-        if stalled or iterations == MAX_ITERATIONS:
+        tolerance = yield u, f, evaluations, iterations, converged
+        while True:
+            # Scalars are Python floats. A steepest-descent step reuses g.g
+            # for -g.p and p.p, which negation leaves the same bits.
+            gg = float(g @ g)
+            if h is not None:
+                p = -(h @ g)
+                slope = float(g @ p)
+            if h is None or slope >= 0.0:
+                p, slope, pp = -g, -gg, gg
+            else:
+                pp = float(p @ p)
             # Once no step lowers the value the decrease is 0, so a stalled
             # restart is at a stationary point to working precision unless
             # g is still large; at the cap it is unconverged.
-            tolerance = yield u, f, evaluations, iterations, bool(stalled and gg <= tolerance)
-            continue
-        # |t p| <= pi keeps the generator's eigenvalues from wrapping.
-        t = first = min(t_sd if h is None else 1.0, np.pi / math.sqrt(pp))
-        for _ in range(MAX_HALVINGS):
-            s = t * p
-            trial, f_new, g_new = yield u, s
-            evaluations += 1
-            if f_new <= f + ARMIJO * t * slope:
+            converged = gg <= tolerance and (min(decrease, -slope) <= tolerance or stalled)
+            if converged or stalled or iterations == MAX_ITERATIONS:
                 break
-            t /= 2.0
-        else:
-            stalled = True
-            continue
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 0.0:
-            if h is None:
-                h = (sy / float(y @ y)) * np.eye(s.size)
-            hy = h @ y
-            hys = hy[:, None] * s
-            h += ((sy + float(y @ hy)) * (s[:, None] * s) / sy - hys - hys.T) / sy
-        t_sd = 2.0 * t if t == first else t
-        iterations += 1
-        decrease = f - f_new
-        u, f, g = trial, f_new, g_new
+            # |t p| <= pi keeps the generator's eigenvalues from wrapping.
+            t = first = min(t_sd if h is None else 1.0, np.pi / math.sqrt(pp))
+            for _ in range(MAX_HALVINGS):
+                s = t * p
+                trial, f_new, g_new = yield u, s
+                evaluations += 1
+                if f_new <= f + ARMIJO * t * slope:
+                    break
+                t /= 2.0
+            else:
+                stalled = True
+                continue
+            y = g_new - g
+            sy = float(s @ y)
+            if sy > 0.0:
+                if h is None:
+                    h = (sy / float(y @ y)) * np.eye(s.size)
+                hy = h @ y
+                hys = hy[:, None] * s
+                h += ((sy + float(y @ hy)) * (s[:, None] * s) / sy - hys - hys.T) / sy
+            t_sd = 2.0 * t if t == first else t
+            iterations += 1
+            decrease = f - f_new
+            u, f, g = trial, f_new, g_new
 
 
-class _Restart:
-    """One restart of :func:`_bfgs`: its search, and the run it stopped at last.
+def _lockstep(objective, searches, runs, field, tolerance: float):
+    """Search each restart ``k`` of ``field`` on to ``tolerance``, in lockstep: one round.
 
-    ``search`` is the restart's one :func:`_search` generator, created and
-    primed here and resumed by every :func:`_lockstep` round the restart
-    runs in. Between rounds the restart's state lives in that suspended
-    generator's frame, and nowhere else: its point ``u``, value ``f`` and
-    tangent gradient ``g``; the inverse Hessian estimate ``h`` (None, the
-    identity, until the first update); the first trial ``t_sd`` of a
-    steepest-descent line search; the value's ``decrease`` over the last step
-    (the start counts as a step of 0); its evaluations and iterations; and
-    ``stalled``, set once a line search found no lower value. ``run`` is the
-    ``(unitary, value, evaluations, iterations, converged)`` run that
-    :func:`_lockstep` stored at the last stop, for :func:`multistart`; before
-    the first round it is the start, after one evaluation and unconverged.
-    """
-
-    def __init__(self, u: np.ndarray, f: float, g: np.ndarray):
-        self.run = u, f, 1, 0, False
-        self.search = _search(u, f, g)
-        next(self.search)  # to the wait for the first round's tolerance
-
-
-def _lockstep(objective, restarts, tolerance: float):
-    """Search each of ``restarts`` on to ``tolerance``, in lockstep: one round.
-
-    Each restart's search generator (see :class:`_Restart`) is sent
-    ``tolerance`` and goes on from where its last round stopped. Each step of
-    the round makes one chart call and one objective call on the stack of the
-    trial points of the restarts still searching. A restart that stops hands
-    over its run, stored as ``restart.run``, and drops out of the stack; its
-    generator stays suspended, holding the restart's state for the next
-    round. The chart call is :func:`_step_chart`, which maps the steps'
-    off-diagonal coordinates straight to ``exp(i A(0, step))``, as
+    ``searches[k]`` is restart k: its one :func:`_search` generator, whose
+    suspended frame holds the restart's point, value, gradient, inverse
+    Hessian, step memory, last decrease, counts and stall flag between
+    rounds. It is sent ``tolerance`` and goes on from where its last round
+    stopped. Each step of the round makes one chart call and one objective
+    call on the stack of the trial points of the restarts still searching. A
+    restart that stops yields its run, stored as ``runs[k]``, and drops out
+    of the stack; its generator stays suspended for the next round. The chart
+    call is :func:`_step_chart`, which maps the steps' off-diagonal
+    coordinates straight to ``exp(i A(0, step))``, as
     :func:`unitary_from_params` maps the zero-padded step, bit for bit. Each
     restart keeps its own state, so it takes the steps it would take alone.
     """
-    replies = [tolerance] * len(restarts)
+    replies = [tolerance] * len(field)
     while True:
         searching = []
-        for restart, reply in zip(restarts, replies):
-            request = restart.search.send(reply)
+        for k, reply in zip(field, replies):
+            request = searches[k].send(reply)
             if len(request) == 2:  # a trial point (u, step); a stop yields the run
-                searching.append((restart, *request))
+                searching.append((k, *request))
             else:
-                restart.run = request
+                runs[k] = request
         if not searching:
             return
-        restarts, bases, steps = zip(*searching)
+        field, bases, steps = zip(*searching)
         trials = np.array(bases) @ _step_chart(np.array(steps), len(bases[0]))
         values, grads = _evaluate(objective, trials)
         replies = list(zip(trials, values.tolist(), grads))
@@ -359,18 +339,24 @@ def _bfgs(objective, starts: np.ndarray, tolerance: float):
     * *Screen.* All R restarts run to the loose :data:`SCREEN_TOLERANCE`.
       The better half of them, by value (ties go to the lower index), run on
       to ``SCREEN_TOLERANCE**2``, the better half of those to
-      ``SCREEN_TOLERANCE**3``, and so on until one restart is left.
+      ``SCREEN_TOLERANCE**3``, and so on until one restart is left. No
+      screen round runs tighter than the polish.
     * *Polish.* That restart runs on to ``min(tolerance,
       POLISH_TOLERANCE)``.
 
-    A restart goes on from where its last round stopped, with its point,
-    value, gradient, inverse Hessian and step memory, which its one search
-    generator holds between rounds (see :class:`_Restart`), and its counts
-    hold the work of every round it ran in; the field is ranked by the value
-    of each restart's ``run``. Stopping and going on does not change
-    its path: the polished restart ends exactly where it would end searched
-    alone to the polish tolerance, and every other restart holds its value
-    only to the tolerance of the last round it ran in.
+    So only the best restart is polished: its value and flag hold at the
+    polish tolerance, and every other restart's value is an upper bound on
+    its basin's minimum that holds only to the tolerance of the last screen
+    round it ran in (its squared gradient norm at most
+    ``SCREEN_TOLERANCE**j`` in round j), as does its flag.
+
+    Each restart is one :func:`_search` generator, primed to its start run;
+    ``runs[k]`` holds restart k's run from its last stop, by whose value the
+    field is ranked. A restart goes on from where its last round stopped,
+    with its point, value, gradient, inverse Hessian and step memory, and
+    its counts hold the work of every round it ran in. Stopping and going on
+    does not change its path: the polished restart ends exactly where it
+    would end searched alone to the polish tolerance.
 
     Each backtracking (Armijo) line search along ``p`` starts at ``t = 1``
     once H exists. Before that ``p = -g`` and the first trial is a
@@ -380,8 +366,9 @@ def _bfgs(objective, starts: np.ndarray, tolerance: float):
 
     A round stops a restart converged once the squared gradient norm is at
     most the round's tolerance and either the last step lowered the value by
-    at most that tolerance (the start counts as such a step) or the predicted
-    decrease ``-g.p`` is at most that tolerance; the latter ends a search at
+    at most that tolerance (the start counts as such a step), the predicted
+    decrease ``-g.p`` is at most that tolerance, or a line search found no
+    step that lowers the value; the predicted decrease ends a search at
     roundoff level without a line search that could only halve its way to
     nothing. It stops a restart unconverged at :data:`MAX_ITERATIONS`
     iterations over all rounds, or when a line search finds no step that
@@ -390,15 +377,15 @@ def _bfgs(objective, starts: np.ndarray, tolerance: float):
     round, so an unconverged winner is reported as it stands.
     """
     values, grads = _evaluate(objective, starts)
-    restarts = [_Restart(*start) for start in zip(starts, values.tolist(), grads)]
-    polish = min(tolerance, POLISH_TOLERANCE)
-    field, screen = range(len(restarts)), SCREEN_TOLERANCE
+    searches = [_search(*start) for start in zip(starts, values.tolist(), grads)]
+    runs = [next(search) for search in searches]
+    field, screen, polish = range(len(runs)), SCREEN_TOLERANCE, min(tolerance, POLISH_TOLERANCE)
     while len(field) > 1:
-        _lockstep(objective, [restarts[k] for k in field], screen)
-        field = sorted(field, key=lambda k: (restarts[k].run[1], k))[: (len(field) + 1) // 2]
+        _lockstep(objective, searches, runs, field, screen)
+        field = sorted(field, key=lambda k: (runs[k][1], k))[: (len(field) + 1) // 2]
         screen = max(screen * SCREEN_TOLERANCE, polish)
-    _lockstep(objective, [restarts[field[0]]], polish)
-    return [restart.run for restart in restarts]
+    _lockstep(objective, searches, runs, field, polish)
+    return runs
 
 
 def optimize_basis(objective, start, *, config=None):
@@ -418,19 +405,11 @@ def optimize_basis(objective, start, *, config=None):
     :class:`OptimizerConfig`, the default one if None) sets the restarts,
     the seed and the tolerance.
 
-    The restarts are BFGS searches in two phases (see :func:`_bfgs`). The
-    screen runs all of them to :data:`SCREEN_TOLERANCE`, and the better half
-    of each screen round on to a tolerance 1/SCREEN_TOLERANCE times tighter,
-    until one is left; the polish runs that one on to ``min(config.tolerance,
-    POLISH_TOLERANCE)``. A tolerance bounds both the last decrease (or the
-    predicted one) and the squared gradient norm. Each round runs its
-    restarts in lockstep, one objective call per step on the stack of those
-    still searching.
+    The restarts are BFGS searches, screened and then polished as
+    :func:`_bfgs` says, and each round runs its restarts in lockstep, one
+    objective call per step on the stack of those still searching.
 
-    Returns the :class:`OptimizerReport` of the restarts: ``best_value`` and
-    ``converged`` are the polished restart's, and every other restart's
-    value holds only to the precision of the last screen round it ran in.
-    Deterministic for a fixed config and start. Stopping a restart and going
+    Returns the :class:`OptimizerReport` of the restarts. Deterministic for a fixed config and start. Stopping a restart and going
     on does not change its path, so as long as the objective's value and
     gradient at a unitary do not depend on the stack it comes in (which
     holds for every objective of the library) the polished restart ends

@@ -263,7 +263,7 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
         if not ops:
             raise ShapeError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
+        d = ops[0].shape[0] if ops[0].ndim else 0  # a 0-d operator fails the check below
         if any(k.shape != (d, d) for k in ops):
             raise ShapeError("Kraus operators must be square with a common dimension")
         linalg.require_finite(ops, "Kraus operators")

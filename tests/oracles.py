@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qfc import PurityError, ShapeError, hermitian_basis, lift_a, linalg, measure_a, qfi
+from qfc import PurityError, ShapeError, fisher, hermitian_basis, lift_a, linalg, measure_a, qfi
 from qfc.linalg import SUPPORT_CUTOFF, require_state_vector, require_unitary
 from qfc.optimize import START_SPREAD, unitary_from_params
 from qfc.states import PURITY_TOL, haar_unitary
@@ -123,6 +123,26 @@ def qfi_weight_matrix(values: np.ndarray) -> np.ndarray:
     w = np.zeros_like(sums)
     np.divide(diffs**2, 2.0 * sums, out=w, where=~(sums <= SUPPORT_CUTOFF))
     return w
+
+
+def sld(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The symmetric logarithmic derivative by a masked division.
+
+    The library's earlier formula, kept as the oracle of :func:`qfc.sld`: in
+    the eigenbasis of rho, a zero-filled buffer is assigned ``2 <psi_x|
+    i[rho, H] |psi_y> / (p_x + p_y)`` only where the pair sum is above the
+    support cutoff. It takes rho's spectrum from the library's own checked
+    decomposition, so that the two can be compared byte for byte.
+    """
+    spectrum, elems = fisher._spectral_operands(rho, h)
+    p = spectrum.values
+    drho = 1j * (p[:, None] - p[None, :]) * elems
+    sums = p[:, None] + p[None, :]
+    core = np.zeros_like(drho)
+    mask = sums > SUPPORT_CUTOFF
+    core[mask] = 2.0 * drho[mask] / sums[mask]
+    l = spectrum.vectors @ core @ linalg.dag(spectrum.vectors)
+    return (l + linalg.dag(l)) / 2
 
 
 def _a_components(x: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

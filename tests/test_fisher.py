@@ -66,6 +66,11 @@ class TestEvolve:
         rho = np.diag([0.7, 0.3]).astype(complex)
         np.testing.assert_allclose(evolve(rho, SZ, 0.83), rho, atol=1e-12)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_angle(self, theta):
+        with pytest.raises(ValidationError, match="theta"):
+            evolve(np.eye(2) / 2, SX, theta)
+
     def test_spectrum_preserved_under_rotation(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         rotated = evolve(rho, SX, np.pi / 4)
@@ -93,6 +98,23 @@ class TestSld:
         commutator = 1j * (rho @ h - h @ rho)
         assert np.linalg.norm(commutator - (l @ rho + rho @ l) / 2) <= 1e-9
         assert np.linalg.norm(l - dag(l)) <= 1e-10
+
+    def test_equals_the_masked_division_oracle_byte_for_byte(self):
+        # random full-rank and rank-deficient pairs at d = 2 to 5, and
+        # diagonal states with pairs outside the support that sum to exactly
+        # 0: the same bytes, the sign of every zero included
+        pairs = []
+        for seed in range(400):
+            d = 2 + seed % 4
+            rank = d if seed % 2 else 1 + (seed // 2) % d
+            pairs.append((random_density(d, rank, seed), random_hermitian(d, 10_000 + seed)))
+        for d in (2, 3, 4):
+            pure = np.diag(np.eye(d)[0]).astype(complex)
+            mixed = np.diag(np.r_[np.full(d - 1, 1.0 / (d - 1)), 0.0]).astype(complex)
+            for h in (random_hermitian(d, d), np.diag(np.arange(d)), np.zeros((d, d))):
+                pairs += [(pure, h), (mixed, -h), (np.eye(d) / d, h)]
+        for rho, h in pairs:
+            assert sld(rho, h).tobytes() == oracles.sld(rho, h).tobytes()
 
 
 class TestQfi:

@@ -27,6 +27,7 @@ from qfc import (
     OptimizationError,
     OptimizerConfig,
     ShapeError,
+    ValidationError,
     dag,
     optimize_basis,
     unitary_from_params,
@@ -80,15 +81,16 @@ def stack_objective(dim):
 def recording_rounds(rounds):
     """Patch ``optimize._lockstep`` to append each round to ``rounds``.
 
-    A round is ``(restarts, tolerance, before, after)``: the restarts it
-    searches, its tolerance and their runs before and after it.
+    A round is ``(restarts, tolerance, before, after)``: the indices of the
+    restarts it searches, its tolerance and their runs before and after it.
     """
     lockstep = optimize._lockstep
 
-    def recording(objective, restarts, tolerance):
-        before = [restart.run for restart in restarts]
-        lockstep(objective, restarts, tolerance)
-        rounds.append((restarts, tolerance, before, [restart.run for restart in restarts]))
+    def recording(objective, searches, runs, field, tolerance):
+        restarts = list(field)
+        before = [runs[k] for k in restarts]
+        lockstep(objective, searches, runs, field, tolerance)
+        rounds.append((restarts, tolerance, before, [runs[k] for k in restarts]))
 
     return mock.patch.object(optimize, "_lockstep", recording)
 
@@ -118,6 +120,12 @@ class TestUnitaryFromParams:
     def test_rejects_wrong_length(self):
         with pytest.raises(ShapeError):
             unitary_from_params(np.zeros(3), 2)
+
+    @pytest.mark.parametrize("params", [np.full(4, np.nan), [np.inf, 0.0, 0.0, 0.0]],
+                             ids=["nan", "inf"])
+    def test_rejects_non_finite_parameters(self, params):
+        with pytest.raises(ValidationError, match="params"):
+            unitary_from_params(params, 2)
 
     @pytest.mark.parametrize("dim", range(1, 7))
     def test_trial_points_equal_the_padded_chart_bit_for_bit(self, dim):
@@ -309,12 +317,15 @@ class TestLockstep:
         with recording_rounds(rounds):
             report = optimize_basis(objective, random_start(3, 1), config=cfg)
         restarts, _, starts, _ = rounds[0]
-        last = {id(restart): tolerance for stack, tolerance, *_ in rounds for restart in stack}
-        for restart, start in zip(restarts, starts):
+        last = {k: tolerance for stack, tolerance, *_ in rounds for k in stack}
+        final = {k: run for stack, _, _, after in rounds for k, run in zip(stack, after)}
+        for k, start in zip(restarts, starts):
             values, grads = optimize._evaluate(objective, start[0][None])
-            alone = optimize._Restart(start[0], values[0], grads[0])
-            optimize._lockstep(objective, [alone], last[id(restart)])
-            assert_same_runs([alone.run], [restart.run])
+            alone = optimize._search(start[0], values[0], grads[0])
+            runs = [next(alone)]
+            assert_same_runs(runs, [start])
+            optimize._lockstep(objective, [alone], runs, [0], last[k])
+            assert_same_runs(runs, [final[k]])
         best = int(np.argmin(report.restart_values))
         single = optimize_basis(objective, starts[best][0],
                                 config=dataclasses.replace(cfg, restarts=1))
@@ -333,14 +344,13 @@ class TestLockstep:
 
     @SOLVERS
     def test_a_search_leaves_nothing_for_the_cyclic_gc(self, solver):
-        # Reference counting alone frees every restart and its search once the
-        # search returns: a search generator that held its restart would keep
-        # both alive in a reference cycle until the cyclic GC ran.
+        # Reference counting alone frees every restart's search generator once
+        # the search returns: a generator caught in a reference cycle would stay
+        # alive, its frame suspended, until the cyclic GC ran.
         def leftovers():
             return [obj for obj in gc.get_objects()
-                    if isinstance(obj, optimize._Restart)
-                    or (inspect.isgenerator(obj) and obj.gi_frame is not None
-                        and obj.gi_code.co_filename == optimize.__file__)]
+                    if inspect.isgenerator(obj) and obj.gi_frame is not None
+                    and obj.gi_code.co_filename == optimize.__file__]
 
         gc.collect()
         assert leftovers() == []
@@ -581,9 +591,9 @@ class TestTwoPhases:
             report = optimize_basis(stack_objective(3), random_start(3, 0),
                                     config=OptimizerConfig(restarts=2))
         assert not report.restart_converged.any()
-        (winner,), _, before, after = rounds[-1]
+        (_,), _, before, after = rounds[-1]
         assert_same_runs(after, before)  # the polish round took no step
-        assert winner.run[3] == 1 and not report.converged
+        assert after[0][3] == 1 and not report.converged
 
 
 class TestOptimizeBasis:

@@ -269,6 +269,11 @@ class TestChannels:
         with pytest.raises(ValidationError):
             KrausChannel((np.diag([0.5, 0.5]),))
 
+    @pytest.mark.parametrize("operator", [np.array(1.0), np.ones(2)], ids=["0-d", "1-d"])
+    def test_rejects_an_operator_that_is_not_a_matrix(self, operator):
+        with pytest.raises(ShapeError, match="must be square with a common dimension"):
+            KrausChannel((operator,))
+
     def test_identity_channel_is_identity(self):
         channel = KrausChannel((np.eye(2),))
         state = random_pure((2, 2), 3)
