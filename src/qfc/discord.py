@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .linalg import dag
 from .optimize import OptimizerConfig
-from .states import BipartiteState, validate_density
+from .states import BipartiteState
 from .correlations import (
     _PAULIS,
     QuantifierResult,
@@ -39,8 +39,12 @@ def _entropy(rho: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy ``-sum_i p_i ln p_i`` of a valid density matrix (0 ln 0 = 0)."""
-    return _entropy(validate_density(rho))
+    """Entropy ``-sum_i p_i ln p_i`` of a valid density matrix (0 ln 0 = 0).
+
+    Read off the spectrum that :func:`linalg.require_density` checked.
+    """
+    values = linalg.require_density(rho, "density matrix")[1].values
+    return float(_spectral_entropy(values)) + 0.0
 
 
 def mutual_information(state: BipartiteState) -> float:

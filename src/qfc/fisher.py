@@ -5,8 +5,9 @@ exp(i theta H)`` the QFI carries the 1/4 normalization under which the QFI
 of a pure state equals the plain variance of H. The symmetric logarithmic
 derivative L is the Hermitian solution of ``i[rho, H] = (L rho + rho L)/2``
 on the support of rho, and QFI = (1/4) tr(rho L^2). Every function here
-that takes rho checks that it is a density matrix (Hermitian, unit trace,
-positive) and raises a typed ``ValidationError`` otherwise.
+that takes rho checks it with :func:`linalg.require_density` (Hermitian,
+unit trace, positive) and raises a typed ``ValidationError`` otherwise;
+``qfi`` and ``sld`` read rho's spectrum off that check's one decomposition.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import DegeneratePointError, ShapeError, TraceError, ValidationError
+from .errors import DegeneratePointError, ShapeError, ValidationError
 from .linalg import SUPPORT_CUTOFF, dag
 
 #: Outcome probabilities below this floor are treated as vanishing.
@@ -23,29 +24,15 @@ PROBABILITY_FLOOR = 1e-12
 DERIVATIVE_FLOOR = 1e-8
 
 
-def _unit_trace_operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Hermitian rho of unit trace and Hermitian h of its shape, positivity unchecked
+def _operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, linalg.Spectrum]:
+    """The density matrix, the Hermitian observable of its shape and rho's checked spectrum."""
     h = linalg.require_hermitian(h, "observable")
+    # the shapes are compared before rho's trace and positivity are checked
     rho = linalg.require_hermitian(rho, "state")
     if rho.shape != h.shape:
         raise ShapeError(f"state shape {rho.shape} does not match observable {h.shape}")
-    linalg.require_close(np.trace(rho), 1.0, TraceError, "state trace is not 1: |tr - 1|")
-    return rho, h
-
-
-def _operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The density matrix and the Hermitian observable as complex arrays of one shape."""
-    rho, h = _unit_trace_operands(rho, h)
-    linalg.require_positive(rho, "state")
-    return rho, h
-
-
-def _spectral_operands(rho: np.ndarray, h: np.ndarray):
-    # rho's spectrum and h in its eigenbasis, checked as _operands checks
-    # them; positivity is read off the one decomposition of rho
-    rho, h = _unit_trace_operands(rho, h)
-    spectrum = linalg.positive_spectrum(rho, "state")
-    return spectrum, dag(spectrum.vectors) @ h @ spectrum.vectors
+    rho, spectrum = linalg.require_density(rho, "state")
+    return rho, h, spectrum
 
 
 def validate_povm(elements, dim: int | None = None) -> list[np.ndarray]:
@@ -65,7 +52,7 @@ def validate_povm(elements, dim: int | None = None) -> list[np.ndarray]:
 
 def evolve(rho: np.ndarray, h: np.ndarray, theta: float) -> np.ndarray:
     """Unitary orbit ``exp(-i theta H) rho exp(i theta H)``; ``theta`` must be finite."""
-    rho, h = _operands(rho, h)
+    rho, h, _ = _operands(rho, h)
     linalg.require_finite(theta, "theta")
     vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
     u = (vecs * np.exp(-1j * theta * vals)) @ dag(vecs)
@@ -92,14 +79,15 @@ def qfi(rho: np.ndarray, h: np.ndarray) -> float:
     Evaluated spectrally: ``sum_ij (p_i - p_j)^2 / (2(p_i + p_j))
     |<psi_i|H|psi_j>|^2`` over eigenpairs inside the support.
     """
-    spectrum, elems = _spectral_operands(rho, h)
+    _, h, spectrum = _operands(rho, h)
+    elems = dag(spectrum.vectors) @ h @ spectrum.vectors
     w = qfi_weight_matrix(spectrum.values)
     return float(np.sum(w * (elems.real**2 + elems.imag**2)))
 
 
 def variance(rho: np.ndarray, h: np.ndarray) -> float:
     """Variance ``tr(rho H^2) - (tr rho H)^2`` of an observable."""
-    rho, h = _operands(rho, h)
+    rho, h, _ = _operands(rho, h)
     first = float(np.real(np.trace(rho @ h)))
     second = float(np.real(np.trace(rho @ h @ h)))
     return second - first**2
@@ -112,7 +100,8 @@ def sld(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     |psi_y> / (p_x + p_y)``; eigenvalue pairs outside the support contribute
     zero.
     """
-    spectrum, elems = _spectral_operands(rho, h)
+    _, h, spectrum = _operands(rho, h)
+    elems = dag(spectrum.vectors) @ h @ spectrum.vectors
     p = spectrum.values
     # <psi_x| i[rho,H] |psi_y> = i (p_x - p_y) <psi_x|H|psi_y>
     drho = 1j * (p[:, None] - p[None, :]) * elems
@@ -133,7 +122,7 @@ def classical_fi(rho: np.ndarray, h: np.ndarray, povm) -> float:
     undefined 0/0 point and raises. Another point of the orbit is the state
     ``evolve(rho, h, theta)``.
     """
-    rho, h = _operands(rho, h)
+    rho, h, _ = _operands(rho, h)
     mats = validate_povm(povm, rho.shape[0])
     drho = 1j * (rho @ h - h @ rho)
     total = 0.0

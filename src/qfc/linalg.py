@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (HermiticityError, NormalizationError, OrthonormalityError,
-                     PositivityError, ShapeError, ValidationError)
+                     PositivityError, ShapeError, TraceError, ValidationError)
 
 #: Tolerance of every input check (Hermiticity, orthonormality, unit norm, unit
 #: trace, positivity, completeness); only the ``require_*`` functions read it.
@@ -44,33 +44,37 @@ def require_finite(x, name: str) -> None:
 
 
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return ``h`` as a complex array, raising unless it is square, finite and Hermitian."""
+    """Return ``h`` as a complex array, raising unless it is finite, Hermitian and of size >= 1."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
         raise ShapeError(f"{name} must be a square matrix, got shape {h.shape}")
     require_finite(h, name)
     require_close(h, dag(h), HermiticityError, f"{name} is not Hermitian: ||H - H^dag||")
     return h
 
 
-def _require_lowest(lowest: float, name: str) -> None:
-    if not lowest >= -VALIDATION_TOL:
-        raise PositivityError(f"{name} has eigenvalue {lowest:.3e} < 0")
+def require_positive(h: np.ndarray, name: str) -> Spectrum:
+    """The descending spectrum of Hermitian ``h``; raises on an eigenvalue below ``-VALIDATION_TOL``.
 
-
-def require_positive(h: np.ndarray, name: str) -> None:
-    """Raise unless the Hermitian ``h`` has no eigenvalue below ``-VALIDATION_TOL``."""
-    _require_lowest(float(np.linalg.eigvalsh((h + dag(h)) / 2)[0]), name)
-
-
-def positive_spectrum(h: np.ndarray, name: str) -> Spectrum:
-    """The descending spectrum of the Hermitian ``h``, checked as :func:`require_positive` checks.
-
-    One decomposition gives both: the check reads its lowest eigenvalue.
+    One decomposition gives both: the check reads the lowest eigenvalue of
+    the spectrum it returns.
     """
     spectrum = _spectrum(h)
-    _require_lowest(float(spectrum.values[-1]), name)
+    lowest = float(spectrum.values[-1])
+    if not lowest >= -VALIDATION_TOL:
+        raise PositivityError(f"{name} has eigenvalue {lowest:.3e} < 0")
     return spectrum
+
+
+def require_density(rho: np.ndarray, name: str) -> tuple[np.ndarray, Spectrum]:
+    """The one density-matrix check: ``rho`` as a complex array and its descending spectrum.
+
+    Raises unless ``rho`` passes :func:`require_hermitian`, has unit trace
+    (``TraceError``) and passes :func:`require_positive`, in that order.
+    """
+    rho = require_hermitian(rho, name)
+    require_close(np.trace(rho), 1.0, TraceError, f"{name} trace is not 1: |tr - 1|")
+    return rho, require_positive(rho, name)
 
 
 def require_orthonormal_columns(v: np.ndarray, name: str = "basis") -> np.ndarray:

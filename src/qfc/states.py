@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    NormalizationError,
-    ShapeError,
-    TraceError,
-    ValidationError,
-)
+from .errors import NormalizationError, ShapeError, ValidationError
 
 PURITY_TOL = 1e-8
 
@@ -69,15 +64,12 @@ class BipartiteState:
 
 
 def validate_density(m: np.ndarray) -> np.ndarray:
-    """Check finiteness, Hermiticity, unit trace, and positivity of a density matrix.
+    """Return ``m`` as a complex array, checked by :func:`linalg.require_density`.
 
-    Raises a distinct error for each violated invariant; returns the matrix
-    as a complex array on success.
+    Raises a distinct error for each violated invariant: a shape, a
+    non-finite entry, Hermiticity, unit trace, positivity.
     """
-    m = linalg.require_hermitian(m, "density matrix")
-    linalg.require_close(np.trace(m), 1.0, TraceError, "density matrix trace is not 1: |tr - 1|")
-    linalg.require_positive(m, "density matrix")
-    return m
+    return linalg.require_density(m, "density matrix")[0]
 
 
 def _validate_probs(probs, count: int | None = None) -> np.ndarray:
@@ -263,8 +255,8 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
         if not ops:
             raise ShapeError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0] if ops[0].ndim else 0  # a 0-d operator fails the check below
-        if any(k.shape != (d, d) for k in ops):
+        d = ops[0].shape[0] if ops[0].ndim else 0  # a 0-d operator, like a 0 x 0 one, fails below
+        if not d or any(k.shape != (d, d) for k in ops):
             raise ShapeError("Kraus operators must be square with a common dimension")
         linalg.require_finite(ops, "Kraus operators")
         linalg.require_close(sum(linalg.dag(k) @ k for k in ops), np.eye(d), ValidationError,

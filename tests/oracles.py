@@ -134,7 +134,8 @@ def sld(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     support cutoff. It takes rho's spectrum from the library's own checked
     decomposition, so that the two can be compared byte for byte.
     """
-    spectrum, elems = fisher._spectral_operands(rho, h)
+    _, h, spectrum = fisher._operands(rho, h)
+    elems = linalg.dag(spectrum.vectors) @ h @ spectrum.vectors
     p = spectrum.values
     drho = 1j * (p[:, None] - p[None, :]) * elems
     sums = p[:, None] + p[None, :]

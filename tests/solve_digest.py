@@ -20,7 +20,11 @@ screen rounds. The ``verify`` line runs every criterion of
 ``qfc.verify.ALL_CRITERIA`` at ``OptimizerConfig(seed=N)``, as ``qfc verify
 --seed N`` does, and hashes each criterion's number, name and margins
 (label, ``value.hex()``, sense, bound), but not its seconds; its
-``path`` digest covers each criterion's number, name and pass. The ``qfc``
+``path`` digest covers each criterion's number, name and pass. The
+``fisher`` line hashes, for each seeded (rho, h) pair of criteria 5, 6 and
+9, ``value.hex()`` of ``qfi``, ``variance`` and ``classical_fi`` (measuring
+in the eigenbasis of the SLD, as criterion 9 does) and the bytes of ``sld``
+and ``evolve`` at angle 0.3; it has no ``path`` digest. The ``qfc``
 package solved is the one on ``PYTHONPATH``, so running this script against
 a copy of another commit's ``src`` compares that commit's solves with this
 one's; equal digests mean equal bits. Not a test module: pytest does not
@@ -37,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qfc import verify
+from qfc import (classical_fi, eigh, evolve, measurement_projectors, qfi, random_density,
+                 random_hermitian, sld, variance, verify)
 from qfc.optimize import OptimizerConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -108,6 +113,31 @@ def reach_solves(run: str) -> list:
     ]
 
 
+def fisher_pairs(seed: int):
+    """The seeded (rho, h) pairs of criteria 5, 6 and 9 of ``qfc.verify``, in order."""
+    ranks = {5: (200, lambda i, d: d if i % 2 == 0 else max(1, d - 1)),
+             6: (100, lambda i, d: d if i % 3 else max(1, d - 1)),
+             9: (50, lambda i, d: d)}
+    for criterion, (count, rank) in ranks.items():
+        for i in range(count):
+            d, pair_seed = (2, 3, 4)[i % 3], verify.state_seed(seed, criterion, i)
+            yield random_density(d, rank(i, d), pair_seed), random_hermitian(d, pair_seed + 1)
+
+
+def digest_fisher(digest, seed: int) -> int:
+    """Add the Fisher quantities of each pair of :func:`fisher_pairs` to ``digest``; count the pairs."""
+    count = 0
+    for rho, h in fisher_pairs(seed):
+        l = sld(rho, h)
+        povm = measurement_projectors(eigh(l).vectors)
+        for value in (qfi(rho, h), variance(rho, h), classical_fi(rho, h, povm)):
+            digest.update(float(value).hex().encode())
+        digest.update(_array_bytes(l))
+        digest.update(_array_bytes(evolve(rho, h, 0.3)))
+        count += 1
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -133,6 +163,9 @@ def main(argv=None) -> int:
             digest.update(("|".join(fields) + "|").encode())
     print(f"verify seed={args.seed} criteria={len(results)} "
           f"passed={sum(r.passed for r in results)} {_hashes(digest, path)}")
+    digest = hashlib.sha256()
+    pairs = digest_fisher(digest, args.seed)
+    print(f"fisher seed={args.seed} pairs={pairs} sha256={digest.hexdigest()}")
     return 0
 
 

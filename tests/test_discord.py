@@ -31,6 +31,7 @@ from qfc import (
 )
 from qfc import verify
 from qfc.correlations import _start_basis
+from qfc.discord import ENTROPY_CUTOFF
 from qfc.linalg import SUPPORT_CUTOFF
 from qfc.optimize import multistart
 from qfc.states import haar_unitary, random_density
@@ -58,6 +59,17 @@ class TestEntropy:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_uniform_spectrum_gives_log_d(self, d):
         assert abs(von_neumann_entropy(np.eye(d) / d) - np.log(d)) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_equals_the_entropy_of_eigvalsh(self, d):
+        # read off the checked descending spectrum, the entropy keeps the
+        # value of -sum p ln p over the ascending eigvalsh to 1e-14, with
+        # eigenvalues at or below the cutoff taken as 0 (0 ln 0 = 0)
+        for seed in range(50):
+            rho = random_density(d, 1 + seed % d, seed)
+            p = np.linalg.eigvalsh(rho)
+            p = p[p > ENTROPY_CUTOFF]
+            assert abs(von_neumann_entropy(rho) + np.sum(p * np.log(p))) <= 1e-14
 
     @pytest.mark.parametrize(
         "rho, error",

@@ -16,8 +16,10 @@ from qfc import (
     qfi,
     qfi_weight_matrix,
     sld,
+    validate_density,
     validate_povm,
     variance,
+    von_neumann_entropy,
 )
 from qfc.correlations import measurement_projectors
 from qfc.linalg import SUPPORT_CUTOFF
@@ -161,16 +163,27 @@ class TestQfi:
 
 
 
-@pytest.mark.parametrize("fn", [qfi, sld])
+@pytest.mark.parametrize("fn", [
+    qfi,
+    sld,
+    variance,
+    lambda rho, h: evolve(rho, h, 0.3),
+    lambda rho, h: classical_fi(rho, h, [np.diag(row) for row in np.eye(3)]),
+    lambda rho, h: validate_density(rho),
+    lambda rho, h: von_neumann_entropy(rho),
+], ids=["qfi", "sld", "variance", "evolve", "classical_fi", "validate_density",
+        "von_neumann_entropy"])
 def test_rho_is_decomposed_once(fn, monkeypatch):
-    # the positivity check reads the lowest eigenvalue of the one eigh
-    calls = []
+    # the density check reads rho's lowest eigenvalue off the one eigh, which
+    # qfi, sld and von_neumann_entropy also read their spectrum from
+    rho = random_density(3, 2, 4)
+    decomposed = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, f=original, n=name, **k: calls.append(n) or f(*a, **k))
-    fn(random_density(3, 2, 4), random_hermitian(3, 5))
-    assert calls == ["eigh"]
+        monkeypatch.setattr(np.linalg, name, lambda a, f=original, n=name, **k:
+                            decomposed.append((n, np.allclose(a, rho))) or f(a, **k))
+    fn(rho, random_hermitian(3, 5))
+    assert [n for n, of_rho in decomposed if of_rho] == ["eigh"]
 
 
 class TestQfiWeightMatrix:

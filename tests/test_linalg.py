@@ -125,6 +125,23 @@ def test_non_finite_input_raises_a_validation_error(entry, bad):
         NON_FINITE_INPUTS[entry](bad)
 
 
+EMPTY = np.zeros((0, 0))
+ZERO_SIZE_INPUTS = {
+    "require_hermitian": lambda: qfc.linalg.require_hermitian(EMPTY),
+    "eigh": lambda: eigh(EMPTY),
+    "lift_a": lambda: qfc.lift_a(EMPTY, 2),
+    "validate_density": lambda: qfc.validate_density(EMPTY),
+    "validate_povm": lambda: qfc.validate_povm([EMPTY]),
+    "KrausChannel": lambda: qfc.KrausChannel((EMPTY,)),
+}
+
+
+@pytest.mark.parametrize("entry", ZERO_SIZE_INPUTS)
+def test_a_zero_size_matrix_raises_a_shape_error(entry):
+    with pytest.raises(ShapeError):
+        ZERO_SIZE_INPUTS[entry]()
+
+
 @pytest.mark.parametrize("name", FISHER)
 def test_a_matrix_that_is_not_a_state_raises(name):
     with pytest.raises(TraceError, match="state"):
@@ -221,23 +238,20 @@ class TestEigh:
             eigh(np.full((2, 2), np.nan))
 
     def test_positive_spectrum_is_the_spectrum_checked_once(self):
-        # qfi and sld read rho's positivity off its one decomposition, with
-        # require_positive's tolerance and message
+        # qfi, sld and von_neumann_entropy read rho's positivity and spectrum
+        # off its one decomposition
         for seed in range(10):
             d = 2 + seed % 4
             rho = random_density(d, 1 + seed % d, seed)
-            checked, plain = qfc.linalg.positive_spectrum(rho, "state"), qfc.linalg._spectrum(rho)
+            checked, plain = qfc.linalg.require_positive(rho, "state"), qfc.linalg._spectrum(rho)
             assert np.array_equal(checked.values, plain.values)
             assert np.array_equal(checked.vectors, plain.vectors)
         edge = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         qfc.linalg.require_positive(edge, "state")
-        qfc.linalg.positive_spectrum(edge, "state")
         bad = np.diag([1.25, -0.25]).astype(complex)
-        with pytest.raises(PositivityError) as expected:
-            qfc.linalg.require_positive(bad, "state")
         with pytest.raises(PositivityError) as got:
-            qfc.linalg.positive_spectrum(bad, "state")
-        assert str(got.value) == str(expected.value) == "state has eigenvalue -2.500e-01 < 0"
+            qfc.linalg.require_positive(bad, "state")
+        assert str(got.value) == "state has eigenvalue -2.500e-01 < 0"
 
 
 class TestSchmidt:

@@ -502,7 +502,7 @@ class TestMultistart:
             assert all(run[2] == 1 for run in starts)  # no restart has searched yet
             (winner,), tolerance, _, _ = rounds[-1]
             assert tolerance == min(cfg.tolerance, optimize.POLISH_TOLERANCE)
-            assert winner is restarts[int(np.argmin(report.restart_values))]
+            assert winner == restarts[int(np.argmin(report.restart_values))]
             assert report.restart_values.size == 5
         assert optimize._random_starts.cache_info().hits == 1
 
