@@ -32,10 +32,15 @@ def _spectral_entropy(values: np.ndarray) -> np.ndarray:
     return -np.sum(values * np.log(np.where(values > ENTROPY_CUTOFF, values, 1.0)), axis=-1)
 
 
-def _entropy(rho: np.ndarray) -> float:
-    # unchecked: for a state's rho and marginals, valid by construction. Adding
-    # 0.0 turns the -0.0 of a pure spectrum into 0.0 and keeps every other float.
-    return float(_spectral_entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2))) + 0.0
+def _entropy(values: np.ndarray) -> float:
+    # the entropy of one spectrum as a float. Adding 0.0 turns the -0.0 of a
+    # pure spectrum into 0.0 and keeps every other float.
+    return float(_spectral_entropy(values)) + 0.0
+
+
+def _state_entropy(rho: np.ndarray) -> float:
+    # unchecked: for a state's rho and marginals, valid by construction
+    return _entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -43,16 +48,15 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
     Read off the spectrum that :func:`linalg.require_density` checked.
     """
-    values = linalg.require_density(rho, "density matrix")[1].values
-    return float(_spectral_entropy(values)) + 0.0
+    return _entropy(linalg.require_density(rho, "density matrix")[1].values)
 
 
 def mutual_information(state: BipartiteState) -> float:
     """``S(rho_a) + S(rho_b) - S(rho)`` in nats."""
     return (
-        _entropy(state.marginal("a"))
-        + _entropy(state.marginal("b"))
-        - _entropy(state.rho)
+        _state_entropy(state.marginal("a"))
+        + _state_entropy(state.marginal("b"))
+        - _state_entropy(state.rho)
     )
 
 
@@ -66,7 +70,7 @@ def measured_state(state: BipartiteState, measurement: np.ndarray) -> BipartiteS
 
 
 def _loss_objective(state: BipartiteState):
-    base = _entropy(state.marginal("a")) - _entropy(state.rho)
+    base = _state_entropy(state.marginal("a")) - _state_entropy(state.rho)
 
     def loss(spectra: np.ndarray, gradient: bool):
         # I(measured rho) = S(rho_b) + H(p) - S(measured rho): measuring a
@@ -107,7 +111,7 @@ def entropic_discord(
     value certified within tolerance of zero skips the search
     (``method="certified-zero"``); ``method="optimized"`` always searches.
     """
-    return _solve(state, config, method, _entropy, _loss_objective)
+    return _solve(state, config, method, _state_entropy, _loss_objective)
 
 
 def _dg_qubit(state: BipartiteState) -> QuantifierResult:

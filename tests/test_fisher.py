@@ -163,27 +163,34 @@ class TestQfi:
 
 
 
-@pytest.mark.parametrize("fn", [
-    qfi,
-    sld,
-    variance,
-    lambda rho, h: evolve(rho, h, 0.3),
-    lambda rho, h: classical_fi(rho, h, [np.diag(row) for row in np.eye(3)]),
-    lambda rho, h: validate_density(rho),
-    lambda rho, h: von_neumann_entropy(rho),
+RHO_ONCE = [("eigh", True)]
+
+
+@pytest.mark.parametrize("fn, expected", [
+    (qfi, RHO_ONCE),
+    (sld, RHO_ONCE),
+    (variance, RHO_ONCE),
+    # then the one decomposition of h that builds the unitary
+    (lambda rho, h: evolve(rho, h, 0.3), RHO_ONCE + [("eigh", False)]),
+    # then the positivity check of each of the three POVM elements
+    (lambda rho, h: classical_fi(rho, h, [np.diag(row) for row in np.eye(3)]),
+     RHO_ONCE + [("eigh", False)] * 3),
+    (lambda rho, h: validate_density(rho), RHO_ONCE),
+    (lambda rho, h: von_neumann_entropy(rho), RHO_ONCE),
 ], ids=["qfi", "sld", "variance", "evolve", "classical_fi", "validate_density",
         "von_neumann_entropy"])
-def test_rho_is_decomposed_once(fn, monkeypatch):
-    # the density check reads rho's lowest eigenvalue off the one eigh, which
-    # qfi, sld and von_neumann_entropy also read their spectrum from
+def test_rho_is_decomposed_once(fn, expected, monkeypatch):
+    # every eigh/eigvalsh call, in order, and whether it decomposed rho: the
+    # density check reads rho's lowest eigenvalue off the one eigh, which qfi,
+    # sld and von_neumann_entropy also read their spectrum from
     rho = random_density(3, 2, 4)
-    decomposed = []
+    calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda a, f=original, n=name, **k:
-                            decomposed.append((n, np.allclose(a, rho))) or f(a, **k))
+                            calls.append((n, np.allclose(a, rho))) or f(a, **k))
     fn(rho, random_hermitian(3, 5))
-    assert [n for n, of_rho in decomposed if of_rho] == ["eigh"]
+    assert calls == expected
 
 
 class TestQfiWeightMatrix:
