@@ -56,8 +56,11 @@ class QuantifierResult:
 
 
 def measurement_projectors(u: np.ndarray) -> list[np.ndarray]:
-    """Rank-1 projectors onto the columns of a measurement unitary."""
-    u = np.asarray(u, dtype=complex)
+    """Rank-1 projectors onto the columns of a measurement unitary.
+
+    The columns are checked with :func:`linalg.require_orthonormal_columns`.
+    """
+    u = linalg.require_orthonormal_columns(u, "measurement")
     return [np.outer(u[:, k], u[:, k].conj()) for k in range(u.shape[1])]
 
 
@@ -194,23 +197,23 @@ def _solve(
 def lift_a(h: np.ndarray, dim_b: int) -> np.ndarray:
     """Embed an observable of party a into the joint space: ``h (x) 1_b``."""
     h = linalg.require_hermitian(h, "observable")
-    return np.kron(h, np.eye(dim_b, dtype=complex))
+    return np.kron(h, np.eye(linalg.require_dim(dim_b, "dim_b"), dtype=complex))
 
 
 def lift_b(h: np.ndarray, dim_a: int) -> np.ndarray:
     """Embed an observable of party b into the joint space: ``1_a (x) h``."""
     h = linalg.require_hermitian(h, "observable")
-    return np.kron(np.eye(dim_a, dtype=complex), h)
+    return np.kron(np.eye(linalg.require_dim(dim_a, "dim_a"), dtype=complex), h)
 
 
 def _qfi_spectrum(state: BipartiteState):
     # QFI weights w of rho's spectrum and its eigenvectors as v3[a, b, i],
-    # unchecked, since the state's constructor checked rho. The eigenpairs
-    # are in LAPACK's ascending order: w and every sum over the eigenpairs
-    # do not depend on the order.
+    # read off the spectrum the state's constructor checked, so rho is not
+    # decomposed again. The eigenpairs are in descending order: w and every
+    # sum over the eigenpairs do not depend on the order.
     m, n = state.dims
-    vals, vecs = np.linalg.eigh((state.rho + state.rho.conj().T) / 2)
-    return qfi_weight_matrix(vals), vecs.reshape(m, n, m * n)
+    values, vectors = state.spectrum
+    return qfi_weight_matrix(values), vectors.reshape(m, n, m * n)
 
 
 def total_local_qfi_b(state: BipartiteState) -> float:

@@ -39,7 +39,7 @@ def _entropy(values: np.ndarray) -> float:
 
 
 def _state_entropy(rho: np.ndarray) -> float:
-    # unchecked: for a state's rho and marginals, valid by construction
+    # unchecked: for a state's marginals, valid by construction
     return _entropy(np.linalg.eigvalsh((rho + dag(rho)) / 2))
 
 
@@ -56,7 +56,7 @@ def mutual_information(state: BipartiteState) -> float:
     return (
         _state_entropy(state.marginal("a"))
         + _state_entropy(state.marginal("b"))
-        - _state_entropy(state.rho)
+        - _entropy(state.spectrum.values)
     )
 
 
@@ -70,7 +70,7 @@ def measured_state(state: BipartiteState, measurement: np.ndarray) -> BipartiteS
 
 
 def _loss_objective(state: BipartiteState):
-    base = _state_entropy(state.marginal("a")) - _state_entropy(state.rho)
+    base = _state_entropy(state.marginal("a")) - _entropy(state.spectrum.values)
 
     def loss(spectra: np.ndarray, gradient: bool):
         # I(measured rho) = S(rho_b) + H(p) - S(measured rho): measuring a

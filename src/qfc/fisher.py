@@ -27,11 +27,11 @@ DERIVATIVE_FLOOR = 1e-8
 def _operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, linalg.Spectrum]:
     """The density matrix, the Hermitian observable of its shape and rho's checked spectrum."""
     h = linalg.require_hermitian(h, "observable")
-    # the shapes are compared before rho's trace and positivity are checked
-    rho = linalg.require_hermitian(rho, "state")
+    # rho is checked in full before the shapes are compared, so its
+    # Hermiticity is checked once
+    rho, spectrum = linalg.require_density(rho, "state")
     if rho.shape != h.shape:
         raise ShapeError(f"state shape {rho.shape} does not match observable {h.shape}")
-    rho, spectrum = linalg.require_density(rho, "state")
     return rho, h, spectrum
 
 

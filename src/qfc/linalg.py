@@ -43,6 +43,16 @@ def require_finite(x, name: str) -> None:
         raise ValidationError(f"{name} must be finite; found a non-finite entry")
 
 
+def require_dim(value, name: str) -> int:
+    """Return ``value`` as an ``int``, raising ``ShapeError`` unless it is an integer >= 1.
+
+    numpy integers are accepted; bools are refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ShapeError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``h`` as a complex array, raising unless it is finite, Hermitian and of size >= 1."""
     h = np.asarray(h, dtype=complex)
@@ -158,8 +168,9 @@ def hermitian_basis(d: int) -> np.ndarray:
     The d projectors ``|k><k|`` onto the computational basis, followed, for
     each pair k < l, by the normalized real and imaginary combinations
     ``(|k><l| + |l><k|)/sqrt(2)`` and ``i(|k><l| - |l><k|)/sqrt(2)``.
-    Satisfies tr(B_u B_v) = delta_uv.
+    Satisfies tr(B_u B_v) = delta_uv. ``d`` must pass :func:`require_dim`.
     """
+    d = require_dim(d, "d")
     ops = np.zeros((d * d, d, d), dtype=complex)
     for k in range(d):
         ops[k, k, k] = 1.0

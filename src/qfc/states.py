@@ -7,7 +7,7 @@ Werner states, seeded random ensembles, and Kraus channels acting on party b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,30 +21,41 @@ PURITY_TOL = 1e-8
 class BipartiteState:
     """A density matrix on H^a (x) H^b with party-a-major indexing.
 
-    The constructor checks the matrix with :func:`validate_density`, so an
-    unnormalized, non-Hermitian or non-positive matrix raises a
+    The constructor checks the matrix with :func:`linalg.require_density`,
+    so an unnormalized, non-Hermitian or non-positive matrix raises a
     :class:`ValidationError` here rather than giving a wrong number later.
-    ``dim_a`` and ``dim_b`` must be integers >= 1 (numpy integers are
-    stored as ``int``; bools are refused) whose product is rho's size, or it
-    raises :class:`ShapeError`.
+    ``dim_a`` and ``dim_b`` must pass :func:`linalg.require_dim` (integers
+    >= 1, numpy integers stored as ``int``, bools refused), and their
+    product must be rho's size, or it raises :class:`ShapeError`.
+
+    ``spectrum`` is rho's descending :class:`linalg.Spectrum`, the one
+    decomposition the check computed; the solvers read it instead of
+    decomposing rho again. ``rho`` is a copy of the caller's matrix, and
+    ``rho`` and the spectrum's arrays are read-only, so the two cannot
+    drift apart.
     """
 
     rho: np.ndarray
     dim_a: int
     dim_b: int
+    spectrum: linalg.Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("dim_a", "dim_b"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ShapeError(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        rho = validate_density(self.rho)
-        object.__setattr__(self, "rho", rho)
+            object.__setattr__(self, name, linalg.require_dim(getattr(self, name), name))
+        rho, spectrum = linalg.require_density(self.rho, "density matrix")
         if self.dim_a * self.dim_b != rho.shape[0]:
             raise ShapeError(
                 f"dims {self.dim_a}x{self.dim_b} do not match matrix size {rho.shape[0]}"
             )
+        # copy only when the check handed back the caller's memory: its
+        # array, a view of it or a subclass of ndarray
+        if np.may_share_memory(rho, self.rho):
+            rho = rho.copy()
+        for a in (rho, *spectrum):
+            a.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -102,6 +113,7 @@ def pure_from_schmidt(coeffs, dims: tuple[int, int]) -> BipartiteState:
         raise ShapeError(
             f"{c.size} Schmidt coefficients exceed min dimension {min(m, n)}"
         )
+    m, n = linalg.require_dim(m, "dim_a"), linalg.require_dim(n, "dim_b")
     psi = np.zeros(m * n, dtype=complex)
     psi[np.arange(c.size) * (n + 1)] = np.sqrt(c)  # entry i * n + i is |i>_a |i>_b
     psi /= np.linalg.norm(psi)
@@ -141,6 +153,7 @@ def make_cc(
     p = _validate_probs(probs)
     if p.size > min(m, n):
         raise ShapeError(f"{p.size} terms exceed min dimension {min(m, n)}")
+    m, n = linalg.require_dim(m, "dim_a"), linalg.require_dim(n, "dim_b")
     a = np.eye(m, dtype=complex) if a_basis is None else linalg.require_orthonormal_columns(a_basis, "a_basis")
     b = np.eye(n, dtype=complex) if b_basis is None else linalg.require_orthonormal_columns(b_basis, "b_basis")
     sigmas = [np.outer(b[:, i], b[:, i].conj()) for i in range(p.size)]
@@ -166,6 +179,7 @@ def make_witness_state(
         raise ValidationError(f"party a needs dimension >= 3, got {m}")
     if n < 2:
         raise ValidationError(f"party b needs dimension >= 2, got {n}")
+    m, n = linalg.require_dim(m, "dim_a"), linalg.require_dim(n, "dim_b")
     a = np.asarray(a, dtype=complex).reshape(-1)
     b = np.asarray(b, dtype=complex).reshape(-1)
     if a.size != 2 or b.size != 2:
@@ -196,6 +210,7 @@ def max_entangled(m: int) -> BipartiteState:
     """Maximally entangled pure state on an MxM system."""
     if m < 2:
         raise ValidationError(f"maximal entanglement needs dimension >= 2, got {m}")
+    m = linalg.require_dim(m, "m")
     return pure_from_schmidt(np.full(m, 1.0 / m), (m, m))
 
 
@@ -212,6 +227,7 @@ def werner(w: float) -> BipartiteState:
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed random unitary (QR of a Ginibre matrix, phases fixed)."""
+    dim = linalg.require_dim(dim, "dim")
     rng = np.random.default_rng(seed)
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(g)
@@ -221,6 +237,7 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
 
 def random_hermitian(dim: int, seed) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries (GUE-type)."""
+    dim = linalg.require_dim(dim, "dim")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + linalg.dag(g)) / 2
@@ -230,6 +247,7 @@ def random_density(dim: int, rank: int, seed) -> np.ndarray:
     """Random density matrix of the given rank via the Ginibre construction."""
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank {rank} must lie in [1, {dim}]")
+    dim, rank = linalg.require_dim(dim, "dim"), linalg.require_dim(rank, "rank")
     rng = np.random.default_rng(seed)
     g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / np.sqrt(2)
     m = g @ linalg.dag(g)
@@ -239,6 +257,7 @@ def random_density(dim: int, rank: int, seed) -> np.ndarray:
 def random_pure(dims: tuple[int, int], seed) -> BipartiteState:
     """Random pure bipartite state with Gaussian amplitudes."""
     m, n = dims
+    m, n = linalg.require_dim(m, "dim_a"), linalg.require_dim(n, "dim_b")
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
     return pure_state(psi / np.linalg.norm(psi), dims)

@@ -6,8 +6,11 @@ import pytest
 from qfc import (
     BipartiteState,
     OptimizerConfig,
+    OrthonormalityError,
     PurityError,
+    ShapeError,
     dag,
+    entropic_discord,
     hermitian_basis,
     lift_a,
     lift_b,
@@ -17,6 +20,8 @@ from qfc import (
     max_entangled,
     measured_state,
     measurement_correlation,
+    measurement_projectors,
+    mutual_information,
     observable_correlation,
     pure_from_schmidt,
     pure_state_correlation,
@@ -98,6 +103,12 @@ class TestLifts:
     def test_lift_b_identity(self):
         np.testing.assert_array_equal(lift_b(np.eye(3), 2), np.eye(6))
 
+    @pytest.mark.parametrize("lift, name", [(lift_a, "dim_b"), (lift_b, "dim_a")])
+    @pytest.mark.parametrize("dim", [0, -1, 1.5, True])
+    def test_lifts_check_the_other_dimension(self, lift, name, dim):
+        with pytest.raises(ShapeError, match=f"{name} must be an integer >= 1"):
+            lift(SZ, dim)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_lifted_b_qfi_invariant_under_unitary_on_a(self, seed):
         state = random_mixed((2, 3), seed)
@@ -107,6 +118,16 @@ class TestLifts:
         before = qfi(state.rho, lift_b(h, 2))
         after = qfi(rotated.rho, lift_b(h, 2))
         assert abs(before - after) <= 1e-9
+
+
+class TestMeasurementProjectors:
+    def test_rejects_a_vector(self):
+        with pytest.raises(ShapeError, match="measurement"):
+            measurement_projectors(np.ones(2))
+
+    def test_rejects_non_orthonormal_columns(self):
+        with pytest.raises(OrthonormalityError, match="measurement"):
+            measurement_projectors(np.ones((2, 2)))
 
 
 class TestTotalLocalQfiB:
@@ -497,3 +518,37 @@ class TestQuantifierProperties:
             state = random_mixed((2, 3), 1000 + seed)
             u = haar_unitary(2, 1100 + seed)
             assert total_mfi(state, u) <= total_local_qfi_b(state) + 1e-9
+
+
+SEARCH_ONCE = OptimizerConfig(restarts=1, seed=0)
+
+
+def _cc_3x3():
+    return make_cc([0.5, 0.3, 0.2], (3, 3), haar_unitary(3, 1), haar_unitary(3, 2))
+
+
+@pytest.mark.parametrize("build, solve, method", [
+    (_cc_3x3, observable_correlation, "certified-zero"),
+    (lambda: random_mixed((3, 3), 4), lambda s: observable_correlation(s, SEARCH_ONCE), "optimized"),
+    (lambda: random_mixed((2, 3), 4), observable_correlation, "closed-form"),
+    (lambda: random_mixed((3, 3), 4), lambda s: measurement_correlation(s, SEARCH_ONCE), "optimized"),
+    (lambda: random_mixed((3, 3), 4), lambda s: entropic_discord(s, SEARCH_ONCE), "optimized"),
+    (lambda: random_mixed((3, 3), 4), total_local_qfi_b, None),
+    (lambda: random_mixed((3, 3), 4), mutual_information, None),
+], ids=["qah-certified-3x3", "qah-searched-3x3", "qah-qubit-2x3", "qapi", "entropic_discord",
+        "total_local_qfi_b", "mutual_information"])
+def test_rho_is_decomposed_once_at_construction(build, solve, method, monkeypatch):
+    # every eigh/eigvalsh input, in order: building the state decomposes rho
+    # once, and the solve reads the spectrum the state kept
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, f=original, **k: calls.append(a) or f(a, **k))
+    state = build()
+    built = len(calls)
+    result = solve(state)
+    if method is not None:
+        assert result.method == method
+    rho = [a.shape == state.rho.shape and np.allclose(a, state.rho) for a in calls]
+    assert rho[:built].count(True) == 1
+    assert not any(rho[built:])

@@ -8,6 +8,7 @@ from qfc import (
     HermiticityError,
     PositivityError,
     ShapeError,
+    TraceError,
     ValidationError,
     classical_fi,
     dag,
@@ -57,6 +58,13 @@ class TestOperands:
     def test_state_is_checked_before_the_shapes(self, name):
         with pytest.raises(HermiticityError, match="state"):
             FISHER[name](np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(3))
+
+    def test_state_trace_and_positivity_are_checked_before_the_shapes(self, name):
+        # a wrongly sized rho with a second defect raises that defect's error
+        with pytest.raises(TraceError, match="state"):
+            FISHER[name](np.eye(2), np.eye(3))
+        with pytest.raises(PositivityError, match="state"):
+            FISHER[name](np.diag([1.25, -0.25]), np.eye(3))
 
 
 class TestEvolve:

@@ -27,7 +27,7 @@ from qfc import (
     partial_trace,
     total_mfi,
 )
-from qfc.linalg import require_orthonormal_columns, require_unitary
+from qfc.linalg import require_dim, require_orthonormal_columns, require_unitary
 from qfc.states import haar_unitary, random_density
 
 from oracles import (_a_components, basis_qfi_sum, joint_diagonalize,
@@ -305,6 +305,23 @@ class TestSchmidt:
     def test_rejects_bad_length(self):
         with pytest.raises(ShapeError):
             schmidt(np.array([1.0, 0.0, 0.0]), (2, 2))
+
+
+class TestRequireDim:
+    @pytest.mark.parametrize("value", [1, 3, np.int64(2), np.uint8(4)])
+    def test_returns_an_int(self, value):
+        dim = require_dim(value, "d")
+        assert dim == value and type(dim) is int
+
+    @pytest.mark.parametrize("value", [0, -1, np.int64(0), 2.0, 1.5, True, np.bool_(True), "2", None])
+    def test_refuses_anything_but_an_integer_of_at_least_one(self, value):
+        with pytest.raises(ShapeError, match="d must be an integer >= 1"):
+            require_dim(value, "d")
+
+    @pytest.mark.parametrize("d", [0, -1, 1.5, True])
+    def test_hermitian_basis_checks_its_dimension(self, d):
+        with pytest.raises(ShapeError, match="d must be an integer >= 1"):
+            hermitian_basis(d)
 
 
 class TestHermitianBasis:

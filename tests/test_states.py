@@ -1,5 +1,7 @@
 """State constructors, validation, random ensembles, and Kraus channels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from qfc import (
     pure_from_schmidt,
     pure_state,
     random_density,
+    random_hermitian,
     random_kraus_channel,
     random_pure,
     validate_density,
@@ -50,6 +53,19 @@ INVALID_INPUTS = {
     "pure-state-unnormalized": (
         lambda: pure_state(np.array([1.0, 1.0, 0.0, 0.0]), (2, 2)), NormalizationError),
     "pure-state-length": (lambda: pure_state(np.array([1.0, 0.0, 0.0]), (2, 2)), ShapeError),
+    # the dimension and rank checks of linalg.require_dim, after the typed
+    # range checks that ran before it
+    "random-density-fractional-rank": (lambda: random_density(3, 1.5, 0), ShapeError),
+    "random-density-fractional-dim": (lambda: random_density(2.5, 2, 0), ShapeError),
+    "random-density-rank-range": (lambda: random_density(0, 0, 0), ValidationError),
+    "max-entangled-fractional-dim": (lambda: max_entangled(2.5), ShapeError),
+    "random-pure-zero-dim": (lambda: random_pure((0, 2), 0), ShapeError),
+    "random-pure-bool-dim": (lambda: random_pure((2, True), 0), ShapeError),
+    "schmidt-fractional-dim": (lambda: pure_from_schmidt([1.0], (2.5, 2)), ShapeError),
+    "cc-fractional-dim": (lambda: make_cc([1.0], (2, 2.5)), ShapeError),
+    "witness-fractional-dim": (lambda: make_witness_state(dims=(3.5, 2)), ShapeError),
+    "haar-unitary-zero-dim": (lambda: haar_unitary(0, 0), ShapeError),
+    "random-hermitian-zero-dim": (lambda: random_hermitian(0, 0), ShapeError),
 }
 
 
@@ -121,6 +137,55 @@ class TestBipartiteState:
         state = max_entangled(2)
         np.testing.assert_allclose(state.marginal("b"), np.eye(2) / 2, atol=1e-14)
         assert abs(state.purity() - 1.0) < 1e-12
+
+
+class _Tagged(np.ndarray):
+    """An ndarray subclass: ``np.asarray`` hands back a view of it, not the array itself."""
+
+
+class TestStoredSpectrum:
+    """The descending spectrum the constructor's density check computed, kept with rho."""
+
+    def test_spectrum_is_descending_and_decomposes_rho(self):
+        state = BipartiteState(random_density(6, 4, 3), 2, 3)
+        values, vectors = state.spectrum
+        assert np.all(np.diff(values) <= 0.0)
+        np.testing.assert_allclose((vectors * values) @ dag(vectors), state.rho, atol=1e-14)
+
+    def test_spectrum_is_neither_an_argument_nor_compared(self):
+        fields = {f.name: f for f in dataclasses.fields(BipartiteState)}
+        assert not fields["spectrum"].init and not fields["spectrum"].compare
+        with pytest.raises(TypeError):
+            BipartiteState(np.eye(4) / 4, 2, 2, spectrum=None)
+
+    def test_rho_and_spectrum_are_read_only(self):
+        state = BipartiteState(random_density(6, 4, 3), 2, 3)
+        for a in (state.rho, *state.spectrum):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("wrap", [
+        lambda m: m,
+        lambda m: np.stack([m, m])[0],
+        lambda m: m.view(_Tagged),
+        lambda m: m.real.copy(),
+    ], ids=["array", "view", "subclass", "real"])
+    def test_writing_to_the_callers_array_changes_nothing(self, wrap):
+        given = wrap(random_density(6, 6, 3))
+        state = BipartiteState(given, 2, 3)
+        kept = [a.copy() for a in (state.rho, *state.spectrum)]
+        given[...] = np.eye(6) / 6
+        assert given.flags.writeable  # the caller's array is left as it was
+        for a, before in zip((state.rho, *state.spectrum), kept):
+            np.testing.assert_array_equal(a, before)
+
+    def test_a_read_only_input_constructs(self):
+        first = BipartiteState(random_density(6, 4, 3), 2, 3)
+        second = BipartiteState(first.rho, 2, 3)
+        np.testing.assert_array_equal(second.rho, first.rho)
+        for a, b in zip(second.spectrum, first.spectrum):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestPureFromSchmidt:
