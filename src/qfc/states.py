@@ -304,6 +304,8 @@ def random_kraus_channel(dim: int, n_operators: int, seed) -> KrausChannel:
     """Random trace-preserving channel from normalized Ginibre operators."""
     if n_operators < 1:
         raise ValidationError("channel needs at least one Kraus operator")
+    dim = linalg.require_dim(dim, "dim")
+    n_operators = linalg.require_dim(n_operators, "n_operators")
     rng = np.random.default_rng(seed)
     raw = [
         (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))

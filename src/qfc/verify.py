@@ -331,26 +331,16 @@ def check_channel_contractivity(cfg: OptimizerConfig) -> CriterionResult:
     return CriterionResult(10, "contractivity under channels on party b", tuple(margins))
 
 
-def _bloch_measurement(theta: float, phi: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    phase = np.exp(1j * phi)
-    return np.array([[c, -np.conj(phase) * s], [phase * s, c]], dtype=complex)
-
-
-def _grid_entropic_discord(state: BipartiteState) -> float:
-    best = np.max([
-        mutual_information(measured_state(state, _bloch_measurement(theta, phi)))
-        for theta in np.linspace(0.0, np.pi, 31)
-        for phi in np.linspace(0.0, 2 * np.pi, 61, endpoint=False)
-    ])
-    return mutual_information(state) - float(best)
-
-
 def check_discord_baselines(cfg: OptimizerConfig) -> CriterionResult:
     """Geometric discord closed form vs search; Bell entropic discord = ln 2.
 
-    Every "optimized" margin solves with ``method="optimized"``, since the
-    default takes the closed form on these pure states.
+    The maximally entangled state is invariant under ``u (x) u*``, so every
+    measurement basis of party a leaves it the same measured information and
+    its entropic discord is ln 2 in each basis. The Bell margin checks that
+    identity at 8 seeded bases, each on its own, through ``measured_state``
+    and no optimizer; every "optimized" margin solves with
+    ``method="optimized"``, since the default takes the closed form on these
+    pure states.
     """
     geo = []
     for i, dims in enumerate([(2, 2)] * 3 + [(2, 3)] * 3):
@@ -360,10 +350,12 @@ def check_discord_baselines(cfg: OptimizerConfig) -> CriterionResult:
         geo.append(abs(closed - searched))
     bell = max_entangled(2)
     ln2 = float(np.log(2.0))
+    info = mutual_information(bell)
+    bases = [haar_unitary(2, state_seed(cfg.seed, 11, 100 + k)) for k in range(8)]
+    bell_gaps = [abs(info - mutual_information(measured_state(bell, u)) - ln2) for u in bases]
     margins = [
         ("6 pure states: max |closed - optimized| geometric discord", np.max(geo), "<=", 1e-4),
-        ("Bell entropic discord vs ln 2: grid", abs(_grid_entropic_discord(bell) - ln2),
-         "<=", 1e-4),
+        ("Bell entropic discord vs ln 2: max over 8 bases", np.max(bell_gaps), "<=", 1e-4),
         ("optimizer", abs(entropic_discord(bell, cfg, method="optimized").value - ln2),
          "<=", 1e-4),
     ]

@@ -286,6 +286,13 @@ def jacobi_basis(state, starts: int, seed: int = 0):
     return min(runs, key=lambda run: run[1])
 
 
+def bloch_measurement(theta: float, phi: float) -> np.ndarray:
+    """The qubit basis whose first column has Bloch angles ``theta`` (polar) and ``phi``."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    phase = np.exp(1j * phi)
+    return np.array([[c, -np.conj(phase) * s], [phase * s, c]], dtype=complex)
+
+
 def random_params(dim: int, seed: int, count: int) -> np.ndarray:
     """The generator coefficients of restarts 1 to ``count`` of :func:`qfc.optimize_basis`.
 

@@ -94,3 +94,23 @@ def test_nan_on_every_noisy_state_fails_criterion_3(monkeypatch):
     assert len(noisy) == 20
     assert not result.passed
     assert "min value nan" in result.detail
+
+
+def test_one_low_basis_fails_criterion_11(monkeypatch):
+    # a max over the bases would hide a basis whose measured information reads low
+    measure, info, measured = verify.measured_state, verify.mutual_information, []
+
+    def record(state, measurement):
+        measured.append(measure(state, measurement))
+        return measured[-1]
+
+    def low_on_the_third(state):
+        return info(state) - (1e-3 if len(measured) > 2 and state is measured[2] else 0.0)
+
+    monkeypatch.setattr(verify, "measured_state", record)
+    monkeypatch.setattr(verify, "mutual_information", low_on_the_third)
+    result = verify.check_discord_baselines(CONFIG)
+    assert len(measured) > 2
+    failing = [label for label, value, _, bound in result.margins if not value <= bound]
+    assert failing == ["Bell entropic discord vs ln 2: max over 8 bases"]
+    assert not result.passed

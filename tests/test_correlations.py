@@ -38,7 +38,14 @@ from qfc.linalg import eigh, partial_trace
 from qfc.states import haar_unitary, random_density, random_hermitian
 from qfc.verify import _random_cc, _random_cq
 
-from oracles import basis_qfi_sum, conditional_states, mfi, schmidt, state_vector
+from oracles import (
+    basis_qfi_sum,
+    bloch_measurement,
+    conditional_states,
+    mfi,
+    schmidt,
+    state_vector,
+)
 from test_gradients import qah_objective
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -470,14 +477,13 @@ class TestMeasurementCorrelation:
 
     def test_mixed_werner_matches_measurement_grid(self):
         from qfc import werner
-        from qfc.verify import _bloch_measurement
 
         state = werner(0.5)
         result = measurement_correlation(state, CFG)
         best = -np.inf
         for theta in np.linspace(0, np.pi, 25):
             for phi in np.linspace(0, 2 * np.pi, 49, endpoint=False):
-                best = max(best, total_mfi(state, _bloch_measurement(theta, phi)))
+                best = max(best, total_mfi(state, bloch_measurement(theta, phi)))
         grid_value = total_local_qfi_b(state) - best
         assert abs(result.value - grid_value) <= 1e-3
 

@@ -66,6 +66,10 @@ INVALID_INPUTS = {
     "witness-fractional-dim": (lambda: make_witness_state(dims=(3.5, 2)), ShapeError),
     "haar-unitary-zero-dim": (lambda: haar_unitary(0, 0), ShapeError),
     "random-hermitian-zero-dim": (lambda: random_hermitian(0, 0), ShapeError),
+    "random-kraus-fractional-dim": (lambda: random_kraus_channel(1.5, 1, 0), ShapeError),
+    "random-kraus-fractional-count": (lambda: random_kraus_channel(2, 1.5, 0), ShapeError),
+    "random-kraus-negative-dim": (lambda: random_kraus_channel(-1, 1, 0), ShapeError),
+    "random-kraus-zero-dim": (lambda: random_kraus_channel(0, 1, 0), ShapeError),
 }
 
 
