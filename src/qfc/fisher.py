@@ -36,15 +36,17 @@ def _operands(rho: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, l
 
 
 def validate_povm(elements, dim: int | None = None) -> list[np.ndarray]:
-    """Validate a POVM: Hermitian positive elements resolving the identity."""
+    """Validate a POVM: Hermitian positive elements resolving the identity.
+
+    The elements' positivity is checked as one stack, in one decomposition.
+    """
     mats = [linalg.require_hermitian(e, "POVM element") for e in elements]
     if not mats:
         raise ShapeError("POVM needs at least one element")
     d = mats[0].shape[0] if dim is None else dim
     if any(e.shape != (d, d) for e in mats):
         raise ShapeError("POVM elements must share the state dimension")
-    for e in mats:
-        linalg.require_positive(e, "POVM element")
+    linalg.require_positive(np.stack(mats), "POVM element")
     linalg.require_close(sum(mats), np.eye(d), ValidationError,
                          "POVM does not resolve the identity: ||sum E - I||")
     return mats

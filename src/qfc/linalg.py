@@ -53,6 +53,19 @@ def require_dim(value, name: str) -> int:
     return int(value)
 
 
+def require_dims(dims) -> tuple[int, int]:
+    """Return ``dims`` as ``(dim_a, dim_b)``, each checked by :func:`require_dim`.
+
+    Any pair that unpacks into two values is accepted; anything else raises
+    ``ShapeError``.
+    """
+    try:
+        dim_a, dim_b = dims
+    except (TypeError, ValueError):
+        raise ShapeError(f"dims must be a pair (dim_a, dim_b), got {dims!r}") from None
+    return require_dim(dim_a, "dim_a"), require_dim(dim_b, "dim_b")
+
+
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``h`` as a complex array, raising unless it is finite, Hermitian and of size >= 1."""
     h = np.asarray(h, dtype=complex)
@@ -66,11 +79,12 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
 def require_positive(h: np.ndarray, name: str) -> Spectrum:
     """The descending spectrum of Hermitian ``h``; raises on an eigenvalue below ``-VALIDATION_TOL``.
 
-    One decomposition gives both: the check reads the lowest eigenvalue of
-    the spectrum it returns.
+    ``h`` is one matrix or a ``(k, d, d)`` stack, checked as one: the error
+    names the lowest eigenvalue of the whole stack. One decomposition gives
+    both: the check reads the lowest eigenvalue of the spectrum it returns.
     """
     spectrum = _spectrum(h)
-    lowest = float(spectrum.values[-1])
+    lowest = float(spectrum.values[..., -1].min())
     if not lowest >= -VALIDATION_TOL:
         raise PositivityError(f"{name} has eigenvalue {lowest:.3e} < 0")
     return spectrum
@@ -107,7 +121,7 @@ def require_unitary(u: np.ndarray, dim: int, name: str = "unitary") -> np.ndarra
 
 def require_state_vector(psi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Return ``psi`` as a flat complex array, raising unless it is a unit vector on ``dims``."""
-    m, n = dims
+    m, n = require_dims(dims)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != m * n:
         raise ShapeError(f"state vector length {psi.size} does not match dims {m}x{n}")
@@ -122,10 +136,11 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     Parameters
     ----------
     rho : (M*N, M*N) array
-    dims : (M, N) subsystem dimensions, party a first.
+    dims : (M, N) subsystem dimensions, party a first; must pass
+        :func:`require_dims`.
     keep : "a" or "b", the party retained.
     """
-    m, n = dims
+    m, n = require_dims(dims)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (m * n, m * n):
         raise ShapeError(
@@ -150,16 +165,21 @@ def eigh(h: np.ndarray, name: str = "matrix") -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, sorted descending.
 
     The input is validated and symmetrized as ``(H + H^dag)/2`` before
-    decomposition to suppress roundoff.
+    decomposition to suppress roundoff. Exactly tied eigenvalues keep their
+    eigenvectors in the reverse of LAPACK's order.
     """
     return _spectrum(require_hermitian(h, name))
 
 
 def _spectrum(h: np.ndarray) -> Spectrum:
-    # eigh without the check, for a matrix already checked (a state's rho)
+    # eigh without the check, for a matrix or a stack already checked (a
+    # state's rho). One index gather reverses LAPACK's ascending pairs, so
+    # tied eigenvalues come out in the reverse of LAPACK's order. Its
+    # eigenvectors are F-contiguous; on a reversed view or a C-contiguous
+    # copy the solvers' einsums round differently in the last bits.
     vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
-    order = np.argsort(-vals, kind="stable")
-    return Spectrum(vals[order], vecs[:, order])
+    descending = np.arange(vals.shape[-1] - 1, -1, -1)
+    return Spectrum(vals[..., descending], vecs[..., descending])
 
 
 def hermitian_basis(d: int) -> np.ndarray:

@@ -97,6 +97,7 @@ def _validate_probs(probs, count: int | None = None) -> np.ndarray:
 
 def pure_state(psi: np.ndarray, dims: tuple[int, int]) -> BipartiteState:
     """Wrap a normalized state vector as a bipartite density matrix."""
+    dims = linalg.require_dims(dims)
     psi = linalg.require_state_vector(psi, dims)
     return BipartiteState(np.outer(psi, psi.conj()), *dims)
 
@@ -107,17 +108,16 @@ def pure_from_schmidt(coeffs, dims: tuple[int, int]) -> BipartiteState:
     ``coeffs`` must be nonnegative and sum to one; at most min(M, N) of them.
     The local vectors are the computational bases.
     """
-    m, n = dims
+    m, n = linalg.require_dims(dims)
     c = _validate_probs(coeffs)
     if c.size > min(m, n):
         raise ShapeError(
             f"{c.size} Schmidt coefficients exceed min dimension {min(m, n)}"
         )
-    m, n = linalg.require_dim(m, "dim_a"), linalg.require_dim(n, "dim_b")
     psi = np.zeros(m * n, dtype=complex)
     psi[np.arange(c.size) * (n + 1)] = np.sqrt(c)  # entry i * n + i is |i>_a |i>_b
     psi /= np.linalg.norm(psi)
-    return pure_state(psi, dims)
+    return pure_state(psi, (m, n))
 
 
 def make_cq(probs, a_basis: np.ndarray, sigmas) -> BipartiteState:
@@ -149,11 +149,10 @@ def make_cc(
     b_basis: np.ndarray | None = None,
 ) -> BipartiteState:
     """Classical-classical mixture over orthonormal local vectors on both parties."""
-    m, n = dims
+    m, n = linalg.require_dims(dims)
     p = _validate_probs(probs)
     if p.size > min(m, n):
         raise ShapeError(f"{p.size} terms exceed min dimension {min(m, n)}")
-    m, n = linalg.require_dim(m, "dim_a"), linalg.require_dim(n, "dim_b")
     a = np.eye(m, dtype=complex) if a_basis is None else linalg.require_orthonormal_columns(a_basis, "a_basis")
     b = np.eye(n, dtype=complex) if b_basis is None else linalg.require_orthonormal_columns(b_basis, "b_basis")
     sigmas = [np.outer(b[:, i], b[:, i].conj()) for i in range(p.size)]
@@ -174,12 +173,11 @@ def make_witness_state(
     with the local projector ``|0><0| (x) 1`` yet is not classical on a, so
     its quantum correlation is strictly positive.
     """
-    m, n = dims
+    m, n = linalg.require_dims(dims)
     if m < 3:
         raise ValidationError(f"party a needs dimension >= 3, got {m}")
     if n < 2:
         raise ValidationError(f"party b needs dimension >= 2, got {n}")
-    m, n = linalg.require_dim(m, "dim_a"), linalg.require_dim(n, "dim_b")
     a = np.asarray(a, dtype=complex).reshape(-1)
     b = np.asarray(b, dtype=complex).reshape(-1)
     if a.size != 2 or b.size != 2:
@@ -208,9 +206,9 @@ def make_witness_state(
 
 def max_entangled(m: int) -> BipartiteState:
     """Maximally entangled pure state on an MxM system."""
+    m = linalg.require_dim(m, "m")
     if m < 2:
         raise ValidationError(f"maximal entanglement needs dimension >= 2, got {m}")
-    m = linalg.require_dim(m, "m")
     return pure_from_schmidt(np.full(m, 1.0 / m), (m, m))
 
 
@@ -225,11 +223,17 @@ def werner(w: float) -> BipartiteState:
     return BipartiteState(rho, 2, 2)
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    # the one Gaussian draw of the random constructors: all real parts, then
+    # all imaginary parts, each of unit variance
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed random unitary (QR of a Ginibre matrix, phases fixed)."""
     dim = linalg.require_dim(dim, "dim")
     rng = np.random.default_rng(seed)
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    g = _complex_normal(rng, (dim, dim)) / np.sqrt(2)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -238,29 +242,25 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
 def random_hermitian(dim: int, seed) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries (GUE-type)."""
     dim = linalg.require_dim(dim, "dim")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = _complex_normal(np.random.default_rng(seed), (dim, dim))
     return (g + linalg.dag(g)) / 2
 
 
 def random_density(dim: int, rank: int, seed) -> np.ndarray:
     """Random density matrix of the given rank via the Ginibre construction."""
-    if not 1 <= rank <= dim:
-        raise ValidationError(f"rank {rank} must lie in [1, {dim}]")
     dim, rank = linalg.require_dim(dim, "dim"), linalg.require_dim(rank, "rank")
-    rng = np.random.default_rng(seed)
-    g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / np.sqrt(2)
+    if rank > dim:
+        raise ValidationError(f"rank {rank} must lie in [1, {dim}]")
+    g = _complex_normal(np.random.default_rng(seed), (dim, rank)) / np.sqrt(2)
     m = g @ linalg.dag(g)
     return m / np.real(np.trace(m))
 
 
 def random_pure(dims: tuple[int, int], seed) -> BipartiteState:
     """Random pure bipartite state with Gaussian amplitudes."""
-    m, n = dims
-    m, n = linalg.require_dim(m, "dim_a"), linalg.require_dim(n, "dim_b")
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    return pure_state(psi / np.linalg.norm(psi), dims)
+    m, n = linalg.require_dims(dims)
+    psi = _complex_normal(np.random.default_rng(seed), m * n)
+    return pure_state(psi / np.linalg.norm(psi), (m, n))
 
 
 @dataclass(frozen=True)
@@ -302,16 +302,10 @@ def apply_channel_b(state: BipartiteState, channel: KrausChannel) -> BipartiteSt
 
 def random_kraus_channel(dim: int, n_operators: int, seed) -> KrausChannel:
     """Random trace-preserving channel from normalized Ginibre operators."""
-    if n_operators < 1:
-        raise ValidationError("channel needs at least one Kraus operator")
     dim = linalg.require_dim(dim, "dim")
     n_operators = linalg.require_dim(n_operators, "n_operators")
     rng = np.random.default_rng(seed)
-    raw = [
-        (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        / np.sqrt(2)
-        for _ in range(n_operators)
-    ]
+    raw = [_complex_normal(rng, (dim, dim)) / np.sqrt(2) for _ in range(n_operators)]
     total = sum(linalg.dag(g) @ g for g in raw)
     vals, vecs = np.linalg.eigh(total)
     inv_sqrt = vecs @ np.diag(vals**-0.5) @ linalg.dag(vecs)

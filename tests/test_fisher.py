@@ -180,9 +180,9 @@ RHO_ONCE = [("eigh", True)]
     (variance, RHO_ONCE),
     # then the one decomposition of h that builds the unitary
     (lambda rho, h: evolve(rho, h, 0.3), RHO_ONCE + [("eigh", False)]),
-    # then the positivity check of each of the three POVM elements
+    # then one positivity check of the three POVM elements, stacked
     (lambda rho, h: classical_fi(rho, h, [np.diag(row) for row in np.eye(3)]),
-     RHO_ONCE + [("eigh", False)] * 3),
+     RHO_ONCE + [("eigh", False)]),
     (lambda rho, h: validate_density(rho), RHO_ONCE),
     (lambda rho, h: von_neumann_entropy(rho), RHO_ONCE),
 ], ids=["qfi", "sld", "variance", "evolve", "classical_fi", "validate_density",
@@ -322,3 +322,22 @@ class TestValidatePovm:
     def test_rejects_negative_element(self):
         with pytest.raises(PositivityError):
             validate_povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+
+    @pytest.mark.parametrize("povm, error, message", [
+        ([], ShapeError, "POVM needs at least one element"),
+        ([np.diag([1.0, 0.0]), np.eye(3)], ShapeError, "POVM elements must share the state dimension"),
+        ([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])], ValidationError,
+         "POVM does not resolve the identity: ||sum E - I|| = 5.000e-01 > 1e-10"),
+        ([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])], PositivityError,
+         "POVM element has eigenvalue -5.000e-01 < 0"),
+        ([np.diag([-0.5, 0.0]), np.diag([1.5, 1.0])], PositivityError,
+         "POVM element has eigenvalue -5.000e-01 < 0"),
+        ([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.2, 0.0]), np.diag([0.0, -0.2, 1.0])],
+         PositivityError, "POVM element has eigenvalue -2.000e-01 < 0"),
+    ], ids=["empty", "mixed-dimensions", "incomplete", "negative-last", "negative-first",
+            "negative-of-three"])
+    def test_a_single_defect_raises_its_message(self, povm, error, message):
+        # the messages of the element-by-element check the stacked one replaced
+        with pytest.raises(error) as got:
+            validate_povm(povm)
+        assert str(got.value) == message

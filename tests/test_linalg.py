@@ -27,8 +27,9 @@ from qfc import (
     partial_trace,
     total_mfi,
 )
-from qfc.linalg import require_dim, require_orthonormal_columns, require_unitary
-from qfc.states import haar_unitary, random_density
+from qfc.linalg import (require_dim, require_dims, require_orthonormal_columns,
+                        require_positive, require_unitary)
+from qfc.states import haar_unitary, random_density, random_hermitian
 
 from oracles import (_a_components, basis_qfi_sum, joint_diagonalize,
                      off_diagonal_mass_and_gradient, random_start, schmidt)
@@ -253,6 +254,49 @@ class TestEigh:
             qfc.linalg.require_positive(bad, "state")
         assert str(got.value) == "state has eigenvalue -2.500e-01 < 0"
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_spectrum_is_the_stable_argsort_gather(self, d):
+        # the descending order of argsort(-values, kind="stable") taken as an
+        # index gather, bit for bit, and its F-contiguous eigenvectors: the
+        # solvers' einsums give their exact bits on that layout
+        for seed in range(10):
+            h = random_hermitian(d, 100 * d + seed)
+            got = qfc.linalg._spectrum(h)
+            values, vectors = np.linalg.eigh((h + dag(h)) / 2)
+            order = np.argsort(-values, kind="stable")
+            assert np.array_equal(got.values, values[order])
+            assert np.array_equal(got.vectors, vectors[:, order])
+            assert got.vectors.flags.f_contiguous
+
+    def test_tied_eigenvalues_come_out_in_reverse_lapack_order(self):
+        values, vectors = np.linalg.eigh(np.eye(3))
+        got = eigh(np.eye(3))
+        assert np.array_equal(got.values, values[::-1])
+        assert np.array_equal(got.vectors, vectors[:, ::-1])
+
+
+class TestRequirePositive:
+    @pytest.mark.parametrize("index", range(4))
+    def test_a_stack_raises_the_message_of_its_negative_element(self, index):
+        stack = np.stack([np.eye(3, dtype=complex)] * 4)
+        stack[index] = np.diag([1.25, 1.0, -0.25])
+        with pytest.raises(PositivityError) as alone:
+            require_positive(stack[index], "POVM element")
+        with pytest.raises(PositivityError) as stacked:
+            require_positive(stack, "POVM element")
+        assert str(stacked.value) == str(alone.value) == "POVM element has eigenvalue -2.500e-01 < 0"
+
+    def test_a_positive_stack_returns_each_spectrum(self):
+        # the last element sits at the tolerance edge
+        edge = np.diag([1.0 + 5e-11, 0.0, -5e-11]).astype(complex)
+        stack = np.stack([random_density(3, 2, seed) for seed in range(4)] + [edge])
+        got = require_positive(stack, "POVM element")
+        assert got.values.shape == (5, 3) and got.vectors.shape == (5, 3, 3)
+        for k in range(5):
+            alone = require_positive(stack[k], "POVM element")
+            assert np.array_equal(got.values[k], alone.values)
+            assert np.array_equal(got.vectors[k], alone.vectors)
+
 
 class TestSchmidt:
     def test_bell_coefficients(self):
@@ -305,6 +349,26 @@ class TestSchmidt:
     def test_rejects_bad_length(self):
         with pytest.raises(ShapeError):
             schmidt(np.array([1.0, 0.0, 0.0]), (2, 2))
+
+
+class TestRequireDims:
+    @pytest.mark.parametrize("dims", [(2, 3), [2, 3], np.array([2, 3]), (np.int64(2), np.uint8(3)),
+                                      iter((2, 3))], ids=["tuple", "list", "array", "numpy-ints", "iterator"])
+    def test_returns_a_pair_of_ints(self, dims):
+        got = require_dims(dims)
+        assert got == (2, 3) and type(got) is tuple and all(type(d) is int for d in got)
+
+    @pytest.mark.parametrize("dims", [4, None, (2, 2, 1), (2,), "234", np.array([2, 3, 1])],
+                             ids=["int", "none", "triple", "single", "string", "array-triple"])
+    def test_refuses_anything_but_a_pair(self, dims):
+        with pytest.raises(ShapeError, match="dims must be a pair"):
+            require_dims(dims)
+
+    @pytest.mark.parametrize("dims, name", [((0, 2), "dim_a"), ((2, 1.5), "dim_b"),
+                                            ((True, 2), "dim_a"), ((2, None), "dim_b"), ("23", "dim_a")])
+    def test_checks_each_entry_with_require_dim(self, dims, name):
+        with pytest.raises(ShapeError, match=f"{name} must be an integer >= 1"):
+            require_dims(dims)
 
 
 class TestRequireDim:

@@ -32,6 +32,7 @@ from qfc import (
     validate_density,
     werner,
 )
+from qfc import linalg
 
 from oracles import schmidt, state_vector
 
@@ -48,16 +49,21 @@ INVALID_INPUTS = {
     "witness-amplitude-count": (lambda: make_witness_state(a=(1.0,)), ShapeError),
     "kraus-empty": (lambda: KrausChannel(()), ShapeError),
     "kraus-mixed-shapes": (lambda: KrausChannel((np.eye(2), np.eye(3))), ShapeError),
-    "random-kraus-no-operator": (lambda: random_kraus_channel(2, 0, 0), ValidationError),
+    "random-kraus-no-operator": (lambda: random_kraus_channel(2, 0, 0), ShapeError),
     # the checks of linalg.require_state_vector
     "pure-state-unnormalized": (
         lambda: pure_state(np.array([1.0, 1.0, 0.0, 0.0]), (2, 2)), NormalizationError),
     "pure-state-length": (lambda: pure_state(np.array([1.0, 0.0, 0.0]), (2, 2)), ShapeError),
-    # the dimension and rank checks of linalg.require_dim, after the typed
-    # range checks that ran before it
+    # the dimension and rank checks of linalg.require_dim, which run before
+    # any range check reads the argument
     "random-density-fractional-rank": (lambda: random_density(3, 1.5, 0), ShapeError),
     "random-density-fractional-dim": (lambda: random_density(2.5, 2, 0), ShapeError),
-    "random-density-rank-range": (lambda: random_density(0, 0, 0), ValidationError),
+    "random-density-rank-range": (lambda: random_density(0, 0, 0), ShapeError),
+    "random-density-rank-above-dim": (lambda: random_density(2, 3, 0), ValidationError),
+    "random-density-none-rank": (lambda: random_density(3, None, 0), ShapeError),
+    "max-entangled-none-dim": (lambda: max_entangled(None), ShapeError),
+    "witness-none-dim": (lambda: make_witness_state(dims=(None, 2)), ShapeError),
+    "random-kraus-string-count": (lambda: random_kraus_channel(2, "2", 0), ShapeError),
     "max-entangled-fractional-dim": (lambda: max_entangled(2.5), ShapeError),
     "random-pure-zero-dim": (lambda: random_pure((0, 2), 0), ShapeError),
     "random-pure-bool-dim": (lambda: random_pure((2, True), 0), ShapeError),
@@ -70,6 +76,19 @@ INVALID_INPUTS = {
     "random-kraus-fractional-count": (lambda: random_kraus_channel(2, 1.5, 0), ShapeError),
     "random-kraus-negative-dim": (lambda: random_kraus_channel(-1, 1, 0), ShapeError),
     "random-kraus-zero-dim": (lambda: random_kraus_channel(0, 1, 0), ShapeError),
+    # the pair check of linalg.require_dims, on dims that are not a pair
+    **{
+        f"{name}-dims-{kind}": (lambda build=build, dims=dims: build(dims), ShapeError)
+        for name, build in {
+            "schmidt": lambda dims: pure_from_schmidt([1.0], dims),
+            "cc": lambda dims: make_cc([1.0], dims),
+            "witness": lambda dims: make_witness_state(dims=dims),
+            "random-pure": lambda dims: random_pure(dims, 0),
+            "require-state-vector": lambda dims: linalg.require_state_vector(np.eye(4)[0], dims),
+            "partial-trace": lambda dims: linalg.partial_trace(np.eye(4) / 4, dims, "a"),
+        }.items()
+        for kind, dims in {"int": 4, "none": None, "triple": (2, 2, 1)}.items()
+    },
 }
 
 
@@ -78,6 +97,13 @@ def test_invalid_input_raises_its_typed_error(case):
     build, error = INVALID_INPUTS[case]
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("dims", [[2, 2], np.array([2, 2]), iter((2, 2))],
+                         ids=["list", "array", "iterator"])
+def test_every_pair_that_unpacks_is_a_dims_pair(dims):
+    # the pair is unpacked once: an iterator is not consumed before the state is built
+    assert pure_state(np.eye(4)[0], dims).dims == (2, 2)
 
 
 class TestValidateDensity:
