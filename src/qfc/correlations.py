@@ -109,9 +109,18 @@ def _start_basis(rho_a: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(rho_a)[1]
 
 
-def _linear_entropy(rho_a: np.ndarray) -> float:
-    # 1 - tr rho_a^2, as 1 - sum_ij |rho_ij|^2 for a Hermitian rho_a
-    return float(1.0 - np.sum(rho_a.real**2 + rho_a.imag**2))
+def _linear_entropy(values: np.ndarray) -> float:
+    # 1 - tr rho_a^2 from the spectrum of rho_a
+    return float(1.0 - values @ values)
+
+
+def _pure_closed_form(state: BipartiteState, pure_value):
+    # The closed form of a pure state and the eigenbasis of rho_a that
+    # attains it, from one eigh of rho_a: pure_value(eigenvalues), clipped at
+    # +0.0. The exact value is >= 0; roundoff puts it slightly below zero on
+    # a product state, and max(0.0, -0.0) is 0.0.
+    values, basis = np.linalg.eigh(state.marginal("a"))
+    return max(0.0, pure_value(values)), basis
 
 
 @lru_cache(maxsize=None)
@@ -136,17 +145,21 @@ def _solve(
     none of its setup. Under ``"auto"`` three steps may return first.
 
     *Purity gate.* A state with ``delta = 1 - purity`` at most
-    ``min(PURITY_TOL, tolerance / 100)`` takes its closed form
-    ``pure_value(rho_a)`` at the eigenbasis of rho_a, a Schmidt basis of a
-    pure state, where every quantifier attains it; no report. rho's top
-    eigenvalue is at least ``1 - delta``. Entropic discord is then off its
-    closed form by at most S(rho) or the conditional entropies of the
-    measured state, each at most ``h(delta) + delta ln d <= delta (1 + ln(d
-    / delta))`` with h the binary entropy: below ``100 delta`` for every
-    positive float delta (>= 2^-53) and d < e^60. The other three are off by
-    O(delta), measured at most ``0.91 delta`` on nearly pure states up to
-    4x4. So every closed form the gate admits is within the tolerance; at
-    the default tolerance 1e-6 the bound is PURITY_TOL.
+    ``min(PURITY_TOL, tolerance / 100)`` takes its closed form at the
+    eigenbasis of rho_a, a Schmidt basis of a pure state, where every
+    quantifier attains it; no report. One ``eigh`` of rho_a gives both: the
+    basis is its eigenvectors, and the value is ``pure_value`` of its
+    eigenvalues (the linear entropy ``1 - sum l^2``, or ``S(rho_a)`` for
+    entropic discord), clipped at +0.0, as :func:`pure_state_correlation`
+    computes it. rho's top eigenvalue is at least ``1 - delta``. Entropic
+    discord is then off its closed form by at most S(rho) or the conditional
+    entropies of the measured state, each at most ``h(delta) + delta ln d <=
+    delta (1 + ln(d / delta))`` with h the binary entropy: below ``100
+    delta`` for every positive float delta (>= 2^-53) and d < e^60. The
+    other three are off by O(delta), measured at most ``0.91 delta`` on
+    nearly pure states up to 4x4. So every closed form the gate admits is
+    within the tolerance; at the default tolerance 1e-6 the bound is
+    PURITY_TOL.
 
     *Qubit closed form.* ``qubit(state)``, when given and ``dim_a == 2``.
 
@@ -177,8 +190,7 @@ def _solve(
     if auto:
         purity = state.purity()
         if purity >= 1.0 - PURITY_TOL and 1.0 - purity <= config.tolerance / 100:
-            rho_a = state.marginal("a")
-            return QuantifierResult(pure_value(rho_a), _start_basis(rho_a), "closed-form")
+            return QuantifierResult(*_pure_closed_form(state, pure_value), "closed-form")
         if qubit is not None and state.dim_a == 2:
             return qubit(state)
     f = objective(state)
@@ -389,11 +401,13 @@ def pure_state_correlation(state: BipartiteState) -> float:
     Both quantifiers take this value on pure states, where it also equals
     the geometric discord: the linear entropy of the reduced state (Luo and
     Fu, PRA 82, 034302, 2010), ``1 - sum_i c_i^2`` over the Schmidt
-    coefficients ``c_i`` (the eigenvalues of rho_a). The three solvers
-    return it for a pure state without a search (``method="auto"``). Raises
-    :class:`PurityError` on mixed input.
+    coefficients ``c_i`` (the eigenvalues of rho_a). It is read from the
+    eigenvalues of one ``eigh`` of rho_a and clipped at +0.0, so it is never
+    negative, and the three solvers return exactly this value for a pure
+    state without a search (``method="auto"``, the purity gate of
+    ``_solve``). Raises :class:`PurityError` on mixed input.
     """
     purity = state.purity()
     if purity < 1.0 - PURITY_TOL:
         raise PurityError(f"state has purity {purity:.9f}, expected 1")
-    return _linear_entropy(state.marginal("a"))
+    return _pure_closed_form(state, _linear_entropy)[0]

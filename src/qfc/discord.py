@@ -105,13 +105,14 @@ def entropic_discord(
 
     ``method="auto"`` takes that closed form on a nearly pure state (the
     purity gate of ``correlations._solve``), at the eigenbasis of rho_a with
-    ``method="closed-form"`` and no report; it is off by at most ``(1 -
+    ``method="closed-form"`` and no report: the entropy of the eigenvalues of
+    that one decomposition, clipped at +0.0. It is off by at most ``(1 -
     purity) (1 + ln(d / (1 - purity)))``, the entropy of rho's small
     eigenvalues, which the gate keeps within the configured tolerance. A
     value certified within tolerance of zero skips the search
     (``method="certified-zero"``); ``method="optimized"`` always searches.
     """
-    return _solve(state, config, method, _state_entropy, _loss_objective)
+    return _solve(state, config, method, _entropy, _loss_objective)
 
 
 def _dg_qubit(state: BipartiteState) -> QuantifierResult:

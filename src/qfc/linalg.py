@@ -81,10 +81,12 @@ def require_positive(h: np.ndarray, name: str) -> Spectrum:
 
     ``h`` is one matrix or a ``(k, d, d)`` stack, checked as one: the error
     names the lowest eigenvalue of the whole stack. One decomposition gives
-    both: the check reads the lowest eigenvalue of the spectrum it returns.
+    both: the check reads the lowest eigenvalue of the spectrum it returns,
+    the last one of a single matrix without a reduction.
     """
     spectrum = _spectrum(h)
-    lowest = float(spectrum.values[..., -1].min())
+    values = spectrum.values
+    lowest = float(values[-1] if values.ndim == 1 else values[:, -1].min())
     if not lowest >= -VALIDATION_TOL:
         raise PositivityError(f"{name} has eigenvalue {lowest:.3e} < 0")
     return spectrum
@@ -146,6 +148,12 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
         raise ShapeError(
             f"operator shape {rho.shape} does not match dims {m}x{n}"
         )
+    return _partial_trace(rho, m, n, keep)
+
+
+def _partial_trace(rho: np.ndarray, m: int, n: int, keep: str) -> np.ndarray:
+    # partial_trace without the checks, for an (m n, m n) complex rho whose
+    # dims are already checked (a state's)
     r4 = rho.reshape(m, n, m, n)
     if keep == "a":
         return np.einsum("pnqn->pq", r4)

@@ -67,7 +67,7 @@ class BipartiteState:
 
     def marginal(self, party: str) -> np.ndarray:
         """Reduced density matrix of one party."""
-        return linalg.partial_trace(self.rho, self.dims, party)
+        return linalg._partial_trace(self.rho, self.dim_a, self.dim_b, party)
 
     def purity(self) -> float:
         # tr rho^2 = sum_ij |rho_ij|^2 for a Hermitian rho: no matrix product

@@ -11,6 +11,7 @@ from qfc import (
     ShapeError,
     dag,
     entropic_discord,
+    geometric_discord,
     hermitian_basis,
     lift_a,
     lift_b,
@@ -533,6 +534,15 @@ def _cc_3x3():
     return make_cc([0.5, 0.3, 0.2], (3, 3), haar_unitary(3, 1), haar_unitary(3, 2))
 
 
+def _decompositions(monkeypatch) -> list:
+    # every eigh/eigvalsh input from here on, in order
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, f=original, **k: calls.append(a) or f(a, **k))
+    return calls
+
+
 @pytest.mark.parametrize("build, solve, method", [
     (_cc_3x3, observable_correlation, "certified-zero"),
     (lambda: random_mixed((3, 3), 4), lambda s: observable_correlation(s, SEARCH_ONCE), "optimized"),
@@ -544,12 +554,9 @@ def _cc_3x3():
 ], ids=["qah-certified-3x3", "qah-searched-3x3", "qah-qubit-2x3", "qapi", "entropic_discord",
         "total_local_qfi_b", "mutual_information"])
 def test_rho_is_decomposed_once_at_construction(build, solve, method, monkeypatch):
-    # every eigh/eigvalsh input, in order: building the state decomposes rho
-    # once, and the solve reads the spectrum the state kept
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, f=original, **k: calls.append(a) or f(a, **k))
+    # building the state decomposes rho once, and the solve reads the
+    # spectrum the state kept
+    calls = _decompositions(monkeypatch)
     state = build()
     built = len(calls)
     result = solve(state)
@@ -558,3 +565,17 @@ def test_rho_is_decomposed_once_at_construction(build, solve, method, monkeypatc
     rho = [a.shape == state.rho.shape and np.allclose(a, state.rho) for a in calls]
     assert rho[:built].count(True) == 1
     assert not any(rho[built:])
+
+
+@pytest.mark.parametrize("solve", [observable_correlation, measurement_correlation,
+                                   entropic_discord, geometric_discord],
+                         ids=["qah", "qapi", "dq", "dg"])
+def test_the_purity_gate_decomposes_rho_a_once(solve, monkeypatch):
+    # the gate's value and basis come from one eigh of rho_a, and nothing
+    # else is decomposed after the state is built
+    state = random_pure((3, 4), 5)
+    calls = _decompositions(monkeypatch)
+    assert solve(state).method == "closed-form"
+    rho_a = state.marginal("a")
+    assert len(calls) == 1
+    assert calls[0].shape == rho_a.shape and np.allclose(calls[0], rho_a)

@@ -7,6 +7,8 @@ form without a search; ``method="optimized"`` still searches, and must
 meet it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,13 @@ from qfc import (
     measurement_correlation,
     mutual_information,
     observable_correlation,
+    pure_state,
+    pure_state_correlation,
     random_pure,
     total_local_qfi_b,
     total_mfi,
 )
-from qfc.states import PURITY_TOL
+from qfc.states import PURITY_TOL, haar_unitary
 
 from oracles import basis_qfi_sum, schmidt, state_vector
 from test_measured_blocks import explicit_distance
@@ -74,9 +78,29 @@ def test_pure_input_takes_the_closed_form(name, dims):
         assert searched.method == "optimized"
         expected = oracle(name, state)
         assert abs(result.value - expected) <= 1e-12
+        if name != "dq":
+            # one implementation: the gate cannot drift from the public closed form
+            assert result.value == pure_state_correlation(state)
         assert abs(searched.value - result.value) <= 1e-12
         # the basis returned attains the value
         assert abs(DEFINITIONS[name](state, result.argopt) - result.value) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
+def test_the_closed_form_of_a_product_state_is_never_negative(name, dims):
+    # the exact value is 0; roundoff in rho_a's eigenvalues would put it
+    # slightly on either side of 0, and the gate clips it at +0.0
+    m, n = dims
+    for seed in range(300):
+        psi = np.kron(haar_unitary(m, 2 * seed)[:, 0], haar_unitary(n, 2 * seed + 1)[:, 0])
+        state = pure_state(psi, dims)
+        result = SOLVERS[name](state)
+        assert result.method == "closed-form"
+        assert 0.0 <= result.value <= 1e-14 and math.copysign(1.0, result.value) == 1.0
+        if name == "qah":
+            closed = pure_state_correlation(state)
+            assert closed >= 0.0 and math.copysign(1.0, closed) == 1.0
 
 
 @pytest.mark.parametrize("name", list(SOLVERS))
